@@ -1,6 +1,7 @@
 """Command-line interface: seq, compute, family, verify, and selftest.
 
-Exit codes: 0 success, 1 usage error, 2 domain error, 3 resource limit,
+Exit codes: 0 success, 1 usage error, 2 domain error, 3 resource limit
+(a refused guardrail, or a recursion depth or memory limit hit mid-run),
 4 verification failure.  All big integers are emitted as decimal strings;
 averages as exact "num/den" fractions (text mode adds a tagged decimal
 approximation, computed without floating point).
@@ -386,6 +387,12 @@ def main(argv=None) -> int:
     except GraphBellError as exc:  # base-class fallback
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except RecursionError:
+        print("error: input too large: the recursion depth limit was reached", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("error: input too large: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

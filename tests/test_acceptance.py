@@ -220,10 +220,10 @@ def test_criterion_7_inequality_scans():
         assert elapsed < 120.0
 
 
-def test_criterion_8_selftest_determinism():
+def test_criterion_8_selftest_determinism(child_env):
     with criterion("criterion 8: byte-identical selftest JSON across two processes"):
         cmd = [sys.executable, "-m", "graphbell", "selftest", "--seed", "7", "--json"]
-        runs = [subprocess.run(cmd, capture_output=True) for _ in range(2)]
+        runs = [subprocess.run(cmd, capture_output=True, env=child_env) for _ in range(2)]
         assert runs[0].returncode == 0 and runs[1].returncode == 0
         assert runs[0].stdout == runs[1].stdout
         report = json.loads(runs[0].stdout)

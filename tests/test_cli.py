@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -177,6 +179,22 @@ def test_verify_i1_json(capsys):
     assert all(set(r) >= {"id", "n", "p", "lhs", "rhs", "margin", "holds_strict"} for r in reports)
     assert all(r["holds_strict"] for r in reports)
     assert "0 in-range violations" in err
+
+
+@pytest.mark.parametrize("extra", [(), ("--no-memo",)])
+def test_compute_too_deep_exits_resource(extra, child_env):
+    # A path this long peels one vertex per recursion level, past Python's
+    # default recursion limit.  Run in a fresh interpreter so the real stderr
+    # is checked.  The MemoryError branch of main has no test: provoking it
+    # safely is not possible.
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphbell", "compute", "--family", "path:1200", *extra],
+        capture_output=True, text=True, env=child_env, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("error: ")
+    assert proc.stdout == ""
 
 
 def test_verify_unknown_id(capsys):

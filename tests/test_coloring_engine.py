@@ -1,11 +1,13 @@
 """Engine vs. oracle, reduction identities, and profile arithmetic."""
 
+import sys
 from fractions import Fraction
 from itertools import combinations
 from random import Random
 
 import pytest
 
+from graphbell import graph_core
 from graphbell.coloring_engine import (
     ProfileCache,
     StirlingProfile,
@@ -177,11 +179,46 @@ def test_isolated_vertex_convolution():
 # --- memoization and determinism ---------------------------------------------------
 
 
-def test_memo_disabled_matches_enabled():
+def memo_test_graphs():
     rng = Random(22)
-    for _ in range(20):
-        g = random_graph(rng.randint(3, 8), rng)
-        assert profile(g, memo=None) == profile(g, ProfileCache()) == profile(g)
+    return [random_graph(rng.randint(3, 8), rng) for _ in range(20)]
+
+
+def test_memo_disabled_matches_enabled():
+    shared = ProfileCache()
+    for g in memo_test_graphs():
+        expected = profile(g, memo=None)
+        assert expected == profile(g, ProfileCache()) == profile(g)
+        assert profile(g, shared) == expected
+
+
+def test_profile_never_fingerprints(monkeypatch):
+    def refuse(g):
+        raise AssertionError("profile() computed a canonical fingerprint")
+
+    original = graph_core.canonical_key
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "graphbell" and getattr(module, "canonical_key", None) is original:
+            monkeypatch.setattr(module, "canonical_key", refuse)
+    for g in memo_test_graphs():
+        expected = brute_force_profile(g)
+        assert profile(g, ProfileCache()) == profile(g) == expected
+    pr = profile(family(FamilyKind.CYCLE, 14), ProfileCache())
+    agg = cycle_aggregates(14)
+    assert pr.bell == agg.b and pr.total == agg.t
+
+
+def test_memo_length_counts_labeled_entries():
+    stored = set()
+
+    class Recording(ProfileCache):
+        def put(self, g, counts):
+            stored.add((g.n, g.adj))
+            super().put(g, counts)
+
+    memo = Recording()
+    profile(family(FamilyKind.PATH, 300), memo)
+    assert 0 < len(memo) == len(stored) <= 300
 
 
 def test_memo_is_populated_and_reused():

@@ -258,14 +258,15 @@ def test_key_distinguishes_refinement_equivalent_graphs():
     assert canonical_key(two_triangles) != canonical_key(cycle(6))
 
 
-def test_key_stable_across_processes():
+def test_key_stable_across_processes(child_env):
     snippet = (
         "from graphbell.graph_core import FamilySpec, FamilyKind, build, canonical_key;"
         "print(canonical_key(build(FamilySpec(FamilyKind.CYCLE, 5))).hex())"
     )
     runs = [
         subprocess.run(
-            [sys.executable, "-c", snippet], capture_output=True, text=True, check=True
+            [sys.executable, "-c", snippet],
+            capture_output=True, text=True, check=True, env=child_env,
         ).stdout
         for _ in range(2)
     ]
