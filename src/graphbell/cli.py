@@ -251,9 +251,7 @@ def _cmd_verify(args) -> int:
         raise UsageError(
             f"unknown inequality id {args.id!r}; valid ids: {', '.join(INEQUALITY_IDS)}"
         )
-    reports = scan(
-        args.id, args.n_max, args.p_max, explore=args.explore, jobs=args.jobs
-    )
+    reports = scan(args.id, args.n_max, args.p_max, explore=args.explore)
     summary = summarize(reports)
     if args.json:
         _emit_json([r.as_dict() for r in reports])
@@ -356,7 +354,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--p-max", type=int, default=0)
     p.add_argument("--explore", action="store_true",
                    help="also evaluate below the documented range without asserting")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for the grid")
     add_formats(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -14,7 +14,7 @@ from math import comb
 
 from .errors import DomainError
 from .graph_core import FamilyKind, FamilySpec
-from .sequences import alternating_bell_sum, bell, two_bell
+from .sequences import alt_sum, alternating_bell_sum, bell, two_bell
 
 
 @dataclass(frozen=True)
@@ -22,20 +22,18 @@ class FamilyAggregates:
     family: FamilySpec
     b: int
     t: int
-    a: Fraction
 
-    @staticmethod
-    def make(family: FamilySpec, b: int, t: int) -> "FamilyAggregates":
-        return FamilyAggregates(family, b, t, Fraction(t, b))
+    @property
+    def a(self) -> Fraction:
+        """The exact average, reduced on access: comparisons use ``b`` and ``t``."""
+        return Fraction(self.t, self.b)
 
 
 def tree_aggregates(n: int) -> FamilyAggregates:
     """Any tree of order n: b = bell(n-1), t = bell(n), independent of shape."""
     if n < 1:
         raise DomainError("a tree has at least one vertex")
-    return FamilyAggregates.make(
-        FamilySpec(FamilyKind.PATH, n), bell(n - 1), bell(n)
-    )
+    return FamilyAggregates(FamilySpec(FamilyKind.PATH, n), bell(n - 1), bell(n))
 
 
 def tree_pk1_aggregates(n: int, p: int) -> FamilyAggregates:
@@ -49,12 +47,12 @@ def tree_pk1_aggregates(n: int, p: int) -> FamilyAggregates:
         raise DomainError("isolated-vertex count must be nonnegative")
     b = sum(comb(p, i) * bell(n + i - 1) for i in range(p + 1))
     t = sum(comb(p, i) * bell(n + i) for i in range(p + 1))
-    return FamilyAggregates.make(FamilySpec(FamilyKind.PATH, n, p=p), b, t)
+    return FamilyAggregates(FamilySpec(FamilyKind.PATH, n, p=p), b, t)
 
 
 def cycle_aggregates(n: int) -> FamilyAggregates:
     """A cycle of order n >= 3, as alternating Bell sums."""
-    return FamilyAggregates.make(
+    return FamilyAggregates(
         FamilySpec(FamilyKind.CYCLE, n),
         alternating_bell_sum(n, 0),
         alternating_bell_sum(n, 1),
@@ -65,18 +63,17 @@ def cycle_pk1_aggregates(n: int, p: int) -> FamilyAggregates:
     """A cycle of order n >= 3 plus p isolated vertices.
 
     b = sum_{j=1..n-1} (-1)**(j+1) sum_i C(p, i) * bell(n+i-j); t shifts the
-    inner Bell index up by one.
+    inner Bell index up by one.  The sums are taken in the other order,
+    b = sum_i C(p, i) * alt(n, i) with the alternating Bell sum alt, so a
+    point costs p+1 table reads instead of (n-1)(p+1) Bell terms.
     """
     if n < 3:
         raise DomainError("a cycle has at least three vertices")
     if p < 0:
         raise DomainError("isolated-vertex count must be nonnegative")
-    b = t = 0
-    for j in range(1, n):
-        sign = 1 if j % 2 == 1 else -1
-        b += sign * sum(comb(p, i) * bell(n + i - j) for i in range(p + 1))
-        t += sign * sum(comb(p, i) * bell(n + i - j + 1) for i in range(p + 1))
-    return FamilyAggregates.make(FamilySpec(FamilyKind.CYCLE, n, p=p), b, t)
+    b = sum(comb(p, i) * alt_sum(n, i) for i in range(p + 1))
+    t = sum(comb(p, i) * alt_sum(n, i + 1) for i in range(p + 1))
+    return FamilyAggregates(FamilySpec(FamilyKind.CYCLE, n, p=p), b, t)
 
 
 def h3_tail_aggregates(m: int, p: int) -> FamilyAggregates:
@@ -89,7 +86,7 @@ def h3_tail_aggregates(m: int, p: int) -> FamilyAggregates:
         raise DomainError("tail and isolated-vertex counts must be nonnegative")
     big = tree_pk1_aggregates(m + 3, p)
     small = tree_pk1_aggregates(m + 2, p)
-    return FamilyAggregates.make(
+    return FamilyAggregates(
         FamilySpec(FamilyKind.HNR, 3, r=m, p=p), big.b - small.b, big.t - small.t
     )
 
@@ -117,7 +114,7 @@ def hnr_pk1_aggregates(n: int, r: int, p: int) -> FamilyAggregates:
         tail_path = tree_pk1_aggregates(r + 2, p)
         b = sum(agg.b for agg in parts) + tail_path.b
         t = sum(agg.t for agg in parts) + tail_path.t
-    return FamilyAggregates.make(FamilySpec(FamilyKind.HNR, n, r=r, p=p), b, t)
+    return FamilyAggregates(FamilySpec(FamilyKind.HNR, n, r=r, p=p), b, t)
 
 
 def lemma15_identity_check(n: int, p: int) -> bool:
@@ -141,29 +138,29 @@ def empty_aggregates(n: int) -> FamilyAggregates:
     if n < 0:
         raise DomainError("graph order must be nonnegative")
     t = two_bell(n - 1) if n >= 1 else 0
-    return FamilyAggregates.make(FamilySpec(FamilyKind.EMPTY, n), bell(n), t)
+    return FamilyAggregates(FamilySpec(FamilyKind.EMPTY, n), bell(n), t)
 
 
 def complete_aggregates(n: int) -> FamilyAggregates:
     """The complete graph on n vertices: one coloring, n classes."""
     if n < 0:
         raise DomainError("graph order must be nonnegative")
-    return FamilyAggregates.make(FamilySpec(FamilyKind.COMPLETE, n), 1, n)
+    return FamilyAggregates(FamilySpec(FamilyKind.COMPLETE, n), 1, n)
 
 
 def aggregates_for(spec: FamilySpec) -> FamilyAggregates:
     """Dispatch a family spec to its closed form (trees cover path and star)."""
     if spec.kind in (FamilyKind.PATH, FamilyKind.STAR, FamilyKind.CATERPILLAR):
         agg = tree_pk1_aggregates(spec.n, spec.p)
-        return FamilyAggregates(spec, agg.b, agg.t, agg.a)
+        return FamilyAggregates(spec, agg.b, agg.t)
     if spec.kind is FamilyKind.CYCLE:
         agg = cycle_pk1_aggregates(spec.n, spec.p)
-        return FamilyAggregates(spec, agg.b, agg.t, agg.a)
+        return FamilyAggregates(spec, agg.b, agg.t)
     if spec.kind is FamilyKind.HNR:
         return hnr_pk1_aggregates(spec.n, spec.r, spec.p)
     if spec.kind is FamilyKind.EMPTY:
         agg = empty_aggregates(spec.n + spec.p)
-        return FamilyAggregates(spec, agg.b, agg.t, agg.a)
+        return FamilyAggregates(spec, agg.b, agg.t)
     if spec.kind is FamilyKind.COMPLETE:
         if spec.p:
             raise DomainError("no closed form for a complete graph with isolated vertices")

@@ -9,7 +9,6 @@ can be explored without being asserted.  Reports carry the margin
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 from random import Random
@@ -19,12 +18,7 @@ from . import closed_forms as cf
 from .coloring_engine import profile
 from .errors import DomainError, UsageError
 from .graph_core import random_graph
-from .sequences import bell, shared_cache
-
-
-def _alt(n: int, shift: int) -> int:
-    """Alternating Bell sum over j = 1..n-1 without the cycle-order floor."""
-    return sum((-1) ** (j + 1) * bell(n - j + shift) for j in range(1, n))
+from .sequences import alt_sum, bell, shared_cache
 
 
 def _cross(lo: cf.FamilyAggregates, hi: cf.FamilyAggregates) -> tuple[int, int]:
@@ -65,10 +59,12 @@ def _t_cycle_vs_h3(n, p):
 
 
 def _cycle_sum(n, p, shift):
-    return sum(
-        (-1) ** (j + 1) * sum(comb(p, i) * bell(n + i - j + shift) for i in range(p + 1))
-        for j in range(1, n)
-    )
+    """sum_j (-1)**(j+1) sum_i C(p, i) * bell(n+i-j+shift), any n >= 1.
+
+    The two sums are swapped: sum_i C(p, i) * alt_sum(n, shift+i) costs p+1
+    table reads.
+    """
+    return sum(comb(p, i) * alt_sum(n, shift + i) for i in range(p + 1))
 
 
 def _c14(n, p):
@@ -108,17 +104,17 @@ def _i3(n, _p):
 
 
 def _i4(n, _p):
-    return (bell(n - 1) - bell(n - 2)) * _alt(n, 1), (bell(n) - bell(n - 1)) * _alt(n, 0)
+    return (bell(n - 1) - bell(n - 2)) * alt_sum(n, 1), (bell(n) - bell(n - 1)) * alt_sum(n, 0)
 
 
 def _i5(n, _p):
-    return bell(n) * _alt(n, 0), bell(n - 1) * _alt(n, 1)
+    return bell(n) * alt_sum(n, 0), bell(n - 1) * alt_sum(n, 1)
 
 
 def _i6(n, _p):
     s = -1 if n % 2 else 1
-    lhs = (bell(n) + bell(n - 1) + 7 * s) * _alt(n, 0)
-    rhs = (bell(n - 1) + bell(n - 2) + 3 * s) * _alt(n, 1)
+    lhs = (bell(n) + bell(n - 1) + 7 * s) * alt_sum(n, 0)
+    rhs = (bell(n - 1) + bell(n - 2) + 3 * s) * alt_sum(n, 1)
     return lhs, rhs
 
 
@@ -323,7 +319,6 @@ def scan(
     p_max: int = 0,
     *,
     explore: bool = False,
-    jobs: int = 1,
 ) -> list[InequalityReport]:
     """All reports for ``id`` on the grid up to (n_max, p_max), sorted by (n, p).
 
@@ -338,24 +333,13 @@ def scan(
     shared_cache().grow_capacity(n_max + p_max + 6)
 
     lowest = d.eval_min if explore else min(d.extensions + (d.n_min,))
-    points = []
+    reports = []
     for n in range(lowest, n_max + 1):
         in_range = n >= d.n_min or n in d.extensions
         if not explore and not in_range:
             continue
         for p in range(p_max + 1) if d.uses_p else (0,):
-            points.append((n, p, in_range))
-
-    def run(point):
-        n, p, in_range = point
-        return _evaluate(d, n, p, in_range)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            reports = list(ex.map(run, points))
-    else:
-        reports = [run(pt) for pt in points]
-    reports.sort(key=lambda r: (r.n, r.p))
+            reports.append(_evaluate(d, n, p, in_range))
     return reports
 
 

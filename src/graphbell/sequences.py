@@ -5,8 +5,11 @@ those with exactly k blocks, and ``two_bell(n)`` the total number of blocks
 over all partitions of an (n+1)-element set.  The Bell column and the
 Stirling triangle are grown by *independent* recurrences (Bell triangle vs.
 the two-term triangle rule) so the test suite can cross-check one pipeline
-against the other.  Everything is exact integer or Fraction arithmetic;
-there is no floating point anywhere in this module.
+against the other.  The Bell column carries its alternating prefix sums, so
+every alternating Bell sum is one subtraction; the Stirling triangle is
+grown only as far as ``stirling2`` has been asked, so Bell lookups cost
+memory linear in the index.  Everything is exact integer or Fraction
+arithmetic; there is no floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ class BigSeqCache:
     """Append-only cache of Bell numbers and the k-block partition triangle.
 
     Growth is lock-guarded so concurrent readers may share one instance;
-    rows are never mutated after being appended.
+    rows are never mutated after being appended.  Next to the Bell column
+    sits ``_alt_prefix[m] = sum_{i<=m} (-1)**i * bell(i)``, grown in the same
+    step; the Stirling triangle is grown on its own, by ``stirling2``.
     """
 
     def __init__(self, max_terms: int = DEFAULT_TERMS):
@@ -34,6 +39,7 @@ class BigSeqCache:
         self.max_terms = max_terms
         self._lock = threading.Lock()
         self._bell: list[int] = [1]
+        self._alt_prefix: list[int] = [1]
         self._bell_triangle_row: list[int] = [1]
         self._stirling: list[list[int]] = [[1]]
 
@@ -46,15 +52,18 @@ class BigSeqCache:
         with self._lock:
             self.max_terms = max(self.max_terms, terms)
 
-    def ensure(self, n: int) -> None:
-        """Extend both tables so indices 0..n are available."""
-        if n < len(self._bell):
-            return
+    def _check_capacity(self, n: int) -> None:
         if n >= self.max_terms:
             raise ResourceError(
                 f"sequence index {n} exceeds cache capacity {self.max_terms} terms; "
                 "call grow_capacity() first"
             )
+
+    def ensure(self, n: int) -> None:
+        """Extend the Bell column and its alternating prefix sums through index n."""
+        if n < len(self._bell):
+            return
+        self._check_capacity(n)
         with self._lock:
             while len(self._bell) <= n:
                 # Bell triangle: next row starts with the previous row's last entry.
@@ -63,15 +72,11 @@ class BigSeqCache:
                 for x in row:
                     nxt.append(nxt[-1] + x)
                 self._bell_triangle_row = nxt
+                # The prefix goes first: the unlocked fast path above reads
+                # len(self._bell), so index m of both columns must exist by then.
+                m = len(self._bell)
+                self._alt_prefix.append(self._alt_prefix[-1] + (-nxt[0] if m % 2 else nxt[0]))
                 self._bell.append(nxt[0])
-
-                # Triangle rule: count(n, k) = k*count(n-1, k) + count(n-1, k-1).
-                prev = self._stirling[-1]
-                m = len(self._stirling)
-                srow = [0] * (m + 1)
-                for k in range(1, m + 1):
-                    srow[k] = k * (prev[k] if k < m else 0) + prev[k - 1]
-                self._stirling.append(srow)
 
     def bell(self, n: int) -> int:
         if n < 0:
@@ -85,7 +90,17 @@ class BigSeqCache:
             raise DomainError("Stirling row index must be nonnegative")
         if k < 0 or k > n:
             return 0
-        self.ensure(n)
+        if n >= len(self._stirling):
+            self._check_capacity(n)
+            with self._lock:
+                # Triangle rule: count(n, k) = k*count(n-1, k) + count(n-1, k-1).
+                while len(self._stirling) <= n:
+                    prev = self._stirling[-1]
+                    m = len(self._stirling)
+                    srow = [0] * (m + 1)
+                    for j in range(1, m + 1):
+                        srow[j] = j * (prev[j] if j < m else 0) + prev[j - 1]
+                    self._stirling.append(srow)
         return self._stirling[n][k]
 
     def two_bell(self, n: int) -> int:
@@ -100,17 +115,32 @@ class BigSeqCache:
             raise DomainError("average block count requires n >= 1")
         return Fraction(self.two_bell(n - 1), self.bell(n))
 
+    def alt_sum(self, n: int, shift: int = 0) -> int:
+        """Sum of (-1)**(j+1) * bell(n - j + shift) for j = 1..n-1, for any n.
+
+        The sum is empty (0) for n < 2.  Substituting i = n - j + shift gives
+        (-1)**(n+shift+1) * (P[n+shift-1] - P[shift]) with the alternating
+        prefix sums P, so each call is one subtraction after the column is
+        grown.  Raises DomainError if a term would need a negative Bell index.
+        """
+        if n < 2:
+            return 0
+        if 1 + shift < 0:
+            raise DomainError("alternating Bell sum would need a negative Bell index")
+        self.ensure(n + shift - 1)
+        prefix = self._alt_prefix
+        diff = prefix[n + shift - 1] - (prefix[shift] if shift >= 0 else 0)
+        return -diff if (n + shift) % 2 == 0 else diff
+
     def alternating_bell_sum(self, n: int, shift: int = 0) -> int:
-        """Sum of (-1)**(j+1) * bell(n - j + shift) for j = 1..n-1.
+        """Sum of (-1)**(j+1) * bell(n - j + shift) for j = 1..n-1, for n >= 3.
 
         With shift 0 this equals the partition count of an n-cycle into
         stable sets; with shift 1, the corresponding total block count.
         """
         if n < 3:
             raise DomainError("alternating Bell sum requires n >= 3")
-        if 1 + shift < 0:
-            raise DomainError("alternating Bell sum would need a negative Bell index")
-        return sum((-1) ** (j + 1) * self.bell(n - j + shift) for j in range(1, n))
+        return self.alt_sum(n, shift)
 
 
 _SHARED = BigSeqCache()
@@ -134,6 +164,10 @@ def two_bell(n: int) -> int:
 
 def avg_blocks(n: int) -> Fraction:
     return _SHARED.avg_blocks(n)
+
+
+def alt_sum(n: int, shift: int = 0) -> int:
+    return _SHARED.alt_sum(n, shift)
 
 
 def alternating_bell_sum(n: int, shift: int = 0) -> int:

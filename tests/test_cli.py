@@ -229,12 +229,16 @@ def test_verify_csv_round_trip(capsys):
     assert all(r["holds_strict"] == "true" for r in rows)
 
 
-def test_verify_jobs_deterministic(capsys):
-    _, out_a, _ = run_cli(capsys, "verify", "--id", "C17", "--n-max", "12", "--p-max", "2", "--json")
-    _, out_b, _ = run_cli(
-        capsys, "verify", "--id", "C17", "--n-max", "12", "--p-max", "2", "--json", "--jobs", "4"
+def test_verify_jobs_is_usage_error(child_env):
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphbell", "verify", "--id", "C17", "--n-max", "12",
+         "--jobs", "4"],
+        capture_output=True, text=True, env=child_env,
     )
-    assert out_a == out_b
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "--jobs" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # --- selftest and misc --------------------------------------------------------------

@@ -1,17 +1,21 @@
 """Named inequality checks: spot values, grid scans, and report semantics."""
 
+from math import comb
+
 import pytest
 
 from graphbell.closed_forms import cycle_pk1_aggregates, h3_tail_aggregates
 from graphbell.errors import DomainError, UsageError
 from graphbell.inequality_verifier import (
     INEQUALITY_IDS,
+    _cycle_sum,
     check,
     definition,
     prop7_sample_check,
     scan,
     summarize,
 )
+from graphbell.sequences import bell
 
 GRID_IDS = [i for i in INEQUALITY_IDS if i != "PROP7_MIX"]
 PAIRS = [
@@ -147,8 +151,22 @@ def test_scan_p_grid_shape():
     assert len(reports) == (10 - d.n_min + 1) * 5
 
 
-def test_scan_jobs_matches_serial():
-    assert scan("C9", 12, 3, jobs=4) == scan("C9", 12, 3)
+def direct_cycle_sum(n, p, shift):
+    """The double sum summed over j outside, i inside: the reference order."""
+    return sum(
+        (-1) ** (j + 1) * sum(comb(p, i) * bell(n + i - j + shift) for i in range(p + 1))
+        for j in range(1, n)
+    )
+
+
+def test_cycle_sums_match_direct_double_sum():
+    for n in range(2, 61):
+        for p in range(7):
+            b, t = direct_cycle_sum(n, p, 0), direct_cycle_sum(n, p, 1)
+            assert (_cycle_sum(n, p, 0), _cycle_sum(n, p, 1)) == (b, t)
+            if n >= 3:
+                agg = cycle_pk1_aggregates(n, p)
+                assert (agg.b, agg.t) == (b, t)
 
 
 def test_explore_reports_sub_range_failures_without_asserting():

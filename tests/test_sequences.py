@@ -1,5 +1,6 @@
 """Integer-sequence tables: frozen prefixes, identities, and brute-force oracles."""
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from graphbell.coloring_engine import restricted_growth_strings
 from graphbell.errors import DomainError, ResourceError
 from graphbell.sequences import (
     BigSeqCache,
+    alt_sum,
     alternating_bell_sum,
     avg_blocks,
     bell,
@@ -108,6 +110,48 @@ def test_alternating_bell_sum_domain():
         alternating_bell_sum(2, 0)
     with pytest.raises(DomainError):
         alternating_bell_sum(5, -2)
+    with pytest.raises(DomainError):
+        alt_sum(4, -2)
+
+
+def direct_alt_sum(n, shift):
+    return sum((-1) ** (j + 1) * bell(n - j + shift) for j in range(1, n))
+
+
+def test_alternating_sums_match_direct_j_sum():
+    shared_cache().grow_capacity(130)
+    for n in range(121):
+        for shift in range(-1, 7):
+            want = direct_alt_sum(n, shift)
+            assert alt_sum(n, shift) == want
+            if n >= 3:
+                assert alternating_bell_sum(n, shift) == want
+            else:
+                with pytest.raises(DomainError):
+                    alternating_bell_sum(n, shift)
+
+
+def test_growth_order_does_not_change_values():
+    stirling_first, bell_first = BigSeqCache(), BigSeqCache()
+    rows = [[stirling_first.stirling2(n, k) for k in range(n + 1)] for n in range(81)]
+    bells = [bell_first.bell(n) for n in range(81)]
+    assert len(bell_first._stirling) == 1  # Bell growth leaves the triangle alone
+    assert rows == [[bell_first.stirling2(n, k) for k in range(n + 1)] for n in range(81)]
+    assert bells == [stirling_first.bell(n) for n in range(81)] == [sum(r) for r in rows]
+    assert [stirling_first.alt_sum(n, 1) for n in range(80)] == [
+        bell_first.alt_sum(n, 1) for n in range(80)
+    ]
+
+
+def test_bell_and_stirling_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.functions.combinatorial.numbers import stirling
+
+    for n in range(61):
+        assert bell(n) == int(sympy.bell(n))
+        assert [stirling2(n, k) for k in range(n + 1)] == [
+            int(stirling(n, k)) for k in range(n + 1)
+        ]
 
 
 def test_strict_log_convexity():
@@ -132,15 +176,33 @@ def test_capacity_guardrail():
     assert cache.bell(15) > 0
     with pytest.raises(ResourceError):
         cache.bell(16)
+    with pytest.raises(ResourceError):
+        cache.stirling2(16, 1)
     cache.grow_capacity(32)
     assert cache.bell(31) > 0
+    assert cache.stirling2(31, 1) == 1
     with pytest.raises(ResourceError):
         cache.grow_capacity(10**7)
 
 
 def test_shared_cache_concurrent_growth():
     cache = BigSeqCache(max_terms=256)
-    with ThreadPoolExecutor(max_workers=8) as ex:
-        results = list(ex.map(cache.bell, [200] * 16))
-    assert len(set(results)) == 1
-    assert results[0] == shared_cache().bell(200)
+
+    def read(i):
+        if i % 3 == 0:
+            return cache.bell(200)
+        if i % 3 == 1:
+            return cache.alt_sum(200, 1)
+        return tuple(cache.stirling2(150, k) for k in range(151))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the growth loops too
+    try:
+        with ThreadPoolExecutor(max_workers=8) as ex:
+            results = list(ex.map(read, range(24), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    ref = shared_cache()
+    assert set(results[0::3]) == {ref.bell(200)}
+    assert set(results[1::3]) == {ref.alt_sum(200, 1)}
+    assert set(results[2::3]) == {tuple(ref.stirling2(150, k) for k in range(151))}
