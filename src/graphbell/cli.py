@@ -1,5 +1,10 @@
 """Command-line interface: seq, compute, family, verify, and selftest.
 
+Each subcommand computes its result once; JSON (--json), CSV (--csv) and
+text (the default) are three renderings of that one result, printed by a
+single emitter.  With JSON or CSV, verify also prints its one-line summary
+on stderr; in text mode the summary is part of stdout and stderr stays empty.
+
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 resource limit
 (a refused guardrail, or a recursion depth or memory limit hit mid-run),
 4 verification failure.  All big integers are emitted as decimal strings;
@@ -11,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -82,16 +86,23 @@ def _approx_str(fr: Fraction, digits: int = 4) -> str:
     return f"{'-' if neg else ''}{whole}.{frac:0{digits}d}"
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, separators=(",", ":")))
+def _emit(args, obj, header, rows, text) -> None:
+    """Print one result in the format ``args`` asks for; the only output path.
 
-
-def _emit_kv_csv(rows) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["key", "value"])
-    w.writerows(rows)
-    print(buf.getvalue(), end="")
+    ``obj`` is the JSON value, ``header`` and ``rows`` the CSV table and
+    ``text`` the text lines.  Only the requested form is consumed, so ``rows``
+    and ``text`` may be lazy iterables, and an ``obj`` that costs work to
+    build may be None when JSON was not asked for.
+    """
+    if args.json:
+        print(json.dumps(obj, separators=(",", ":")))
+    elif args.csv:
+        w = csv.writer(sys.stdout, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+    else:
+        for line in text:
+            print(line)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -104,85 +115,58 @@ def _cmd_seq(args) -> int:
     shared_cache().grow_capacity(n + 3)
     kind = args.kind
     if kind == "stirling2":
-        rows = [[str(stirling2(r, k)) for k in range(r + 1)] for r in range(n + 1)]
-        if args.json:
-            _emit_json({"kind": kind, "n_max": n, "rows": rows})
-        elif args.csv:
-            buf = io.StringIO()
-            w = csv.writer(buf, lineterminator="\n")
-            w.writerow(["n", "k", "value"])
-            for r, row in enumerate(rows):
-                for k, val in enumerate(row):
-                    w.writerow([r, k, val])
-            print(buf.getvalue(), end="")
-        else:
-            for row in rows:
-                print(",".join(row))
+        stirling2(n, n)  # grows the whole triangle, or refuses before any row
+        # One generator feeds whichever format is rendered; only JSON holds every row.
+        rows = ([str(stirling2(r, k)) for k in range(r + 1)] for r in range(n + 1))
+        _emit(
+            args,
+            {"kind": kind, "n_max": n, "rows": list(rows)} if args.json else None,
+            ["n", "k", "value"],
+            ([r, k, val] for r, row in enumerate(rows) for k, val in enumerate(row)),
+            (",".join(row) for row in rows),
+        )
         return 0
 
-    if kind == "bell":
-        values = [str(bell(i)) for i in range(n + 1)]
-        first = 0
-    elif kind == "two_bell":
-        values = [str(two_bell(i)) for i in range(n + 1)]
-        first = 0
-    else:  # avg_blocks
-        if n < 1:
-            raise DomainError("avg_blocks starts at n = 1")
-        values = [_frac_str(avg_blocks(i)) for i in range(1, n + 1)]
-        first = 1
-    if args.json:
-        _emit_json({"kind": kind, "n_max": n, "values": values})
-    elif args.csv:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["n", "value"])
-        for i, val in enumerate(values, start=first):
-            w.writerow([i, val])
-        print(buf.getvalue(), end="")
-    else:
-        print(",".join(values))
+    first = 1 if kind == "avg_blocks" else 0
+    if n < first:
+        raise DomainError("avg_blocks starts at n = 1")
+    term = {"bell": bell, "two_bell": two_bell, "avg_blocks": avg_blocks}[kind]
+    fmt = _frac_str if kind == "avg_blocks" else str
+    values = [fmt(term(i)) for i in range(first, n + 1)]
+    _emit(
+        args,
+        {"kind": kind, "n_max": n, "values": values},
+        ["n", "value"],
+        enumerate(values, start=first),
+        [",".join(values)],
+    )
     return 0
 
 
-def _profile_payload(g, memo) -> dict:
-    pr = profile(g, memo)
-    return {
-        "n": pr.n,
-        "counts": [str(c) for c in pr.counts],
-        "b": str(pr.bell),
-        "t": str(pr.total),
-        "a": _frac_str(pr.average) if pr.n > 0 else None,
-    }
+def _text_average(a: str | None) -> str:
+    if a is None:
+        return "-"
+    return f"{a} (~{_approx_str(Fraction(a))}, approximate)"
 
 
-def _print_profile_text(payload: dict, extra: dict | None = None) -> None:
-    print(f"n: {payload['n']}")
-    if payload.get("counts") is not None:
-        print("counts: " + ",".join(payload["counts"]))
-    print(f"b: {payload['b']}")
-    print(f"t: {payload['t']}")
-    if payload["a"] is None:
-        print("a: -")
-    else:
-        num, den = payload["a"].split("/")
-        approx = _approx_str(Fraction(int(num), int(den)))
-        print(f"a: {payload['a']} (~{approx}, approximate)")
-    if extra:
-        for k, v in extra.items():
-            print(f"{k}: {v}")
+def _emit_aggregates(args, payload: dict) -> None:
+    """Render a compute or family payload; ``counts`` and ``a`` may be None."""
 
+    def fields(sep, average):
+        for key, value in payload.items():
+            if key == "counts":
+                if value is not None:
+                    yield key, sep.join(value)
+            else:
+                yield key, average(value) if key == "a" else value
 
-def _payload_csv_rows(payload: dict, extra: dict | None = None):
-    rows = [["n", payload["n"]]]
-    if payload.get("counts") is not None:
-        rows.append(["counts", ";".join(payload["counts"])])
-    rows.append(["b", payload["b"]])
-    rows.append(["t", payload["t"]])
-    rows.append(["a", payload["a"] if payload["a"] is not None else ""])
-    for k, v in (extra or {}).items():
-        rows.append([k, v])
-    return rows
+    _emit(
+        args,
+        payload,
+        ["key", "value"],
+        fields(";", lambda a: "" if a is None else a),
+        (f"{key}: {value}" for key, value in fields(",", _text_average)),
+    )
 
 
 def _cmd_compute(args) -> int:
@@ -198,124 +182,97 @@ def _cmd_compute(args) -> int:
             f"(worst case is exponential beyond ~{GENERIC_ORDER_WARNING})",
             file=sys.stderr,
         )
-    memo = None if args.no_memo else SHARED_PROFILE_CACHE
-    payload = _profile_payload(g, memo)
-    if args.json:
-        _emit_json(payload)
-    elif args.csv:
-        _emit_kv_csv(_payload_csv_rows(payload))
-    else:
-        _print_profile_text(payload)
+    pr = profile(g, None if args.no_memo else SHARED_PROFILE_CACHE)
+    _emit_aggregates(args, {
+        "n": pr.n,
+        "counts": [str(c) for c in pr.counts],
+        "b": str(pr.bell),
+        "t": str(pr.total),
+        "a": _frac_str(pr.average) if pr.n > 0 else None,
+    })
     return 0
 
 
 def _cmd_family(args) -> int:
     spec = parse_family(args.family)
     agg = closed_forms.aggregates_for(spec)
-    order = spec.order
-    payload = {
-        "n": order,
+    _emit_aggregates(args, {
+        "n": spec.order,
         "counts": None,
         "b": str(agg.b),
         "t": str(agg.t),
-        "a": _frac_str(agg.a) if order > 0 else None,
+        "a": _frac_str(agg.a) if spec.order > 0 else None,
         "method": "closed_form",
-    }
-    if args.json:
-        _emit_json(payload)
-    elif args.csv:
-        base = {k: payload[k] for k in ("n", "counts", "b", "t", "a")}
-        _emit_kv_csv(_payload_csv_rows(base, {"method": "closed_form"}))
-    else:
-        _print_profile_text(payload, {"method": "closed_form"})
+    })
     return 0
 
 
+_REPORT_FIELDS = ("id", "n", "p", "lhs", "rhs", "margin", "holds_strict",
+                  "boundary_extension", "in_range", "expected_equality")
+
+
 def _report_row(r) -> list:
-    return [
-        r.id,
-        r.n,
-        r.p,
-        str(r.lhs),
-        str(r.rhs),
-        str(r.margin),
-        str(r.holds_strict).lower(),
-        str(r.boundary_extension).lower(),
-        str(r.in_range).lower(),
-        str(r.expected_equality).lower(),
-    ]
+    values = (getattr(r, f) for f in _REPORT_FIELDS)
+    return [str(v).lower() if isinstance(v, bool) else v for v in values]
+
+
+def _report_line(r) -> str:
+    flags = ""
+    if r.boundary_extension:
+        flags += " [extension]"
+    if not r.in_range:
+        flags += " [out-of-range]"
+    if r.expected_equality:
+        flags += " [families coincide]"
+        verdict = "EQUALITY" if r.margin == 0 else "VIOLATION"
+    else:
+        verdict = "OK" if r.holds_strict else "VIOLATION"
+    return (
+        f"{r.id} n={r.n} p={r.p} lhs={r.lhs} rhs={r.rhs} "
+        f"margin={r.margin} {verdict}{flags}"
+    )
 
 
 def _cmd_verify(args) -> int:
-    if args.id not in INEQUALITY_IDS:
-        raise UsageError(
-            f"unknown inequality id {args.id!r}; valid ids: {', '.join(INEQUALITY_IDS)}"
-        )
     reports = scan(args.id, args.n_max, args.p_max, explore=args.explore)
     summary = summarize(reports)
-    if args.json:
-        _emit_json([r.as_dict() for r in reports])
-        print(
-            f"{args.id}: {summary['reports']} reports, "
-            f"{summary['violations']} in-range violations",
-            file=sys.stderr,
-        )
-    elif args.csv:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(
-            ["id", "n", "p", "lhs", "rhs", "margin", "holds_strict",
-             "boundary_extension", "in_range", "expected_equality"]
-        )
-        for r in reports:
-            w.writerow(_report_row(r))
-        print(buf.getvalue(), end="")
-        print(
-            f"{args.id}: {summary['reports']} reports, "
-            f"{summary['violations']} in-range violations",
-            file=sys.stderr,
-        )
-    else:
-        for r in reports:
-            flags = ""
-            if r.boundary_extension:
-                flags += " [extension]"
-            if not r.in_range:
-                flags += " [out-of-range]"
-            if r.expected_equality:
-                flags += " [families coincide]"
-                verdict = "EQUALITY" if r.margin == 0 else "VIOLATION"
-            else:
-                verdict = "OK" if r.holds_strict else "VIOLATION"
-            print(
-                f"{r.id} n={r.n} p={r.p} lhs={r.lhs} rhs={r.rhs} "
-                f"margin={r.margin} {verdict}{flags}"
-            )
-        print(
-            f"summary: {summary['reports']} reports, "
-            f"{summary['violations']} in-range violations"
-        )
+    tally = f"{summary['reports']} reports, {summary['violations']} in-range violations"
+
+    def text():
+        yield from map(_report_line, reports)
+        yield f"summary: {tally}"
         if args.explore and summary["first_out_of_range_failure"]:
             n, p = summary["first_out_of_range_failure"]
-            print(f"first failure outside the documented range: n={n} p={p}")
+            yield f"first failure outside the documented range: n={n} p={p}"
+
+    _emit(
+        args,
+        [r.as_dict() for r in reports] if args.json else None,
+        _REPORT_FIELDS,
+        map(_report_row, reports),
+        text(),
+    )
+    if args.json or args.csv:  # text mode prints the summary on stdout instead
+        print(f"{args.id}: {tally}", file=sys.stderr)
     return EXIT_VERIFICATION if summary["violations"] else 0
 
 
 def _cmd_selftest(args) -> int:
     report = selftest.run(seed=args.seed, n_max=args.n_max, p_max=args.p_max)
-    if args.json:
-        _emit_json(report)
-    else:
+
+    def text():
         oracle = report["oracle"]
-        print(
+        yield (
             f"oracle equivalence: {oracle['exhaustive_graphs']} exhaustive + "
             f"{oracle['random_graphs']} random graphs, {oracle['mismatches']} mismatches"
         )
         for s in report["scans"]:
-            print(f"scan {s['id']}: {s['reports']} reports, {s['violations']} violations")
+            yield f"scan {s['id']}: {s['reports']} reports, {s['violations']} violations"
         mt = report["mediant_trials"]
-        print(f"mediant trials: {mt['trials']}, all strict: {mt['all_strict']}")
-        print(f"pass: {report['pass']}  fail: {report['fail']}")
+        yield f"mediant trials: {mt['trials']}, all strict: {mt['all_strict']}"
+        yield f"pass: {report['pass']}  fail: {report['fail']}"
+
+    _emit(args, report, None, None, text())
     return EXIT_VERIFICATION if report["fail"] else 0
 
 
@@ -323,11 +280,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="graphbell", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_formats(p, csv_too=True):
+    def add_formats(p):
         grp = p.add_mutually_exclusive_group()
         grp.add_argument("--json", action="store_true", help="emit JSON")
-        if csv_too:
-            grp.add_argument("--csv", action="store_true", help="emit CSV")
+        grp.add_argument("--csv", action="store_true", help="emit CSV")
 
     p = sub.add_parser("seq", help="emit integer-sequence tables")
     p.add_argument("--kind", required=True,
@@ -362,7 +318,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-max", type=int, default=12)
     p.add_argument("--p-max", type=int, default=2)
     p.add_argument("--json", action="store_true", help="emit JSON")
-    p.set_defaults(func=_cmd_selftest)
+    p.set_defaults(func=_cmd_selftest, csv=False)
 
     return parser
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ResourceError
-from .graph_core import Graph, _bits
+from .graph_core import Graph, is_dominating, is_simplicial
 from .sequences import stirling2
 
 BRUTE_FORCE_MAX_ORDER = 12
@@ -224,18 +224,16 @@ def _profile_counts(g: Graph, memo: ProfileCache | None) -> tuple[int, ...]:
 
 
 def _find_dominating(g: Graph):
-    full = (1 << g.n) - 1
     for v in range(g.n):
-        if g.adj[v] == full & ~(1 << v):
+        if is_dominating(g, v):
             return v
     return None
 
 
 def _find_simplicial(g: Graph):
     for v in range(g.n):
-        nv = g.adj[v]
-        if all(not ((nv ^ (1 << u)) & ~g.adj[u]) for u in _bits(nv)):
-            return v, nv.bit_count()
+        if is_simplicial(g, v):
+            return v, g.adj[v].bit_count()
     return None, None
 
 

@@ -223,15 +223,20 @@ def classify_vertex(g: Graph, v: int) -> tuple[VertexKind, int | None]:
     A vertex that is both dominating and simplicial reports as dominating.
     """
     g._require_vertex(v)
-    full = (1 << g.n) - 1
-    if g.adj[v] == full & ~(1 << v):
+    if is_dominating(g, v):
         return (VertexKind.DOMINATING, None)
-    if _is_simplicial(g, v):
+    if is_simplicial(g, v):
         return (VertexKind.SIMPLICIAL, g.adj[v].bit_count())
     return (VertexKind.NEITHER, None)
 
 
-def _is_simplicial(g: Graph, v: int) -> bool:
+def is_dominating(g: Graph, v: int) -> bool:
+    """v is adjacent to every other vertex.  v must be a vertex of g (unchecked)."""
+    return g.adj[v] == ((1 << g.n) - 1) & ~(1 << v)
+
+
+def is_simplicial(g: Graph, v: int) -> bool:
+    """The neighbors of v are pairwise adjacent.  v must be a vertex of g (unchecked)."""
     nv = g.adj[v]
     for u in _bits(nv):
         if (nv ^ (1 << u)) & ~g.adj[u]:

@@ -8,9 +8,12 @@ import sys
 
 import pytest
 
+from graphbell import cli
 from graphbell.cli import main, parse_family
 from graphbell.errors import UsageError
 from graphbell.graph_core import FamilyKind, FamilySpec
+from graphbell.inequality_verifier import INEQUALITY_IDS, InequalityReport
+from graphbell.sequences import STIRLING_MAX_ROWS, shared_cache
 
 
 def run_cli(capsys, *argv):
@@ -149,6 +152,28 @@ def test_seq_stirling_csv(capsys):
     assert values[(4, 2)] == "7"
 
 
+def test_seq_stirling_over_row_cap_exits_resource_at_once(capsys):
+    rows_before = len(shared_cache()._stirling)
+    code, out, err = run_cli(capsys, "seq", "--kind", "stirling2", "--n", "4000")
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert len(shared_cache()._stirling) == rows_before  # refused before any row grew
+
+
+def test_seq_stirling_just_under_row_cap(child_env):
+    # In a child interpreter, so the suite does not keep the grown triangle.
+    n = STIRLING_MAX_ROWS - 1
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphbell", "seq", "--kind", "stirling2", "--n", str(n)],
+        capture_output=True, env=child_env, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == b""
+    lines = proc.stdout.splitlines()
+    assert len(lines) == n + 1
+    assert lines[-1].endswith(f",{n * (n - 1) // 2},1".encode())  # S(n, n-1), S(n, n)
+
+
 # --- family -----------------------------------------------------------------------
 
 
@@ -198,8 +223,40 @@ def test_compute_too_deep_exits_resource(extra, child_env):
 
 
 def test_verify_unknown_id(capsys):
-    code, _, _ = run_cli(capsys, "verify", "--id", "I7", "--n-max", "5")
+    code, out, err = run_cli(capsys, "verify", "--id", "I7", "--n-max", "5")
     assert code == 1
+    assert out == ""
+    assert err == f"error: unknown inequality id 'I7'; valid ids: {', '.join(INEQUALITY_IDS)}\n"
+
+
+@pytest.mark.parametrize("fmt", ["--json", "--csv", None])
+def test_verify_summary_goes_to_stderr_once_with_json_or_csv(capsys, fmt):
+    argv = ["verify", "--id", "C9", "--n-max", "6", "--p-max", "1"] + ([fmt] if fmt else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    if fmt:
+        assert err == "C9: 12 reports, 0 in-range violations\n"
+        assert "summary" not in out
+    else:
+        assert err == ""
+        assert out.splitlines()[-1] == "summary: 12 reports, 0 in-range violations"
+
+
+@pytest.mark.parametrize("fmt", ["--json", "--csv", None])
+def test_verify_violation_exits_4_and_is_counted(capsys, monkeypatch, fmt):
+    bad = InequalityReport("I1", 5, 0, lhs=3, rhs=2, margin=-1, holds_strict=False)
+    monkeypatch.setattr(cli, "scan", lambda *a, **k: [bad])
+    code, out, err = run_cli(capsys, "verify", "--id", "I1", "--n-max", "5",
+                             *([fmt] if fmt else []))
+    assert code == 4
+    if fmt:
+        assert err == "I1: 1 reports, 1 in-range violations\n"
+    else:
+        assert err == ""
+        assert out == (
+            "I1 n=5 p=0 lhs=3 rhs=2 margin=-1 VIOLATION\n"
+            "summary: 1 reports, 1 in-range violations\n"
+        )
 
 
 def test_verify_resource_exit(capsys):
@@ -256,3 +313,4 @@ def test_selftest_json_deterministic_in_process(capsys):
 def test_bad_flags_exit_usage(capsys):
     assert run_cli(capsys, "seq", "--kind", "nonsense", "--n", "3")[0] == 1
     assert run_cli(capsys, "nonsense")[0] == 1
+    assert run_cli(capsys, "selftest", "--csv")[0] == 1  # selftest has no CSV form

@@ -1,9 +1,10 @@
 """Golden CLI outputs: every README example plus a few large and p-grid requests.
 
 ``golden_cli.json`` holds the exit code, byte count and sha256 of stdout for
-each command.  The digests are fixed; a change to any printed byte fails here,
-so speed work on the tables, closed forms and verifier must keep outputs
-byte-identical.
+each command, and for the later entries (every subcommand in every format)
+also the exact stderr text.  The digests are fixed; a change to any printed
+byte fails here, so speed work on the tables, closed forms and verifier, and
+any rework of the CLI's output code, must keep outputs byte-identical.
 """
 
 import hashlib
@@ -31,7 +32,10 @@ def test_cli_output_matches_golden_digest(entry, capsys, tmp_path):
     edges.write_text(PETERSEN)
     argv = [a.replace("{edges}", str(edges)) for a in entry["argv"]]
     code = main(argv)
-    out = capsys.readouterr().out.encode()
+    captured = capsys.readouterr()
+    out = captured.out.encode()
     assert code == entry["exit"]
     assert len(out) == entry["bytes"]
     assert hashlib.sha256(out).hexdigest() == entry["sha256"]
+    if "stderr" in entry:
+        assert captured.err == entry["stderr"]

@@ -9,6 +9,8 @@ import pytest
 from graphbell.coloring_engine import restricted_growth_strings
 from graphbell.errors import DomainError, ResourceError
 from graphbell.sequences import (
+    HARD_MAX_TERMS,
+    STIRLING_MAX_ROWS,
     BigSeqCache,
     alt_sum,
     alternating_bell_sum,
@@ -183,6 +185,18 @@ def test_capacity_guardrail():
     assert cache.stirling2(31, 1) == 1
     with pytest.raises(ResourceError):
         cache.grow_capacity(10**7)
+
+
+def test_stirling_row_cap():
+    cache = BigSeqCache(max_terms=HARD_MAX_TERMS)
+    with pytest.raises(ResourceError):
+        cache.stirling2(STIRLING_MAX_ROWS, 1)
+    assert len(cache._stirling) == 1  # refused before any row grew
+    n = STIRLING_MAX_ROWS - 1
+    assert cache.stirling2(n, 1) == 1
+    assert cache.stirling2(n, 2) == 2 ** (n - 1) - 1
+    assert cache.stirling2(n, n - 1) == n * (n - 1) // 2
+    assert sum(cache.stirling2(n, k) for k in range(n + 1)) == cache.bell(n)
 
 
 def test_shared_cache_concurrent_growth():
