@@ -7,9 +7,10 @@ on stderr; in text mode the summary is part of stdout and stderr stays empty.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 resource limit
 (a refused guardrail, or a recursion depth or memory limit hit mid-run),
-4 verification failure.  All big integers are emitted as decimal strings;
-averages as exact "num/den" fractions (text mode adds a tagged decimal
-approximation, computed without floating point).
+4 verification failure.  Codes 1-3 are the ``exit_code`` of the error class
+raised.  All big integers are emitted as decimal strings, with no limit on
+their length; averages as exact "num/den" fractions (text mode adds a
+tagged decimal approximation, computed without floating point).
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ from .graph_core import FamilyKind, FamilySpec, build, load_edge_list
 from .inequality_verifier import INEQUALITY_IDS, scan, summarize
 from .sequences import avg_blocks, bell, shared_cache, stirling2, two_bell
 
-EXIT_USAGE = 1
-EXIT_DOMAIN = 2
-EXIT_RESOURCE = 3
 EXIT_VERIFICATION = 4
 
 GENERIC_ORDER_WARNING = 20
@@ -324,28 +322,24 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # Lift the interpreter's 4300-digit limit on int-to-str conversion.  It
+    # guards against slow conversions of unbounded input; here HARD_MAX_TERMS
+    # bounds every printed integer to about 20k digits (bell(4095)**2 * 2**90),
+    # whose str() takes a few ms.  Releases before 3.10.7 have no limit.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except GraphBellError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ResourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except GraphBellError as exc:  # base-class fallback
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except RecursionError:
-        print("error: input too large: the recursion depth limit was reached", file=sys.stderr)
-        return EXIT_RESOURCE
-    except MemoryError:
-        print("error: input too large: out of memory", file=sys.stderr)
-        return EXIT_RESOURCE
+        return exc.exit_code
+    except (RecursionError, MemoryError) as exc:
+        reason = ("the recursion depth limit was reached"
+                  if isinstance(exc, RecursionError) else "out of memory")
+        print(f"error: input too large: {reason}", file=sys.stderr)
+        return ResourceError.exit_code
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from math import comb
 
 from .errors import DomainError
 from .graph_core import FamilyKind, FamilySpec
-from .sequences import alt_sum, alternating_bell_sum, bell, two_bell
+from .sequences import alt_sum, alternating_bell_sum, bell, shared_cache, two_bell
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,15 @@ def complete_aggregates(n: int) -> FamilyAggregates:
 
 
 def aggregates_for(spec: FamilySpec) -> FamilyAggregates:
-    """Dispatch a family spec to its closed form (trees cover path and star)."""
+    """Dispatch a family spec to its closed form (trees cover path and star).
+
+    Every form but the complete graph's reads Bell numbers up to index
+    ``spec.order`` (``order + 1`` for the edgeless graph), so the Bell cap is
+    checked for that index before any term grows.
+    """
+    if spec.kind is not FamilyKind.COMPLETE:
+        top = spec.order + 1 if spec.kind is FamilyKind.EMPTY else spec.order
+        shared_cache().grow_capacity(top + 1)
     if spec.kind in (FamilyKind.PATH, FamilyKind.STAR, FamilyKind.CATERPILLAR):
         agg = tree_pk1_aggregates(spec.n, spec.p)
         return FamilyAggregates(spec, agg.b, agg.t)

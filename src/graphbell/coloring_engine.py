@@ -103,9 +103,6 @@ class ProfileCache:
     def put_labeled(self, g: Graph, counts: tuple[int, ...]) -> None:
         self.put(g, counts)
 
-    def clear(self) -> None:
-        self._labeled.clear()
-
     def __len__(self) -> int:
         return len(self._labeled)
 

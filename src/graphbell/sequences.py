@@ -8,8 +8,10 @@ the two-term triangle rule) so the test suite can cross-check one pipeline
 against the other.  The Bell column carries its alternating prefix sums, so
 every alternating Bell sum is one subtraction; the Stirling triangle is
 grown only as far as ``stirling2`` has been asked, so Bell lookups cost
-memory linear in the index.  Everything is exact integer or Fraction
-arithmetic; there is no floating point anywhere in this module.
+memory linear in the index.  Each table has one hard cap, checked before
+it grows: ``HARD_MAX_TERMS`` Bell terms and ``STIRLING_MAX_ROWS`` triangle
+rows.  Everything is exact integer or Fraction arithmetic; there is no
+floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from fractions import Fraction
 
 from .errors import DomainError, ResourceError
 
-# Default number of cached terms; callers may raise it up to the hard cap.
-DEFAULT_TERMS = 256
+# Bell indices 0..HARD_MAX_TERMS-1 may be grown; bell(4095) has about 10k
+# digits and takes about 10 s to reach on a 2-vCPU box.
 HARD_MAX_TERMS = 4096
 # Rows 0..STIRLING_MAX_ROWS-1 of the Stirling triangle may be grown.  The
 # triangle holds about n**2/2 big integers and its decimal form grows like
@@ -38,13 +40,11 @@ class BigSeqCache:
     Growth is lock-guarded so concurrent readers may share one instance;
     rows are never mutated after being appended.  Next to the Bell column
     sits ``_alt_prefix[m] = sum_{i<=m} (-1)**i * bell(i)``, grown in the same
-    step; the Stirling triangle is grown on its own, by ``stirling2``.
+    step; the Stirling triangle is grown on its own, by ``stirling2``.  Each
+    table refuses, with ResourceError, to grow past its one hard cap.
     """
 
-    def __init__(self, max_terms: int = DEFAULT_TERMS):
-        if max_terms < 1 or max_terms > HARD_MAX_TERMS:
-            raise DomainError(f"max_terms must be in 1..{HARD_MAX_TERMS}")
-        self.max_terms = max_terms
+    def __init__(self):
         self._lock = threading.Lock()
         self._bell: list[int] = [1]
         self._alt_prefix: list[int] = [1]
@@ -52,26 +52,26 @@ class BigSeqCache:
         self._stirling: list[list[int]] = [[1]]
 
     def grow_capacity(self, terms: int) -> None:
-        """Raise the capacity ceiling so indices up to ``terms - 1`` are allowed."""
+        """Raise ResourceError at once if ``terms`` Bell terms exceed the hard cap.
+
+        A stateless up-front check for callers that know their largest index
+        before any term grows; ``ensure`` makes the same check per call.  It
+        stays a method of its own because the ``perfbench`` harness calls it
+        by name.
+        """
         if terms > HARD_MAX_TERMS:
             raise ResourceError(
                 f"requested capacity {terms} exceeds the hard cap of {HARD_MAX_TERMS} terms"
             )
-        with self._lock:
-            self.max_terms = max(self.max_terms, terms)
-
-    def _check_capacity(self, n: int) -> None:
-        if n >= self.max_terms:
-            raise ResourceError(
-                f"sequence index {n} exceeds cache capacity {self.max_terms} terms; "
-                "call grow_capacity() first"
-            )
 
     def ensure(self, n: int) -> None:
-        """Extend the Bell column and its alternating prefix sums through index n."""
+        """Extend the Bell column and its alternating prefix sums through index n.
+
+        Raises ResourceError before any term grows if n >= HARD_MAX_TERMS.
+        """
         if n < len(self._bell):
             return
-        self._check_capacity(n)
+        self.grow_capacity(n + 1)
         with self._lock:
             while len(self._bell) <= n:
                 # Bell triangle: next row starts with the previous row's last entry.
@@ -107,7 +107,6 @@ class BigSeqCache:
                 raise ResourceError(
                     f"Stirling row {n} exceeds the cap of {STIRLING_MAX_ROWS} triangle rows"
                 )
-            self._check_capacity(n)
             with self._lock:
                 # Triangle rule: count(n, k) = k*count(n-1, k) + count(n-1, k-1).
                 while len(self._stirling) <= n:

@@ -5,12 +5,13 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from graphbell import cli
 from graphbell.cli import main, parse_family
-from graphbell.errors import UsageError
+from graphbell.errors import DomainError, GraphBellError, ResourceError, UsageError
 from graphbell.graph_core import FamilyKind, FamilySpec
 from graphbell.inequality_verifier import INEQUALITY_IDS, InequalityReport
 from graphbell.sequences import STIRLING_MAX_ROWS, shared_cache
@@ -186,7 +187,9 @@ def test_family_cycle5_json(capsys):
 
 
 def test_family_matches_compute_aggregates(capsys):
-    for spec in ["path:6,1", "star:6,1", "cycle:7,2", "h:5,3,1", "empty:5", "complete:4"]:
+    # The last three read Bell terms and Stirling rows past index 256.
+    for spec in ["path:6,1", "star:6,1", "cycle:7,2", "h:5,3,1", "empty:5", "complete:4",
+                 "path:5,400", "star:5,300", "empty:400"]:
         _, fam_out, _ = run_cli(capsys, "family", "--family", spec, "--json")
         _, cmp_out, _ = run_cli(capsys, "compute", "--family", spec, "--json")
         fam, cmp_ = json.loads(fam_out), json.loads(cmp_out)
@@ -220,6 +223,24 @@ def test_compute_too_deep_exits_resource(extra, child_env):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("error: ")
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("seq", "--kind", "bell", "--n", "4094"),
+    ("verify", "--id", "I1", "--n-max", "4091"),
+    ("family", "--family", "path:4096"),
+])
+def test_bell_cap_refused_before_growth(argv, child_env):
+    # Each asks for one Bell term past the cap.  Reaching bell(4095) takes
+    # about 10 s, so a quick exit shows the refusal came before any growth.
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "graphbell", *argv],
+                          capture_output=True, text=True, env=child_env, timeout=120)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_unknown_id(capsys):
@@ -314,3 +335,14 @@ def test_bad_flags_exit_usage(capsys):
     assert run_cli(capsys, "seq", "--kind", "nonsense", "--n", "3")[0] == 1
     assert run_cli(capsys, "nonsense")[0] == 1
     assert run_cli(capsys, "selftest", "--csv")[0] == 1  # selftest has no CSV form
+
+
+@pytest.mark.parametrize("exc, code", [
+    (GraphBellError, 2), (UsageError, 1), (DomainError, 2), (ResourceError, 3),
+])
+def test_error_class_sets_exit_code(capsys, monkeypatch, exc, code):
+    def fail(args):
+        raise exc("refused")
+
+    monkeypatch.setattr(cli, "_cmd_family", fail)
+    assert run_cli(capsys, "family", "--family", "cycle:5") == (code, "", "error: refused\n")

@@ -121,7 +121,6 @@ def direct_alt_sum(n, shift):
 
 
 def test_alternating_sums_match_direct_j_sum():
-    shared_cache().grow_capacity(130)
     for n in range(121):
         for shift in range(-1, 7):
             want = direct_alt_sum(n, shift)
@@ -174,21 +173,19 @@ def test_exact_rational_comparison_is_cross_multiplication():
 
 
 def test_capacity_guardrail():
-    cache = BigSeqCache(max_terms=16)
-    assert cache.bell(15) > 0
+    cache = BigSeqCache()
     with pytest.raises(ResourceError):
-        cache.bell(16)
+        cache.bell(HARD_MAX_TERMS)
     with pytest.raises(ResourceError):
-        cache.stirling2(16, 1)
-    cache.grow_capacity(32)
-    assert cache.bell(31) > 0
-    assert cache.stirling2(31, 1) == 1
+        cache.alt_sum(HARD_MAX_TERMS + 1)
+    assert len(cache._bell) == 1  # refused before any term grew
+    shared_cache().grow_capacity(HARD_MAX_TERMS)
     with pytest.raises(ResourceError):
-        cache.grow_capacity(10**7)
+        shared_cache().grow_capacity(HARD_MAX_TERMS + 1)
 
 
 def test_stirling_row_cap():
-    cache = BigSeqCache(max_terms=HARD_MAX_TERMS)
+    cache = BigSeqCache()
     with pytest.raises(ResourceError):
         cache.stirling2(STIRLING_MAX_ROWS, 1)
     assert len(cache._stirling) == 1  # refused before any row grew
@@ -200,7 +197,7 @@ def test_stirling_row_cap():
 
 
 def test_shared_cache_concurrent_growth():
-    cache = BigSeqCache(max_terms=256)
+    cache = BigSeqCache()
 
     def read(i):
         if i % 3 == 0:
