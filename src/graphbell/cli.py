@@ -22,15 +22,13 @@ import sys
 from fractions import Fraction
 
 from . import closed_forms, selftest
-from .coloring_engine import SHARED_PROFILE_CACHE, profile
+from .coloring_engine import SHARED_PROFILE_CACHE, check_order, profile
 from .errors import DomainError, GraphBellError, ResourceError, UsageError
 from .graph_core import FamilyKind, FamilySpec, build, load_edge_list
 from .inequality_verifier import INEQUALITY_IDS, scan, summarize
 from .sequences import avg_blocks, bell, shared_cache, stirling2, two_bell
 
 EXIT_VERIFICATION = 4
-
-GENERIC_ORDER_WARNING = 20
 
 _FAMILY_GRAMMAR = "path:n[,p] cycle:n[,p] star:n[,p] h:n,r[,p] empty:n complete:n"
 
@@ -171,15 +169,11 @@ def _cmd_compute(args) -> int:
     if bool(args.family) == bool(args.edges):
         raise UsageError("compute needs exactly one of --family or --edges")
     if args.family:
-        g = build(parse_family(args.family))
+        spec = parse_family(args.family)
+        check_order(spec.order)  # before build() lists the edges
+        g = build(spec)
     else:
         g = load_edge_list(args.edges)
-    if g.n > GENERIC_ORDER_WARNING:
-        print(
-            f"warning: exact recursion on {g.n} vertices may be very slow "
-            f"(worst case is exponential beyond ~{GENERIC_ORDER_WARNING})",
-            file=sys.stderr,
-        )
     pr = profile(g, None if args.no_memo else SHARED_PROFILE_CACHE)
     _emit_aggregates(args, {
         "n": pr.n,

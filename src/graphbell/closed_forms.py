@@ -19,7 +19,6 @@ from .sequences import alt_sum, alternating_bell_sum, bell, shared_cache, two_be
 
 @dataclass(frozen=True)
 class FamilyAggregates:
-    family: FamilySpec
     b: int
     t: int
 
@@ -33,7 +32,7 @@ def tree_aggregates(n: int) -> FamilyAggregates:
     """Any tree of order n: b = bell(n-1), t = bell(n), independent of shape."""
     if n < 1:
         raise DomainError("a tree has at least one vertex")
-    return FamilyAggregates(FamilySpec(FamilyKind.PATH, n), bell(n - 1), bell(n))
+    return FamilyAggregates(bell(n - 1), bell(n))
 
 
 def tree_pk1_aggregates(n: int, p: int) -> FamilyAggregates:
@@ -47,16 +46,12 @@ def tree_pk1_aggregates(n: int, p: int) -> FamilyAggregates:
         raise DomainError("isolated-vertex count must be nonnegative")
     b = sum(comb(p, i) * bell(n + i - 1) for i in range(p + 1))
     t = sum(comb(p, i) * bell(n + i) for i in range(p + 1))
-    return FamilyAggregates(FamilySpec(FamilyKind.PATH, n, p=p), b, t)
+    return FamilyAggregates(b, t)
 
 
 def cycle_aggregates(n: int) -> FamilyAggregates:
     """A cycle of order n >= 3, as alternating Bell sums."""
-    return FamilyAggregates(
-        FamilySpec(FamilyKind.CYCLE, n),
-        alternating_bell_sum(n, 0),
-        alternating_bell_sum(n, 1),
-    )
+    return FamilyAggregates(alternating_bell_sum(n, 0), alternating_bell_sum(n, 1))
 
 
 def cycle_pk1_aggregates(n: int, p: int) -> FamilyAggregates:
@@ -73,7 +68,7 @@ def cycle_pk1_aggregates(n: int, p: int) -> FamilyAggregates:
         raise DomainError("isolated-vertex count must be nonnegative")
     b = sum(comb(p, i) * alt_sum(n, i) for i in range(p + 1))
     t = sum(comb(p, i) * alt_sum(n, i + 1) for i in range(p + 1))
-    return FamilyAggregates(FamilySpec(FamilyKind.CYCLE, n, p=p), b, t)
+    return FamilyAggregates(b, t)
 
 
 def h3_tail_aggregates(m: int, p: int) -> FamilyAggregates:
@@ -86,9 +81,7 @@ def h3_tail_aggregates(m: int, p: int) -> FamilyAggregates:
         raise DomainError("tail and isolated-vertex counts must be nonnegative")
     big = tree_pk1_aggregates(m + 3, p)
     small = tree_pk1_aggregates(m + 2, p)
-    return FamilyAggregates(
-        FamilySpec(FamilyKind.HNR, 3, r=m, p=p), big.b - small.b, big.t - small.t
-    )
+    return FamilyAggregates(big.b - small.b, big.t - small.t)
 
 
 def hnr_pk1_aggregates(n: int, r: int, p: int) -> FamilyAggregates:
@@ -114,7 +107,7 @@ def hnr_pk1_aggregates(n: int, r: int, p: int) -> FamilyAggregates:
         tail_path = tree_pk1_aggregates(r + 2, p)
         b = sum(agg.b for agg in parts) + tail_path.b
         t = sum(agg.t for agg in parts) + tail_path.t
-    return FamilyAggregates(FamilySpec(FamilyKind.HNR, n, r=r, p=p), b, t)
+    return FamilyAggregates(b, t)
 
 
 def lemma15_identity_check(n: int, p: int) -> bool:
@@ -138,14 +131,14 @@ def empty_aggregates(n: int) -> FamilyAggregates:
     if n < 0:
         raise DomainError("graph order must be nonnegative")
     t = two_bell(n - 1) if n >= 1 else 0
-    return FamilyAggregates(FamilySpec(FamilyKind.EMPTY, n), bell(n), t)
+    return FamilyAggregates(bell(n), t)
 
 
 def complete_aggregates(n: int) -> FamilyAggregates:
     """The complete graph on n vertices: one coloring, n classes."""
     if n < 0:
         raise DomainError("graph order must be nonnegative")
-    return FamilyAggregates(FamilySpec(FamilyKind.COMPLETE, n), 1, n)
+    return FamilyAggregates(1, n)
 
 
 def aggregates_for(spec: FamilySpec) -> FamilyAggregates:
@@ -159,16 +152,13 @@ def aggregates_for(spec: FamilySpec) -> FamilyAggregates:
         top = spec.order + 1 if spec.kind is FamilyKind.EMPTY else spec.order
         shared_cache().grow_capacity(top + 1)
     if spec.kind in (FamilyKind.PATH, FamilyKind.STAR, FamilyKind.CATERPILLAR):
-        agg = tree_pk1_aggregates(spec.n, spec.p)
-        return FamilyAggregates(spec, agg.b, agg.t)
+        return tree_pk1_aggregates(spec.n, spec.p)
     if spec.kind is FamilyKind.CYCLE:
-        agg = cycle_pk1_aggregates(spec.n, spec.p)
-        return FamilyAggregates(spec, agg.b, agg.t)
+        return cycle_pk1_aggregates(spec.n, spec.p)
     if spec.kind is FamilyKind.HNR:
         return hnr_pk1_aggregates(spec.n, spec.r, spec.p)
     if spec.kind is FamilyKind.EMPTY:
-        agg = empty_aggregates(spec.n + spec.p)
-        return FamilyAggregates(spec, agg.b, agg.t)
+        return empty_aggregates(spec.n + spec.p)
     if spec.kind is FamilyKind.COMPLETE:
         if spec.p:
             raise DomainError("no closed form for a complete graph with isolated vertices")

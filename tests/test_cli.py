@@ -11,6 +11,7 @@ import pytest
 
 from graphbell import cli
 from graphbell.cli import main, parse_family
+from graphbell.coloring_engine import PROFILE_MAX_ORDER
 from graphbell.errors import DomainError, GraphBellError, ResourceError, UsageError
 from graphbell.graph_core import FamilyKind, FamilySpec
 from graphbell.inequality_verifier import INEQUALITY_IDS, InequalityReport
@@ -105,12 +106,6 @@ def test_compute_no_memo_identical_output(capsys):
     assert out_a == out_b
 
 
-def test_compute_large_order_warns(capsys):
-    code, _, err = run_cli(capsys, "compute", "--family", "path:24", "--json")
-    assert code == 0
-    assert "warning" in err
-
-
 def test_compute_null_graph(capsys):
     code, out, _ = run_cli(capsys, "compute", "--family", "empty:0", "--json")
     assert code == 0
@@ -186,13 +181,23 @@ def test_family_cycle5_json(capsys):
     assert (payload["b"], payload["t"], payload["a"]) == ("11", "40", "40/11")
 
 
-def test_family_matches_compute_aggregates(capsys):
-    # The last three read Bell terms and Stirling rows past index 256.
+def test_family_matches_compute_aggregates(capsys, child_env):
+    # The last three read Bell terms past index 256.
     for spec in ["path:6,1", "star:6,1", "cycle:7,2", "h:5,3,1", "empty:5", "complete:4",
                  "path:5,400", "star:5,300", "empty:400"]:
         _, fam_out, _ = run_cli(capsys, "family", "--family", spec, "--json")
         _, cmp_out, _ = run_cli(capsys, "compute", "--family", spec, "--json")
         fam, cmp_ = json.loads(fam_out), json.loads(cmp_out)
+        assert (fam["b"], fam["t"], fam["a"]) == (cmp_["b"], cmp_["t"], cmp_["a"])
+    # Peel chains past the Stirling triangle's cap and the recursion limit, each
+    # in a child interpreter so the suite does not keep its 60-260 MB memo.
+    script = ("import sys; from graphbell.cli import main; "
+              "[main([cmd, '--family', sys.argv[1], '--json']) for cmd in ('family', 'compute')]")
+    for spec in ["empty:600", "path:5,600", "star:600", "path:1000"]:
+        proc = subprocess.run([sys.executable, "-c", script, spec],
+                              capture_output=True, text=True, env=child_env, timeout=120)
+        assert proc.stderr == ""
+        fam, cmp_ = map(json.loads, proc.stdout.splitlines())
         assert (fam["b"], fam["t"], fam["a"]) == (cmp_["b"], cmp_["t"], cmp_["a"])
 
 
@@ -211,18 +216,37 @@ def test_verify_i1_json(capsys):
 
 @pytest.mark.parametrize("extra", [(), ("--no-memo",)])
 def test_compute_too_deep_exits_resource(extra, child_env):
-    # A path this long peels one vertex per recursion level, past Python's
-    # default recursion limit.  Run in a fresh interpreter so the real stderr
-    # is checked.  The MemoryError branch of main has no test: provoking it
-    # safely is not possible.
+    # Peeling is a loop, but each deletion-contraction branch is one recursion
+    # level, and a cycle branches once per vertex.  The child lowers the
+    # recursion limit so cycle:120 reaches it.  Run in a fresh interpreter so
+    # the real stderr is checked.  The MemoryError branch of main has no
+    # test: provoking it safely is not possible.
+    script = ("import sys; from graphbell.cli import main; sys.setrecursionlimit(100); "
+              "sys.exit(main(sys.argv[1:]))")
     proc = subprocess.run(
-        [sys.executable, "-m", "graphbell", "compute", "--family", "path:1200", *extra],
+        [sys.executable, "-c", script, "compute", "--family", "cycle:120", *extra],
         capture_output=True, text=True, env=child_env, timeout=120,
     )
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("error: ")
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--family", f"path:{PROFILE_MAX_ORDER + 1}"),
+    ("compute", "--family", "complete:100000"),
+])
+def test_profile_cap_refused_before_build(argv, child_env):
+    # complete:100000 would list about 5e9 edges if build() ran first.
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "graphbell", *argv],
+                          capture_output=True, text=True, env=child_env, timeout=120)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,17 +3,20 @@
 import sys
 from fractions import Fraction
 from itertools import combinations
+from math import perm
 from random import Random
 
 import pytest
 
 from graphbell import graph_core
 from graphbell.coloring_engine import (
+    PROFILE_MAX_ORDER,
     ProfileCache,
     StirlingProfile,
     avg_colors,
     bell_graph,
     brute_force_profile,
+    check_order,
     profile,
     restricted_growth_strings,
     total_graph,
@@ -21,7 +24,7 @@ from graphbell.coloring_engine import (
 from graphbell.closed_forms import cycle_aggregates
 from graphbell.errors import DomainError, ResourceError
 from graphbell.graph_core import FamilyKind, FamilySpec, Graph, build, random_graph
-from graphbell.sequences import bell
+from graphbell.sequences import STIRLING_MAX_ROWS, BigSeqCache, bell
 
 
 def family(kind, n, r=0, p=0):
@@ -50,6 +53,12 @@ def test_empty_graph_profile_is_stirling_row():
     assert pr.counts == (0, 1, 7, 6, 1)
     assert pr.bell == bell(4) == 15
     assert pr.counts == brute_force_profile(family(FamilyKind.EMPTY, 4)).counts
+    # The engine peels isolated vertices; the triangle is grown by its own
+    # recurrence.  Fresh caches, so the suite does not keep the large rows.
+    triangle = BigSeqCache()
+    for n in (0, 1, 100, STIRLING_MAX_ROWS - 1):
+        counts = profile(family(FamilyKind.EMPTY, n), ProfileCache()).counts
+        assert counts == tuple(triangle.stirling2(n, k) for k in range(n + 1))
 
 
 def test_triangle_profile():
@@ -88,6 +97,14 @@ def test_brute_force_guardrail():
         brute_force_profile(family(FamilyKind.EMPTY, 13))
 
 
+def test_profile_order_cap():
+    check_order(PROFILE_MAX_ORDER)
+    memo = ProfileCache()
+    with pytest.raises(ResourceError):
+        profile(family(FamilyKind.EMPTY, PROFILE_MAX_ORDER + 1), memo)
+    assert len(memo) == 0  # refused before any work
+
+
 def test_engine_matches_oracle_exhaustive_small():
     memo = ProfileCache()
     for n in range(5):
@@ -101,6 +118,45 @@ def test_engine_matches_oracle_random():
     for i in range(60):
         g = random_graph(5 + i % 4, rng)
         assert profile(g, memo) == brute_force_profile(g)
+
+
+def networkx_oracle_graphs():
+    """Seeded graphs of order <= 7 with isolated, dominating and simplicial vertices."""
+    rng = Random(23)
+    graphs = [
+        family(FamilyKind.EMPTY, 4),
+        family(FamilyKind.COMPLETE, 5),
+        family(FamilyKind.STAR, 6, p=1),
+        family(FamilyKind.PATH, 4, p=2),
+        family(FamilyKind.HNR, 4, r=2, p=1),
+        family(FamilyKind.CYCLE, 6),
+    ]
+    for n, q in [(5, 0.3), (5, 0.7), (6, 0.3), (6, 0.5), (6, 0.7), (7, 0.2), (7, 0.3)]:
+        graphs.append(random_graph(n, rng, edge_prob=q))
+    for _ in range(4):
+        graphs.append(plant_simplicial(random_graph(rng.randint(3, 5), rng), rng))
+    for _ in range(3):
+        base = random_graph(rng.randint(3, 5), rng)
+        apex = [(v, base.n) for v in range(base.n)]
+        graphs.append(Graph.from_edges(base.n + 2, base.edges() + apex))
+    return graphs
+
+
+def test_engine_matches_networkx_chromatic_polynomial():
+    # Third oracle, from installed third-party code: the chromatic polynomial
+    # in the falling-factorial basis, P(G, m) = sum_k counts[k] * m^(k falling),
+    # evaluated at m = 0..n.
+    nx = pytest.importorskip("networkx")
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for g in networkx_oracle_graphs():
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(g.n))
+        nxg.add_edges_from(g.edges())
+        poly = nx.chromatic_polynomial(nxg)
+        counts = profile(g, ProfileCache()).counts
+        for m in range(g.n + 1):
+            assert sum(c * perm(m, k) for k, c in enumerate(counts)) == poly.subs(x, m)
 
 
 # --- deletion-contraction identities as data -------------------------------------
