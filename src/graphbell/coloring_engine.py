@@ -2,12 +2,12 @@
 
 A profile lists, for each k, how many partitions of the vertex set into
 exactly k stable sets a graph admits.  ``profile`` peels dominating and
-simplicial vertices in one loop, with no closed-form base cases, and
-recurses only to branch by deletion-contraction; ``brute_force_profile``
-enumerates set partitions directly and serves as the independent oracle the
-test suite compares against.  Both are exponential in the worst case; the
-engine is practical to roughly twenty vertices on generic graphs and up to
-``PROFILE_MAX_ORDER`` on the structured families.
+simplicial vertices and branches by deletion-contraction from one explicit
+work stack, with no closed-form base cases and no recursion;
+``brute_force_profile`` enumerates set partitions directly and serves as the
+independent oracle the test suite compares against.  Both are exponential in
+the worst case; the engine is practical to roughly twenty vertices on generic
+graphs and up to ``PROFILE_MAX_ORDER`` on the structured families.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ from .graph_core import Graph, is_dominating, is_simplicial
 
 BRUTE_FORCE_MAX_ORDER = 12
 
-# The memo keeps every graph the peel loop reaches, about order**3 bits for
-# a path.  Measured on a 2-vCPU box at order 1024, wall / peak RSS: path and
-# h:3,1021 1.1 s / 269 MB, empty 0.7 s / 231 MB, star 0.9 s / 231 MB,
-# complete 0.4 s / 85 MB; path:1100 and 1200 peak at 329 and 422 MB.
-# Cycles peak highest: cycle:900 takes 18 s / 506 MB, and cycle:1024 spends
-# 24 s / 527 MB before its branching passes the recursion limit.
+# The memo keeps every graph the engine reaches, about order**3 bits for a
+# path.  Measured on a 2-vCPU box at order 1024, wall / peak RSS: path and
+# h:3,1021 1.0-1.3 s / 275 MB, empty 1.0 s / 237 MB, star 0.9 s / 236 MB,
+# complete 1.0 s / 86 MB; path:1100 and 1200 peak at 329 and 422 MB.
+# Cycles cost the most, since a cycle branches once per vertex: cycle:1000
+# takes 25 s / 692 MB and cycle:1024 24 s / 742 MB.
 PROFILE_MAX_ORDER = 1024
 
 
@@ -86,7 +86,7 @@ class StirlingProfile:
 class ProfileCache:
     """Memo table for count vectors, keyed by the exact labeled graph.
 
-    A hit needs the recursion to reach an identical labeled subproblem, as
+    A hit needs the work stack to reach an identical labeled subproblem, as
     the two branches of deletion-contraction often do.  Isomorphic
     relabelings are not collapsed: a canonical fingerprint at every node
     costs far more in pure Python than the extra hits save.  Lookups and
@@ -177,11 +177,12 @@ def check_order(n: int) -> None:
 def profile(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> StirlingProfile:
     """Exact profile of ``g`` by vertex peeling and deletion-contraction.
 
-    One loop peels vertices until the graph is null or found in the memo: a
-    dominating vertex v gives counts(G, k) = counts(G-v, k-1); failing that,
-    a simplicial vertex v with r neighbors (r = 0 if isolated) gives
-    counts(G, k) = (k-r)*counts(G-v, k) + counts(G-v, k-1).  A graph with
-    neither branches, recursively, on the vertex pair with the largest common
+    One loop over one explicit stack does all the work, without recursion.
+    A graph that is neither null nor in the memo peels its first vertex v
+    that is dominating, giving counts(G, k) = counts(G-v, k-1), or
+    simplicial with r neighbors (r = 0 if isolated), giving
+    counts(G, k) = (k-r)*counts(G-v, k) + counts(G-v, k-1).  A graph with no
+    such vertex branches on the vertex pair with the largest common
     neighborhood, deleting an edge when the graph is sparse and adding one
     when it is dense.  Each graph reached is memoized under its labeled
     adjacency (see :class:`ProfileCache`); pass ``memo=None`` to disable
@@ -192,57 +193,55 @@ def profile(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> Stirl
 
 
 def _profile_counts(g: Graph, memo: ProfileCache | None) -> tuple[int, ...]:
-    # Each peeled graph with r, the removed vertex's neighbor count if it was
-    # simplicial, or None if it was dominating.
-    peeled = []
-    counts = (1,)
-    while g.n:
-        if memo is not None:
-            hit = memo.get_labeled(g)
-            if hit is not None:
-                counts = hit
+    # ``todo`` holds graphs still to expand and combine steps (g, rule), each
+    # step below the graphs whose counts it needs: rule None for a dominating
+    # peel, r for a simplicial one, add or sub for a branch (the merged
+    # graph's counts end on top of the other side's).  ``done`` holds
+    # finished counts.
+    todo = [g]
+    done = []
+    while todo:
+        item = todo.pop()
+        if type(item) is tuple:
+            g, rule = item
+            counts = done.pop()
+            if rule is None:
+                counts = (0,) + counts
+            elif type(rule) is int:
+                counts = tuple(
+                    (k - rule) * c + d
+                    for k, (c, d) in enumerate(zip(counts + (0,), (0,) + counts))
+                )
+            else:
+                counts = tuple(map(rule, done.pop(), counts + (0,)))
+            if memo is not None:
+                memo.put(g, counts)
+            done.append(counts)
+            continue
+        g = item
+        if not g.n:
+            done.append((1,))
+            continue
+        hit = memo.get_labeled(g) if memo is not None else None
+        if hit is not None:
+            done.append(hit)
+            continue
+        for v in range(g.n):
+            if is_dominating(g, v):
+                todo += ((g, None), g.remove_vertex(v))
                 break
-        v = _find_vertex(g, is_dominating)
-        r = None
-        if v is None:
-            v = _find_vertex(g, is_simplicial)
-            if v is None:
-                n, m = g.n, g.edge_count
-                if n * (n - 1) // 2 - m <= m:
-                    u, w = _best_pair(g, adjacent=False)
-                    with_edge = _profile_counts(g.add_edge(u, w), memo)
-                    merged = _profile_counts(g.merge(u, w), memo)
-                    counts = tuple(map(add, with_edge, merged + (0,)))
-                else:
-                    u, w = _best_pair(g, adjacent=True)
-                    without = _profile_counts(g.delete_edge(u, w), memo)
-                    merged = _profile_counts(g.merge(u, w), memo)
-                    counts = tuple(map(sub, without, merged + (0,)))
-                if memo is not None:
-                    memo.put(g, counts)
+            if is_simplicial(g, v):
+                todo += ((g, g.adj[v].bit_count()), g.remove_vertex(v))
                 break
-            r = g.adj[v].bit_count()
-        peeled.append((g, r))
-        g = g.remove_vertex(v)
-
-    for g, r in reversed(peeled):
-        if r is None:
-            counts = (0,) + counts
         else:
-            counts = tuple(
-                (k - r) * c + d for k, (c, d) in enumerate(zip(counts + (0,), (0,) + counts))
-            )
-        if memo is not None:
-            memo.put(g, counts)
-    return counts
-
-
-def _find_vertex(g: Graph, test):
-    """The first vertex v of ``g`` with ``test(g, v)``, or None."""
-    for v in range(g.n):
-        if test(g, v):
-            return v
-    return None
+            n, m = g.n, g.edge_count
+            if n * (n - 1) // 2 - m <= m:
+                u, w = _best_pair(g, adjacent=False)
+                todo += ((g, add), g.merge(u, w), g.add_edge(u, w))
+            else:
+                u, w = _best_pair(g, adjacent=True)
+                todo += ((g, sub), g.merge(u, w), g.delete_edge(u, w))
+    return done.pop()
 
 
 def _best_pair(g: Graph, adjacent: bool) -> tuple[int, int]:

@@ -7,6 +7,16 @@ import pytest
 
 import graphbell
 
+try:
+    from hypothesis import settings
+except ImportError:
+    pass
+else:
+    # Same examples on every run, and no per-example deadline: a loaded
+    # machine must not turn a slow example into a failure.
+    settings.register_profile("graphbell", derandomize=True, deadline=None, database=None)
+    settings.load_profile("graphbell")
+
 
 @pytest.fixture
 def child_env():

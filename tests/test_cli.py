@@ -215,22 +215,23 @@ def test_verify_i1_json(capsys):
 
 
 @pytest.mark.parametrize("extra", [(), ("--no-memo",)])
-def test_compute_too_deep_exits_resource(extra, child_env):
-    # Peeling is a loop, but each deletion-contraction branch is one recursion
-    # level, and a cycle branches once per vertex.  The child lowers the
-    # recursion limit so cycle:120 reaches it.  Run in a fresh interpreter so
-    # the real stderr is checked.  The MemoryError branch of main has no
-    # test: provoking it safely is not possible.
+def test_compute_too_deep_exits_resource(capsys, extra, child_env):
+    # A cycle branches once per vertex, and the engine keeps its branches on
+    # an explicit stack, so a recursion limit far below the branching depth
+    # must not matter (the name is from when it did, and this exited 3).
+    # Run in a fresh interpreter so the real stderr is checked.
     script = ("import sys; from graphbell.cli import main; sys.setrecursionlimit(100); "
               "sys.exit(main(sys.argv[1:]))")
     proc = subprocess.run(
-        [sys.executable, "-c", script, "compute", "--family", "cycle:120", *extra],
+        [sys.executable, "-c", script, "compute", "--family", "cycle:150", "--json", *extra],
         capture_output=True, text=True, env=child_env, timeout=120,
     )
-    assert proc.returncode == 3
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.splitlines()[-1].startswith("error: ")
-    assert proc.stdout == ""
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    code, out, _ = run_cli(capsys, "family", "--family", "cycle:150", "--json")
+    assert code == 0
+    got, want = json.loads(proc.stdout), json.loads(out)
+    assert (got["b"], got["t"], got["a"]) == (want["b"], want["t"], want["a"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -370,3 +371,18 @@ def test_error_class_sets_exit_code(capsys, monkeypatch, exc, code):
 
     monkeypatch.setattr(cli, "_cmd_family", fail)
     assert run_cli(capsys, "family", "--family", "cycle:5") == (code, "", "error: refused\n")
+
+
+@pytest.mark.parametrize("exc, reason", [
+    (RecursionError, "the recursion depth limit was reached"),
+    (MemoryError, "out of memory"),
+])
+def test_exhaustion_exits_resource(capsys, monkeypatch, exc, reason):
+    # The engine no longer recurses, so no input reaches this clause through
+    # it; the clause stays so that no traceback can escape main.
+    def fail(args):
+        raise exc("refused")
+
+    monkeypatch.setattr(cli, "_cmd_family", fail)
+    assert run_cli(capsys, "family", "--family", "cycle:5") == (
+        3, "", f"error: input too large: {reason}\n")
