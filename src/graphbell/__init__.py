@@ -55,7 +55,6 @@ from .inequality_verifier import (
 )
 from .sequences import (
     BigSeqCache,
-    alternating_bell_sum,
     avg_blocks,
     bell,
     shared_cache,

@@ -22,9 +22,9 @@ import sys
 from fractions import Fraction
 
 from . import closed_forms, selftest
-from .coloring_engine import SHARED_PROFILE_CACHE, check_order, profile
+from .coloring_engine import SHARED_PROFILE_CACHE, profile
 from .errors import DomainError, GraphBellError, ResourceError, UsageError
-from .graph_core import FamilyKind, FamilySpec, build, load_edge_list
+from .graph_core import FamilyKind, FamilySpec, build, check_order, load_edge_list
 from .inequality_verifier import INEQUALITY_IDS, scan, summarize
 from .sequences import avg_blocks, bell, shared_cache, stirling2, two_bell
 

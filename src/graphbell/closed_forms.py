@@ -14,7 +14,7 @@ from math import comb
 
 from .errors import DomainError
 from .graph_core import FamilyKind, FamilySpec
-from .sequences import alt_sum, alternating_bell_sum, bell, shared_cache, two_bell
+from .sequences import alt_sum, bell, shared_cache, two_bell
 
 
 @dataclass(frozen=True)
@@ -51,62 +51,41 @@ def tree_pk1_aggregates(n: int, p: int) -> FamilyAggregates:
 
 def cycle_aggregates(n: int) -> FamilyAggregates:
     """A cycle of order n >= 3, as alternating Bell sums."""
-    return FamilyAggregates(alternating_bell_sum(n, 0), alternating_bell_sum(n, 1))
+    return hnr_pk1_aggregates(n, 0, 0)
 
 
 def cycle_pk1_aggregates(n: int, p: int) -> FamilyAggregates:
-    """A cycle of order n >= 3 plus p isolated vertices.
-
-    b = sum_{j=1..n-1} (-1)**(j+1) sum_i C(p, i) * bell(n+i-j); t shifts the
-    inner Bell index up by one.  The sums are taken in the other order,
-    b = sum_i C(p, i) * alt(n, i) with the alternating Bell sum alt, so a
-    point costs p+1 table reads instead of (n-1)(p+1) Bell terms.
-    """
-    if n < 3:
-        raise DomainError("a cycle has at least three vertices")
-    if p < 0:
-        raise DomainError("isolated-vertex count must be nonnegative")
-    b = sum(comb(p, i) * alt_sum(n, i) for i in range(p + 1))
-    t = sum(comb(p, i) * alt_sum(n, i + 1) for i in range(p + 1))
-    return FamilyAggregates(b, t)
+    """A cycle of order n >= 3 plus p isolated vertices: a tailed cycle with no tail."""
+    return hnr_pk1_aggregates(n, 0, p)
 
 
 def h3_tail_aggregates(m: int, p: int) -> FamilyAggregates:
     """A triangle with a tail of m path vertices, plus p isolated vertices.
 
-    Expressed as consecutive path-family differences: both aggregates equal
-    the order-(m+3) path value minus the order-(m+2) path value.
+    This is the tailed cycle of order 3.  Both aggregates equal the
+    order-(m+3) path value minus the order-(m+2) path value.
     """
-    if m < 0 or p < 0:
-        raise DomainError("tail and isolated-vertex counts must be nonnegative")
-    big = tree_pk1_aggregates(m + 3, p)
-    small = tree_pk1_aggregates(m + 2, p)
-    return FamilyAggregates(big.b - small.b, big.t - small.t)
+    return hnr_pk1_aggregates(3, m, p)
 
 
 def hnr_pk1_aggregates(n: int, r: int, p: int) -> FamilyAggregates:
     """A cycle of order n with an r-vertex tail, plus p isolated vertices.
 
-    Unrolls the two-step recursion (order n = triangle with the whole tail +
-    order n-2 with the same tail) into a plain sum of triangle-with-tail
-    terms; even n bottoms out in one extra path term of order r + 2.  The
-    unit coefficients are forced by the recursion and confirmed by brute
-    force; a binomially weighted variant disagrees with direct enumeration
-    from order 7 on.
+    The one closed form for every cycle-type family.  A plain cycle plus p
+    isolated vertices has b = sum_i C(p, i) * alt(n, i) and t shifts each
+    alternating Bell sum alt up by one (Duncan & Peele, J. Integer Seq. 12,
+    2009).  A tail of r vertices shifts every Bell index by r:
+    b = sum_i C(p, i) * alt(n, r+i) and t = sum_i C(p, i) * alt(n, r+i+1).
+    This is the two-step recursion (order n = triangle with the whole tail
+    + order n-2 with the same tail) summed in closed form, so a point costs
+    2(p+1) table reads.
     """
     if n < 3:
         raise DomainError("the tailed-cycle family requires n >= 3")
     if r < 0 or p < 0:
         raise DomainError("tail and isolated-vertex counts must be nonnegative")
-    if n % 2 == 1:
-        parts = [h3_tail_aggregates(2 * i + r, p) for i in range((n - 3) // 2 + 1)]
-        b = sum(agg.b for agg in parts)
-        t = sum(agg.t for agg in parts)
-    else:
-        parts = [h3_tail_aggregates(2 * i + r + 1, p) for i in range((n - 4) // 2 + 1)]
-        tail_path = tree_pk1_aggregates(r + 2, p)
-        b = sum(agg.b for agg in parts) + tail_path.b
-        t = sum(agg.t for agg in parts) + tail_path.t
+    b = sum(comb(p, i) * alt_sum(n, r + i) for i in range(p + 1))
+    t = sum(comb(p, i) * alt_sum(n, r + i + 1) for i in range(p + 1))
     return FamilyAggregates(b, t)
 
 

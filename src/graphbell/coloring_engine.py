@@ -17,17 +17,9 @@ from fractions import Fraction
 from operator import add, sub
 
 from .errors import DomainError, ResourceError
-from .graph_core import Graph, is_dominating, is_simplicial
+from .graph_core import PROFILE_MAX_ORDER, Graph, check_order, is_dominating, is_simplicial
 
 BRUTE_FORCE_MAX_ORDER = 12
-
-# The memo keeps every graph the engine reaches, about order**3 bits for a
-# path.  Measured on a 2-vCPU box at order 1024, wall / peak RSS: path and
-# h:3,1021 1.0-1.3 s / 275 MB, empty 1.0 s / 237 MB, star 0.9 s / 236 MB,
-# complete 1.0 s / 86 MB; path:1100 and 1200 peak at 329 and 422 MB.
-# Cycles cost the most, since a cycle branches once per vertex: cycle:1000
-# takes 25 s / 692 MB and cycle:1024 24 s / 742 MB.
-PROFILE_MAX_ORDER = 1024
 
 
 @dataclass(frozen=True)
@@ -166,14 +158,6 @@ def brute_force_profile(g: Graph) -> StirlingProfile:
     return StirlingProfile(n, tuple(counts))
 
 
-def check_order(n: int) -> None:
-    """Raise ResourceError if a graph of order ``n`` is above ``PROFILE_MAX_ORDER``."""
-    if n > PROFILE_MAX_ORDER:
-        raise ResourceError(
-            f"graph order {n} exceeds the profile cap of {PROFILE_MAX_ORDER} vertices"
-        )
-
-
 def profile(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> StirlingProfile:
     """Exact profile of ``g`` by vertex peeling and deletion-contraction.
 
@@ -271,6 +255,4 @@ def total_graph(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> i
 
 def avg_colors(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> Fraction:
     """Exact average number of color classes; requires at least one vertex."""
-    if g.n == 0:
-        raise DomainError("average color count is undefined for the null graph")
     return profile(g, memo).average

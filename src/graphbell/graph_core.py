@@ -15,6 +15,25 @@ from random import Random
 from .errors import DomainError, ResourceError, UsageError
 
 
+# The largest graph the profile engine accepts.  It lives here so that input
+# parsers can refuse a larger order before any per-vertex allocation.  The
+# engine's memo keeps every graph it reaches, about order**3 bits for a path.
+# Measured on a 2-vCPU box at order 1024, wall / peak RSS: path and h:3,1021
+# 1.0-1.3 s / 275 MB, empty 1.0 s / 237 MB, star 0.9 s / 236 MB, complete
+# 1.0 s / 86 MB; path:1100 and 1200 peak at 329 and 422 MB.  Cycles cost the
+# most, since a cycle branches once per vertex: cycle:1000 takes 25 s /
+# 692 MB and cycle:1024 24 s / 742 MB.
+PROFILE_MAX_ORDER = 1024
+
+
+def check_order(n: int) -> None:
+    """Raise ResourceError if a graph of order ``n`` is above ``PROFILE_MAX_ORDER``."""
+    if n > PROFILE_MAX_ORDER:
+        raise ResourceError(
+            f"graph order {n} exceeds the profile cap of {PROFILE_MAX_ORDER} vertices"
+        )
+
+
 def _bits(mask: int):
     """Yield the set bit positions of ``mask`` in increasing order."""
     while mask:
@@ -338,7 +357,9 @@ def _bfs_edge_bytes(n, nbrs, starts, edge_list, root) -> bytes:
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format: a header line ``n m`` then m lines ``u v``.
 
-    Indices are 0-based; everything after ``#`` on a line is a comment.
+    Indices are 0-based; everything after ``#`` on a line is a comment.  An
+    order above ``PROFILE_MAX_ORDER`` raises ResourceError as soon as the
+    header is read, before any per-vertex allocation.
     """
     rows = []
     for raw in text.splitlines():
@@ -356,6 +377,7 @@ def parse_edge_list(text: str) -> Graph:
         raise UsageError(f"non-integer header {rows[0]!r}") from None
     if n < 0 or m < 0:
         raise UsageError("header counts must be nonnegative")
+    check_order(n)
     body = rows[1:]
     if len(body) != m:
         raise UsageError(f"expected {m} edge lines, found {len(body)}")
@@ -372,11 +394,16 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def load_edge_list(path) -> Graph:
+    """Read an edge-list file as UTF-8 text and parse it.
+
+    A file that cannot be opened or is not valid UTF-8 raises UsageError.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_edge_list(fh.read())
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read edge list {path}: {exc}") from None
+    return parse_edge_list(text)
 
 
 def random_graph(n: int, rng: Random, edge_prob: float = 0.5) -> Graph:

@@ -26,36 +26,9 @@ def _cross(lo: cf.FamilyAggregates, hi: cf.FamilyAggregates) -> tuple[int, int]:
     return lo.t * hi.b, hi.t * lo.b
 
 
-def _t_path_shift(n, p):
-    return _cross(cf.tree_pk1_aggregates(n, p + 1), cf.tree_pk1_aggregates(n + 1, p))
-
-
-def _c9(n, p):
-    lhs = sum(comb(p + 1, i) * bell(n + i) for i in range(p + 2)) * sum(
-        comb(p, i) * bell(n + i) for i in range(p + 1)
-    )
-    rhs = sum(comb(p + 1, i) * bell(n + i - 1) for i in range(p + 2)) * sum(
-        comb(p, i) * bell(n + i + 1) for i in range(p + 1)
-    )
-    return lhs, rhs
-
-
-def _t_h3_vs_path(n, p):
-    return _cross(cf.h3_tail_aggregates(n - 3, p), cf.tree_pk1_aggregates(n + 1, p))
-
-
-def _c11(n, p):
-    lhs = sum(comb(p, i) * bell(n + i) for i in range(p + 1)) * sum(
-        comb(p, i) * (bell(n + i) - bell(n + i - 1)) for i in range(p + 1)
-    )
-    rhs = sum(comb(p, i) * bell(n + i + 1) for i in range(p + 1)) * sum(
-        comb(p, i) * (bell(n + i - 1) - bell(n + i - 2)) for i in range(p + 1)
-    )
-    return lhs, rhs
-
-
-def _t_cycle_vs_h3(n, p):
-    return _cross(cf.cycle_pk1_aggregates(n, p), cf.h3_tail_aggregates(n - 3, p))
+def _bsum(n, p, shift):
+    """sum_i C(p, i) * bell(n+i+shift): a tree-type binomial Bell sum."""
+    return sum(comb(p, i) * bell(n + i + shift) for i in range(p + 1))
 
 
 def _cycle_sum(n, p, shift):
@@ -67,13 +40,31 @@ def _cycle_sum(n, p, shift):
     return sum(comb(p, i) * alt_sum(n, shift + i) for i in range(p + 1))
 
 
+def _t_path_shift(n, p):
+    return _cross(cf.tree_pk1_aggregates(n, p + 1), cf.tree_pk1_aggregates(n + 1, p))
+
+
+def _c9(n, p):
+    return _bsum(n, p + 1, 0) * _bsum(n, p, 0), _bsum(n, p + 1, -1) * _bsum(n, p, 1)
+
+
+def _t_h3_vs_path(n, p):
+    return _cross(cf.h3_tail_aggregates(n - 3, p), cf.tree_pk1_aggregates(n + 1, p))
+
+
+def _c11(n, p):
+    s0, s_1 = _bsum(n, p, 0), _bsum(n, p, -1)
+    return s0 * (s0 - s_1), _bsum(n, p, 1) * (s_1 - _bsum(n, p, -2))
+
+
+def _t_cycle_vs_h3(n, p):
+    return _cross(cf.cycle_pk1_aggregates(n, p), cf.h3_tail_aggregates(n - 3, p))
+
+
 def _c14(n, p):
-    lhs = _cycle_sum(n, p, 1) * sum(
-        comb(p, i) * (bell(n + i - 1) - bell(n + i - 2)) for i in range(p + 1)
-    )
-    rhs = _cycle_sum(n, p, 0) * sum(
-        comb(p, i) * (bell(n + i) - bell(n + i - 1)) for i in range(p + 1)
-    )
+    s_1 = _bsum(n, p, -1)
+    lhs = _cycle_sum(n, p, 1) * (s_1 - _bsum(n, p, -2))
+    rhs = _cycle_sum(n, p, 0) * (_bsum(n, p, 0) - s_1)
     return lhs, rhs
 
 
@@ -82,9 +73,7 @@ def _t_cycle_vs_path(n, p):
 
 
 def _c17(n, p):
-    lhs = sum(comb(p, i) * bell(n + i) for i in range(p + 1)) * _cycle_sum(n, p, 0)
-    rhs = sum(comb(p, i) * bell(n + i - 1) for i in range(p + 1)) * _cycle_sum(n, p, 1)
-    return lhs, rhs
+    return _bsum(n, p, 0) * _cycle_sum(n, p, 0), _bsum(n, p, -1) * _cycle_sum(n, p, 1)
 
 
 def _t_cycle_drop2(n, p):

@@ -147,16 +147,6 @@ class BigSeqCache:
         diff = prefix[n + shift - 1] - (prefix[shift] if shift >= 0 else 0)
         return -diff if (n + shift) % 2 == 0 else diff
 
-    def alternating_bell_sum(self, n: int, shift: int = 0) -> int:
-        """Sum of (-1)**(j+1) * bell(n - j + shift) for j = 1..n-1, for n >= 3.
-
-        With shift 0 this equals the partition count of an n-cycle into
-        stable sets; with shift 1, the corresponding total block count.
-        """
-        if n < 3:
-            raise DomainError("alternating Bell sum requires n >= 3")
-        return self.alt_sum(n, shift)
-
 
 _SHARED = BigSeqCache()
 
@@ -184,6 +174,3 @@ def avg_blocks(n: int) -> Fraction:
 def alt_sum(n: int, shift: int = 0) -> int:
     return _SHARED.alt_sum(n, shift)
 
-
-def alternating_bell_sum(n: int, shift: int = 0) -> int:
-    return _SHARED.alternating_bell_sum(n, shift)

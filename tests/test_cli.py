@@ -13,7 +13,7 @@ from graphbell import cli
 from graphbell.cli import main, parse_family
 from graphbell.coloring_engine import PROFILE_MAX_ORDER
 from graphbell.errors import DomainError, GraphBellError, ResourceError, UsageError
-from graphbell.graph_core import FamilyKind, FamilySpec
+from graphbell.graph_core import FamilyKind, FamilySpec, Graph
 from graphbell.inequality_verifier import INEQUALITY_IDS, InequalityReport
 from graphbell.sequences import STIRLING_MAX_ROWS, shared_cache
 
@@ -92,6 +92,26 @@ def test_compute_requires_one_source(capsys):
 def test_compute_missing_file_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "compute", "--edges", "/nonexistent/file.txt")
     assert code == 1
+
+
+def test_compute_non_utf8_edge_list_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "c3.txt"
+    f.write_bytes("3 0\n".encode("utf-16"))  # starts with the bytes ff fe
+    code, out, err = run_cli(capsys, "compute", "--edges", str(f))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot read edge list ") and err.count("\n") == 1
+
+
+def test_edge_list_order_refused_before_graph_is_built(tmp_path, capsys, monkeypatch):
+    def never(n, edges=()):
+        raise AssertionError("Graph.from_edges was called")
+
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(never))
+    f = tmp_path / "big.txt"
+    f.write_text(f"{PROFILE_MAX_ORDER + 1} 0\n")
+    code, out, err = run_cli(capsys, "compute", "--edges", str(f))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_compute_domain_error_exit(capsys):

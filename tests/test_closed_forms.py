@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from graphbell.closed_forms import (
+    FamilyAggregates,
     aggregates_for,
     complete_aggregates,
     cycle_aggregates,
@@ -153,6 +154,23 @@ def test_hnr_zero_tail_is_cycle_family():
             hn = hnr_pk1_aggregates(n, 0, p)
             cy = cycle_pk1_aggregates(n, p)
             assert (hn.b, hn.t) == (cy.b, cy.t)
+
+
+def test_h3_tail_is_path_difference():
+    # a tailed triangle is the difference of two consecutive trees, p isolated vertices each
+    for m in range(41):
+        for p in range(6):
+            big, small = tree_pk1_aggregates(m + 3, p), tree_pk1_aggregates(m + 2, p)
+            assert h3_tail_aggregates(m, p) == FamilyAggregates(big.b - small.b, big.t - small.t)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 13])
+def test_hnr_matches_engine_beyond_order_ten(n):
+    for r in (0, 1, 7, 20):
+        for p in (0, 1, 3):
+            agg = hnr_pk1_aggregates(n, r, p)
+            pr = profile(build(FamilySpec(FamilyKind.HNR, n, r=r, p=p)), ProfileCache())
+            assert (pr.bell, pr.total) == (agg.b, agg.t), (n, r, p)
 
 
 def test_hnr_two_step_recursion():

@@ -6,8 +6,9 @@ from random import Random
 
 import pytest
 
-from graphbell.errors import DomainError, UsageError
+from graphbell.errors import DomainError, ResourceError, UsageError
 from graphbell.graph_core import (
+    PROFILE_MAX_ORDER,
     FamilyKind,
     FamilySpec,
     Graph,
@@ -306,3 +307,9 @@ def test_parse_edge_list_roundtrip():
 def test_parse_edge_list_rejects_malformed(text):
     with pytest.raises(UsageError):
         parse_edge_list(text)
+
+
+def test_parse_edge_list_order_cap():
+    assert parse_edge_list(f"{PROFILE_MAX_ORDER} 0\n").n == PROFILE_MAX_ORDER
+    with pytest.raises(ResourceError):
+        parse_edge_list(f"{PROFILE_MAX_ORDER + 1} 0\n")

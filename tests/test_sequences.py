@@ -13,7 +13,6 @@ from graphbell.sequences import (
     STIRLING_MAX_ROWS,
     BigSeqCache,
     alt_sum,
-    alternating_bell_sum,
     avg_blocks,
     bell,
     shared_cache,
@@ -102,16 +101,14 @@ def test_avg_blocks_zero_rejected():
 
 
 def test_alternating_bell_sum_values():
-    assert alternating_bell_sum(5, 0) == 15 - 5 + 2 - 1 == 11
-    assert alternating_bell_sum(5, 1) == 52 - 15 + 5 - 2 == 40
-    assert alternating_bell_sum(3, 0) == 1
+    assert alt_sum(5, 0) == 15 - 5 + 2 - 1 == 11
+    assert alt_sum(5, 1) == 52 - 15 + 5 - 2 == 40
+    assert alt_sum(3, 0) == 1
 
 
 def test_alternating_bell_sum_domain():
     with pytest.raises(DomainError):
-        alternating_bell_sum(2, 0)
-    with pytest.raises(DomainError):
-        alternating_bell_sum(5, -2)
+        alt_sum(5, -2)
     with pytest.raises(DomainError):
         alt_sum(4, -2)
 
@@ -123,13 +120,7 @@ def direct_alt_sum(n, shift):
 def test_alternating_sums_match_direct_j_sum():
     for n in range(121):
         for shift in range(-1, 7):
-            want = direct_alt_sum(n, shift)
-            assert alt_sum(n, shift) == want
-            if n >= 3:
-                assert alternating_bell_sum(n, shift) == want
-            else:
-                with pytest.raises(DomainError):
-                    alternating_bell_sum(n, shift)
+            assert alt_sum(n, shift) == direct_alt_sum(n, shift)
 
 
 def test_growth_order_does_not_change_values():
