@@ -37,10 +37,8 @@ from .graph_core import (
     FamilyKind,
     FamilySpec,
     Graph,
-    VertexKind,
     build,
     canonical_key,
-    classify_vertex,
     load_edge_list,
     parse_edge_list,
     random_graph,

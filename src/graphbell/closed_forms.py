@@ -30,9 +30,7 @@ class FamilyAggregates:
 
 def tree_aggregates(n: int) -> FamilyAggregates:
     """Any tree of order n: b = bell(n-1), t = bell(n), independent of shape."""
-    if n < 1:
-        raise DomainError("a tree has at least one vertex")
-    return FamilyAggregates(bell(n - 1), bell(n))
+    return tree_pk1_aggregates(n, 0)
 
 
 def tree_pk1_aggregates(n: int, p: int) -> FamilyAggregates:

@@ -166,11 +166,12 @@ def profile(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> Stirl
     that is dominating, giving counts(G, k) = counts(G-v, k-1), or
     simplicial with r neighbors (r = 0 if isolated), giving
     counts(G, k) = (k-r)*counts(G-v, k) + counts(G-v, k-1).  A graph with no
-    such vertex branches on the vertex pair with the largest common
-    neighborhood, deleting an edge when the graph is sparse and adding one
-    when it is dense.  Each graph reached is memoized under its labeled
-    adjacency (see :class:`ProfileCache`); pass ``memo=None`` to disable
-    caching.  Orders above ``PROFILE_MAX_ORDER`` raise ResourceError first.
+    such vertex branches on vertex 0: a sparse graph deletes the edge to the
+    lowest-indexed neighbor of 0, and a dense one adds the edge to its
+    lowest-indexed non-neighbor.  Each graph reached is memoized under its
+    labeled adjacency (see :class:`ProfileCache`); pass ``memo=None`` to
+    disable caching.  Orders above ``PROFILE_MAX_ORDER`` raise ResourceError
+    first.
     """
     check_order(g.n)
     return StirlingProfile(g.n, _profile_counts(g, memo))
@@ -218,29 +219,16 @@ def _profile_counts(g: Graph, memo: ProfileCache | None) -> tuple[int, ...]:
                 todo += ((g, g.adj[v].bit_count()), g.remove_vertex(v))
                 break
         else:
-            n, m = g.n, g.edge_count
+            # Vertex 0 was not peeled, so it is neither dominating nor
+            # isolated: it has a neighbor and a non-neighbor.
+            n, m, a = g.n, g.edge_count, g.adj[0]
             if n * (n - 1) // 2 - m <= m:
-                u, w = _best_pair(g, adjacent=False)
-                todo += ((g, add), g.merge(u, w), g.add_edge(u, w))
+                w = (~a & (a | 1) + 1).bit_length() - 1  # lowest non-neighbor
+                todo += ((g, add), g.merge(0, w), g.add_edge(0, w))
             else:
-                u, w = _best_pair(g, adjacent=True)
-                todo += ((g, sub), g.merge(u, w), g.delete_edge(u, w))
+                w = (a & -a).bit_length() - 1  # lowest neighbor
+                todo += ((g, sub), g.merge(0, w), g.delete_edge(0, w))
     return done.pop()
-
-
-def _best_pair(g: Graph, adjacent: bool) -> tuple[int, int]:
-    """Vertex pair of the requested adjacency with the most common neighbors."""
-    best = None
-    best_common = -1
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if bool(g.adj[u] >> v & 1) != adjacent:
-                continue
-            common = (g.adj[u] & g.adj[v]).bit_count()
-            if common > best_common:
-                best_common = common
-                best = (u, v)
-    return best
 
 
 def bell_graph(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> int:

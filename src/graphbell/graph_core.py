@@ -21,8 +21,8 @@ from .errors import DomainError, ResourceError, UsageError
 # Measured on a 2-vCPU box at order 1024, wall / peak RSS: path and h:3,1021
 # 1.0-1.3 s / 275 MB, empty 1.0 s / 237 MB, star 0.9 s / 236 MB, complete
 # 1.0 s / 86 MB; path:1100 and 1200 peak at 329 and 422 MB.  Cycles cost the
-# most, since a cycle branches once per vertex: cycle:1000 takes 25 s /
-# 692 MB and cycle:1024 24 s / 742 MB.
+# most, since a cycle branches once per vertex: cycle:1000 and cycle:1024
+# take 3.8 s / 692 MB and 3.8 s / 741 MB.
 PROFILE_MAX_ORDER = 1024
 
 
@@ -228,25 +228,6 @@ def build(spec: FamilySpec) -> Graph:
             edges.append((0, n))
             edges += [(n + i, n + i + 1) for i in range(r - 1)]
     return Graph.from_edges(spec.order, edges)
-
-
-class VertexKind(Enum):
-    DOMINATING = "dominating"
-    SIMPLICIAL = "simplicial"
-    NEITHER = "neither"
-
-
-def classify_vertex(g: Graph, v: int) -> tuple[VertexKind, int | None]:
-    """Classify v as dominating, simplicial (with its neighbor count), or neither.
-
-    A vertex that is both dominating and simplicial reports as dominating.
-    """
-    g._require_vertex(v)
-    if is_dominating(g, v):
-        return (VertexKind.DOMINATING, None)
-    if is_simplicial(g, v):
-        return (VertexKind.SIMPLICIAL, g.adj[v].bit_count())
-    return (VertexKind.NEITHER, None)
 
 
 def is_dominating(g: Graph, v: int) -> bool:

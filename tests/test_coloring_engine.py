@@ -285,6 +285,26 @@ def test_memo_is_populated_and_reused():
     assert profile(g, memo) == first
 
 
+def test_disjoint_union_stays_within_work_bound():
+    # The bound is far above what this union needs (about 2k graphs) and far
+    # below what a branch rule that interleaves the two components'
+    # subproblems stores (about 420k).
+    g1 = random_graph(12, Random(1))
+    g2 = random_graph(11, Random(2))
+    g = Graph(23, g1.adj + tuple(mask << 12 for mask in g2.adj))
+    memo = ProfileCache()
+    counts = profile(g, memo).counts
+    assert len(memo) <= 10_000
+
+    def poly(cs, m):
+        return sum(c * perm(m, k) for k, c in enumerate(cs))
+
+    c1 = profile(g1, ProfileCache()).counts
+    c2 = profile(g2, ProfileCache()).counts
+    for m in range(24):
+        assert poly(counts, m) == poly(c1, m) * poly(c2, m)
+
+
 def test_engine_handles_structured_midsize_quickly():
     pr = profile(family(FamilyKind.CYCLE, 14), ProfileCache())
     agg = cycle_aggregates(14)

@@ -12,10 +12,10 @@ from graphbell.graph_core import (
     FamilyKind,
     FamilySpec,
     Graph,
-    VertexKind,
     build,
     canonical_key,
-    classify_vertex,
+    is_dominating,
+    is_simplicial,
     parse_edge_list,
     random_graph,
 )
@@ -209,23 +209,30 @@ def test_remove_vertex_shift_down():
 def test_classify_dominating_wins_in_complete_graph():
     g = complete(4)
     for v in range(4):
-        assert classify_vertex(g, v) == (VertexKind.DOMINATING, None)
+        assert is_dominating(g, v)
+        assert is_simplicial(g, v)
 
 
 def test_classify_leaf_is_simplicial():
-    assert classify_vertex(path(4), 0) == (VertexKind.SIMPLICIAL, 1)
-    assert classify_vertex(path(4), 3) == (VertexKind.SIMPLICIAL, 1)
+    g = path(4)
+    for v in (0, 3):
+        assert not is_dominating(g, v)
+        assert is_simplicial(g, v)
+        assert g.degree(v) == 1
 
 
 def test_classify_cycle5_vertices_are_neither():
     g = cycle(5)
     for v in range(5):
-        assert classify_vertex(g, v) == (VertexKind.NEITHER, None)
+        assert not is_dominating(g, v)
+        assert not is_simplicial(g, v)
 
 
 def test_classify_isolated_vertex_simplicial_zero():
     g = build(FamilySpec(FamilyKind.EMPTY, 3))
-    assert classify_vertex(g, 1) == (VertexKind.SIMPLICIAL, 0)
+    assert not is_dominating(g, 1)
+    assert is_simplicial(g, 1)
+    assert g.degree(1) == 0
 
 
 # --- canonical fingerprints ---------------------------------------------------
