@@ -28,7 +28,6 @@ from .coloring_engine import (
     bell_graph,
     brute_force_profile,
     profile,
-    restricted_growth_strings,
     total_graph,
 )
 from .errors import DomainError, GraphBellError, ResourceError, UsageError

@@ -18,13 +18,12 @@ from graphbell.coloring_engine import (
     brute_force_profile,
     check_order,
     profile,
-    restricted_growth_strings,
     total_graph,
 )
 from graphbell.closed_forms import cycle_aggregates
 from graphbell.errors import DomainError, ResourceError
 from graphbell.graph_core import FamilyKind, FamilySpec, Graph, build, random_graph
-from graphbell.sequences import STIRLING_MAX_ROWS, BigSeqCache, bell
+from graphbell.sequences import STIRLING_MAX_ROWS, BigSeqCache, bell, stirling2
 
 
 def family(kind, n, r=0, p=0):
@@ -76,9 +75,14 @@ def test_null_graph_profile():
 # --- brute-force oracle ----------------------------------------------------------
 
 
-def test_rgs_count_is_bell_number():
+def test_edgeless_oracle_counts_every_partition():
+    # Every partition of an edgeless graph is stable, so the oracle's tally
+    # must be the whole Stirling row, found without the Bell or Stirling
+    # recurrences.
     for n in range(9):
-        assert sum(1 for _ in restricted_growth_strings(n)) == bell(n)
+        counts = brute_force_profile(Graph.from_edges(n)).counts
+        assert counts == tuple(stirling2(n, k) for k in range(n + 1))
+        assert sum(counts) == bell(n)
 
 
 def test_brute_force_c4():
@@ -118,6 +122,36 @@ def test_engine_matches_oracle_random():
     for i in range(60):
         g = random_graph(5 + i % 4, rng)
         assert profile(g, memo) == brute_force_profile(g)
+
+
+def glue(a, b, shared, adjacent=False):
+    """Union of a and b with b's first ``shared`` vertices laid on a's first ones.
+
+    With two shared vertices, ``adjacent`` says whether they are joined.
+    """
+
+    def place(v):
+        return v if v < shared else a.n - shared + v
+
+    edges = set(a.edges()) | {(place(u), place(v)) for u, v in b.edges()}
+    if shared == 2:
+        edges.discard((0, 1))
+        if adjacent:
+            edges.add((0, 1))
+    return Graph.from_edges(a.n + b.n - shared, sorted(edges))
+
+
+def test_engine_matches_oracle_orders_10_to_12():
+    # Order 12 is the oracle's cap.  The glued pairs split at a separator
+    # of 0, 1 or 2 vertices, with the 2-vertex one both joined and not.
+    rng = Random(324)
+    graphs = [
+        random_graph(n, rng, edge_prob=q) for n in (10, 11, 12) for q in (0.3, 0.5, 0.7)
+    ]
+    for shared, adjacent in [(0, False), (0, False), (1, False), (2, True), (2, False)]:
+        graphs.append(glue(random_graph(6, rng), random_graph(6, rng), shared, adjacent))
+    for g in graphs:
+        assert profile(g, ProfileCache()) == brute_force_profile(g)
 
 
 def networkx_oracle_graphs():

@@ -15,7 +15,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
-from graphbell import cli, selftest  # noqa: E402
+from graphbell import cli  # noqa: E402
 from graphbell.cli import parse_family  # noqa: E402
 from graphbell.errors import GraphBellError  # noqa: E402
 from graphbell.graph_core import FamilySpec, Graph, load_edge_list  # noqa: E402
@@ -143,10 +143,6 @@ def argvs(draw):
 @settings(max_examples=120, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argvs() | st.sampled_from(_REFUSED))
 def test_cli_argv_ends_in_documented_exit_code(tmp_path, monkeypatch, argv):
-    # selftest's brute-force half costs about 0.22 s per run whatever its
-    # arguments, and test_acceptance runs it at full size; two random
-    # graphs instead of 60 keep this test cheap.
-    monkeypatch.setattr(selftest, "RANDOM_GRAPHS", 2)
     (tmp_path / "EDGES").write_text("4 3\n0 1\n1 2\n2 3\n")
     (tmp_path / "JUNK").write_bytes(b"\xff 3\n")
     monkeypatch.chdir(tmp_path)
