@@ -3,13 +3,16 @@
 A profile lists, for each k, how many partitions of the vertex set into
 exactly k stable sets a graph admits.  ``profile`` peels dominating and
 simplicial vertices and branches by deletion-contraction from one explicit
-work stack, with no closed-form base cases and no recursion;
-``brute_force_profile`` backtracks over the partitions into stable sets, one
-by one, and serves as the independent oracle the test suite compares
-against.  Both are exponential in the worst case; the engine is practical to
-roughly twenty vertices on generic graphs and up to ``PROFILE_MAX_ORDER`` on
-the structured families, and the oracle's cost follows the number of stable
-partitions, which is largest on sparse graphs.
+work stack, with no closed-form base cases and no recursion.  Inside the
+loop a graph is its bare adjacency tuple: no ``Graph`` is built and no
+vertex is checked per node, and the peel test and the rewrites are the
+unchecked tuple helpers of ``graph_core``.  ``brute_force_profile``
+backtracks over the partitions into stable sets, one by one, and serves as
+the independent oracle the test suite compares against.  Both are
+exponential in the worst case; the engine is practical to roughly twenty
+vertices on generic graphs and up to ``PROFILE_MAX_ORDER`` on the structured
+families, and the oracle's cost follows the number of stable partitions,
+which is largest on sparse graphs.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 from operator import add, sub
 
 from .errors import DomainError, ResourceError
-from .graph_core import PROFILE_MAX_ORDER, Graph, check_order, is_dominating, is_simplicial
+from .graph_core import PROFILE_MAX_ORDER, Graph, check_order, find_peel, merged, without_vertex
 
 # The oracle's cost follows the number of stable partitions it builds, so
 # the edgeless graph, with all Bell(n) partitions stable, is its worst case:
@@ -82,24 +85,25 @@ class StirlingProfile:
 
 
 class ProfileCache:
-    """Memo table for count vectors, keyed by the exact labeled graph.
+    """Memo table for count vectors, keyed by the adjacency tuple of a labeled graph.
 
-    A hit needs the work stack to reach an identical labeled subproblem, as
-    the two branches of deletion-contraction often do.  Isomorphic
-    relabelings are not collapsed: a canonical fingerprint at every node
-    costs far more in pure Python than the extra hits save.  Lookups and
-    inserts are safe to run concurrently under the GIL: any two writers for
-    one key always write equal values, so last-write-wins is harmless.
+    The tuple alone is the key: its length is the order.  A hit needs the
+    work stack to reach an identical labeled subproblem, as the two branches
+    of deletion-contraction often do.  Isomorphic relabelings are not
+    collapsed: a canonical fingerprint at every node costs far more in pure
+    Python than the extra hits save.  Lookups and inserts are safe to run
+    concurrently under the GIL: any two writers for one key always write
+    equal values, so last-write-wins is harmless.
     """
 
     def __init__(self):
-        self._labeled: dict[tuple, tuple[int, ...]] = {}
+        self._labeled: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def get_labeled(self, g: Graph):
-        return self._labeled.get((g.n, g.adj))
+    def get_labeled(self, adj: tuple[int, ...]):
+        return self._labeled.get(adj)
 
-    def put(self, g: Graph, counts: tuple[int, ...]) -> None:
-        self._labeled[(g.n, g.adj)] = counts
+    def put(self, adj: tuple[int, ...], counts: tuple[int, ...]) -> None:
+        self._labeled[adj] = counts
 
     # perfbench/tracing.py (counting_cache_class) wraps these two by name,
     # so they stay until that tracer drops them.  The engine calls neither.
@@ -107,7 +111,7 @@ class ProfileCache:
         return None
 
     def put_labeled(self, g: Graph, counts: tuple[int, ...]) -> None:
-        self.put(g, counts)
+        self.put(g.adj, counts)
 
     def __len__(self) -> int:
         return len(self._labeled)
@@ -164,26 +168,32 @@ def profile(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> Stirl
     such vertex branches on vertex 0: a sparse graph deletes the edge to the
     lowest-indexed neighbor of 0, and a dense one adds the edge to its
     lowest-indexed non-neighbor.  Each graph reached is memoized under its
-    labeled adjacency (see :class:`ProfileCache`); pass ``memo=None`` to
+    adjacency tuple (see :class:`ProfileCache`); pass ``memo=None`` to
     disable caching.  Orders above ``PROFILE_MAX_ORDER`` raise ResourceError
     first.
     """
     check_order(g.n)
-    return StirlingProfile(g.n, _profile_counts(g, memo))
+    return StirlingProfile(g.n, _profile_counts(g.adj, memo))
 
 
-def _profile_counts(g: Graph, memo: ProfileCache | None) -> tuple[int, ...]:
-    # ``todo`` holds graphs still to expand and combine steps (g, rule), each
-    # step below the graphs whose counts it needs: rule None for a dominating
-    # peel, r for a simplicial one, add or sub for a branch (the merged
-    # graph's counts end on top of the other side's).  ``done`` holds
-    # finished counts.
-    todo = [g]
+def _profile_counts(adj: tuple[int, ...], memo: ProfileCache | None) -> tuple[int, ...]:
+    # Graphs are bare adjacency tuples, their order len(adj).  ``todo`` holds
+    # graphs still to expand and combine steps, each step pushed as the graph
+    # and then its rule, below the graphs whose counts it needs: rule None
+    # for a dominating peel, r for a simplicial one, add or sub for a branch
+    # (the merged graph's counts end on top of the other side's).  A rule is
+    # never a tuple, so the type of a popped item tells the two apart.
+    # ``done`` holds finished counts.
+    if memo is None:
+        get = put = None
+    else:
+        get, put = memo.get_labeled, memo.put
+    todo = [adj]
     done = []
     while todo:
         item = todo.pop()
-        if type(item) is tuple:
-            g, rule = item
+        if type(item) is not tuple:
+            rule, adj = item, todo.pop()
             counts = done.pop()
             if rule is None:
                 counts = (0,) + counts
@@ -194,35 +204,38 @@ def _profile_counts(g: Graph, memo: ProfileCache | None) -> tuple[int, ...]:
                 )
             else:
                 counts = tuple(map(rule, done.pop(), counts + (0,)))
-            if memo is not None:
-                memo.put(g, counts)
+            if put is not None:
+                put(adj, counts)
             done.append(counts)
             continue
-        g = item
-        if not g.n:
+        adj = item
+        if not adj:
             done.append((1,))
             continue
-        hit = memo.get_labeled(g) if memo is not None else None
-        if hit is not None:
-            done.append(hit)
+        if get is not None:
+            hit = get(adj)
+            if hit is not None:
+                done.append(hit)
+                continue
+        peel = find_peel(adj)
+        if peel is not None:
+            v, rule = peel
+            todo += (adj, rule, without_vertex(adj, v))
             continue
-        for v in range(g.n):
-            if is_dominating(g, v):
-                todo += ((g, None), g.remove_vertex(v))
-                break
-            if is_simplicial(g, v):
-                todo += ((g, g.adj[v].bit_count()), g.remove_vertex(v))
-                break
+        # Vertex 0 was not peeled, so it is neither dominating nor isolated:
+        # it has a neighbor and a non-neighbor.  Adding or deleting the edge
+        # 0-w flips one bit in each of their masks.
+        n, m, a = len(adj), sum(map(int.bit_count, adj)) // 2, adj[0]
+        if n * (n - 1) // 2 - m <= m:
+            w = (~a & (a | 1) + 1).bit_length() - 1  # lowest non-neighbor
+            rule = add
         else:
-            # Vertex 0 was not peeled, so it is neither dominating nor
-            # isolated: it has a neighbor and a non-neighbor.
-            n, m, a = g.n, g.edge_count, g.adj[0]
-            if n * (n - 1) // 2 - m <= m:
-                w = (~a & (a | 1) + 1).bit_length() - 1  # lowest non-neighbor
-                todo += ((g, add), g.merge(0, w), g.add_edge(0, w))
-            else:
-                w = (a & -a).bit_length() - 1  # lowest neighbor
-                todo += ((g, sub), g.merge(0, w), g.delete_edge(0, w))
+            w = (a & -a).bit_length() - 1  # lowest neighbor
+            rule = sub
+        flipped = list(adj)
+        flipped[0] ^= 1 << w
+        flipped[w] ^= 1
+        todo += (adj, rule, merged(adj, 0, w), tuple(flipped))
     return done.pop()
 
 

@@ -3,6 +3,11 @@
 Vertices are always 0..n-1.  Every operation returns a new graph; merge and
 vertex removal renumber by shifting the indices above the vacated slot down
 by one, so indices stay contiguous and the result is deterministic.
+
+Vertex removal, merging and the peel test each have one implementation, an
+unchecked function on a bare adjacency tuple (``without_vertex``,
+``merged``, ``find_peel``).  The profile engine calls them directly; the
+``Graph`` methods validate their arguments, then delegate.
 """
 
 from __future__ import annotations
@@ -18,11 +23,12 @@ from .errors import DomainError, ResourceError, UsageError
 # The largest graph the profile engine accepts.  It lives here so that input
 # parsers can refuse a larger order before any per-vertex allocation.  The
 # engine's memo keeps every graph it reaches, about order**3 bits for a path.
-# Measured on a 2-vCPU box at order 1024, wall / peak RSS: path and h:3,1021
-# 1.0-1.3 s / 275 MB, empty 1.0 s / 237 MB, star 0.9 s / 236 MB, complete
-# 1.0 s / 86 MB; path:1100 and 1200 peak at 329 and 422 MB.  Cycles cost the
-# most, since a cycle branches once per vertex: cycle:1000 and cycle:1024
-# take 3.8 s / 692 MB and 3.8 s / 741 MB.
+# Measured on a 2-vCPU box (Python 3.11) with `compute --family F --json` at
+# order 1024, wall / peak RSS: path and h:3,1021 0.8-1.0 s / 275 MB, empty
+# 0.8 s / 237 MB, star 0.8 s / 236 MB, complete 0.8 s / 86 MB; the engine
+# alone on path:1100 and 1200 peaks at 329 and 422 MB.  Cycles cost the most,
+# since a cycle branches once per vertex: cycle:1000 and cycle:1024 take
+# 2.7 s / 692 MB and 2.2-2.6 s / 741 MB.
 PROFILE_MAX_ORDER = 1024
 
 
@@ -42,9 +48,34 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _squeeze_bit(mask: int, i: int) -> int:
-    """Drop bit position i from ``mask``, shifting higher bits down by one."""
-    return (mask & ((1 << i) - 1)) | ((mask >> (i + 1)) << i)
+def without_vertex(adj: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """Adjacency masks of the graph ``adj`` with vertex v and its edges deleted.
+
+    Indices above v shift down by one.  v must be a vertex (unchecked); the
+    order is ``len(adj)``.
+    """
+    masks = list(adj)
+    del masks[v]
+    low = (1 << v) - 1
+    return tuple([m & low | m >> v + 1 << v for m in masks])
+
+
+def merged(adj: tuple[int, ...], keep: int, drop: int) -> tuple[int, ...]:
+    """Adjacency masks of the graph ``adj`` with vertex ``drop`` identified into ``keep``.
+
+    The merged vertex stays at ``keep`` with the union of both
+    neighborhoods; a keep-drop edge disappears and parallel edges collapse.
+    Indices above ``drop`` shift down by one.  Needs ``0 <= keep < drop <
+    len(adj)`` (unchecked).
+    """
+    kbit, dbit = 1 << keep, 1 << drop
+    masks = list(adj)
+    masks[keep] = (masks[keep] | masks[drop]) & ~(kbit | dbit)
+    del masks[drop]
+    low = dbit - 1
+    return tuple([
+        (m & low | (kbit if m & dbit else 0)) | m >> drop + 1 << drop for m in masks
+    ])
 
 
 @dataclass(frozen=True)
@@ -140,30 +171,12 @@ class Graph:
         self._require_vertex(v)
         if u == v:
             raise UsageError("merge needs two distinct vertices")
-        keep, drop = min(u, v), max(u, v)
-        union = (self.adj[u] | self.adj[v]) & ~(1 << u) & ~(1 << v)
-        masks = []
-        for w in range(self.n):
-            if w == drop:
-                continue
-            if w == keep:
-                mk = union
-            else:
-                mk = self.adj[w]
-                if mk >> drop & 1:
-                    mk = (mk & ~(1 << drop)) | (1 << keep)
-            masks.append(_squeeze_bit(mk, drop))
-        return Graph(self.n - 1, tuple(masks))
+        return Graph(self.n - 1, merged(self.adj, min(u, v), max(u, v)))
 
     def remove_vertex(self, v: int) -> "Graph":
         """Delete v and its incident edges; higher indices shift down by one."""
         self._require_vertex(v)
-        masks = [
-            _squeeze_bit(self.adj[w] & ~(1 << v), v)
-            for w in range(self.n)
-            if w != v
-        ]
-        return Graph(self.n - 1, tuple(masks))
+        return Graph(self.n - 1, without_vertex(self.adj, v))
 
 
 class FamilyKind(Enum):
@@ -230,18 +243,30 @@ def build(spec: FamilySpec) -> Graph:
     return Graph.from_edges(spec.order, edges)
 
 
-def is_dominating(g: Graph, v: int) -> bool:
-    """v is adjacent to every other vertex.  v must be a vertex of g (unchecked)."""
-    return g.adj[v] == ((1 << g.n) - 1) & ~(1 << v)
+def find_peel(adj: tuple[int, ...]):
+    """First vertex the profile engine can peel, with its rule, or None.
 
-
-def is_simplicial(g: Graph, v: int) -> bool:
-    """The neighbors of v are pairwise adjacent.  v must be a vertex of g (unchecked)."""
-    nv = g.adj[v]
-    for u in _bits(nv):
-        if (nv ^ (1 << u)) & ~g.adj[u]:
-            return False
-    return True
+    With closed neighborhoods N[v] = adj[v] | 1 << v, vertex v is dominating
+    when N[v] holds every vertex, and simplicial (its neighbors pairwise
+    adjacent) when N[v] & ~N[u] == 0 for each neighbor u.  Scans v upward and
+    returns ``(v, None)`` for a dominating v, else ``(v, r)`` for a
+    simplicial v with r neighbors (r = 0 if isolated).  The order is
+    ``len(adj)``.
+    """
+    full = (1 << len(adj)) - 1
+    for v, a in enumerate(adj):
+        closed = a | 1 << v
+        if closed == full:
+            return v, None
+        rest = a
+        while rest:
+            low = rest & -rest
+            if closed & ~(adj[low.bit_length() - 1] | low):
+                break
+            rest ^= low
+        else:
+            return v, a.bit_count()
+    return None
 
 
 @dataclass(frozen=True)

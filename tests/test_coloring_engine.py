@@ -302,13 +302,15 @@ def test_memo_length_counts_labeled_entries():
     stored = set()
 
     class Recording(ProfileCache):
-        def put(self, g, counts):
-            stored.add((g.n, g.adj))
-            super().put(g, counts)
+        def put(self, adj, counts):
+            stored.add(adj)
+            super().put(adj, counts)
 
     memo = Recording()
-    profile(family(FamilyKind.PATH, 300), memo)
+    g = family(FamilyKind.PATH, 300)
+    counts = profile(g, memo)
     assert 0 < len(memo) == len(stored) <= 300
+    assert profile(g, None) == counts
 
 
 def test_memo_is_populated_and_reused():

@@ -14,8 +14,7 @@ from graphbell.graph_core import (
     Graph,
     build,
     canonical_key,
-    is_dominating,
-    is_simplicial,
+    find_peel,
     parse_edge_list,
     random_graph,
 )
@@ -207,32 +206,28 @@ def test_remove_vertex_shift_down():
 
 
 def test_classify_dominating_wins_in_complete_graph():
-    g = complete(4)
-    for v in range(4):
-        assert is_dominating(g, v)
-        assert is_simplicial(g, v)
+    # Every vertex of K4 is both dominating and simplicial; the dominating
+    # rule wins at the first vertex.
+    assert find_peel(complete(4).adj) == (0, None)
 
 
 def test_classify_leaf_is_simplicial():
-    g = path(4)
-    for v in (0, 3):
-        assert not is_dominating(g, v)
-        assert is_simplicial(g, v)
-        assert g.degree(v) == 1
+    assert find_peel(path(4).adj) == (0, 1)
 
 
 def test_classify_cycle5_vertices_are_neither():
-    g = cycle(5)
-    for v in range(5):
-        assert not is_dominating(g, v)
-        assert not is_simplicial(g, v)
+    assert find_peel(cycle(5).adj) is None
 
 
 def test_classify_isolated_vertex_simplicial_zero():
-    g = build(FamilySpec(FamilyKind.EMPTY, 3))
-    assert not is_dominating(g, 1)
-    assert is_simplicial(g, 1)
-    assert g.degree(1) == 0
+    assert find_peel(build(FamilySpec(FamilyKind.EMPTY, 3)).adj) == (0, 0)
+
+
+def test_classify_first_peelable_vertex_need_not_be_vertex_0():
+    c5 = [(i, (i + 1) % 5) for i in range(5)]
+    # C5 with a leaf at vertex 5, and the wheel with its hub at vertex 5.
+    assert find_peel(Graph.from_edges(6, c5 + [(0, 5)]).adj) == (5, 1)
+    assert find_peel(Graph.from_edges(6, c5 + [(i, 5) for i in range(5)]).adj) == (5, None)
 
 
 # --- canonical fingerprints ---------------------------------------------------

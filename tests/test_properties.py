@@ -1,10 +1,14 @@
-"""hypothesis properties of the engine on random graphs of order at most 9.
+"""hypothesis properties of the engine and its graph rewrites.
+
+The engine properties use graphs of order at most 9; the rewrite helpers
+are checked up to order 70, past the 64-bit mask boundary.
 
 The settings profile registered in ``conftest.py`` derandomizes the search,
 so every run draws the same examples.
 """
 
 from itertools import combinations
+from random import Random
 
 import pytest
 
@@ -13,7 +17,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from graphbell.coloring_engine import ProfileCache, brute_force_profile, profile  # noqa: E402
-from graphbell.graph_core import Graph  # noqa: E402
+from graphbell.graph_core import (  # noqa: E402
+    Graph,
+    find_peel,
+    merged,
+    random_graph,
+    without_vertex,
+)
 
 
 @st.composite
@@ -64,3 +74,51 @@ def test_no_partition_below_chromatic_number(g):
     chi = chromatic_number(g)
     assert all(c == 0 for c in counts[:chi])
     assert counts[chi] > 0
+
+
+def relabelled(g: Graph, order: int, label) -> Graph:
+    """Rebuild ``g`` from its edge list under ``label``.
+
+    Edges at a vertex labelled None are dropped, and so are loops and repeats.
+    """
+    edges = {tuple(sorted((label(a), label(b)))) for a, b in g.edges()
+             if label(a) is not None and label(b) is not None}
+    return Graph.from_edges(order, [(a, b) for a, b in edges if a != b])
+
+
+# sampled_from draws orders and vertices evenly; st.integers favors small
+# values and would seldom reach a vertex past bit 63.
+@settings(max_examples=60)
+@given(st.data())
+def test_rewrite_helpers_match_relabelled_edge_lists(data):
+    n = data.draw(st.sampled_from(range(1, 71)))
+    q = data.draw(st.sampled_from((0.1, 0.5, 0.9)))
+    g = random_graph(n, Random(data.draw(st.integers(0, 2**32))), q)
+    v = data.draw(st.sampled_from(range(n)))
+    # Removing the last vertex too reaches bits past 63 at every order above 64.
+    for x in {v, n - 1}:
+        gone = relabelled(g, n - 1, lambda y: None if y == x else y - (y > x))
+        assert without_vertex(g.adj, x) == gone.adj
+        assert g.remove_vertex(x) == gone
+    if n < 2:
+        return
+    u = data.draw(st.sampled_from(range(n)).filter(lambda u: u != v))
+    keep, drop = min(u, v), max(u, v)
+    joined = relabelled(g, n - 1, lambda x: keep if x == drop else x - (x > drop))
+    assert merged(g.adj, keep, drop) == joined.adj
+    assert g.merge(u, v) == g.merge(v, u) == joined
+
+
+@settings(max_examples=100)
+@given(graphs(max_order=10))
+def test_find_peel_matches_definition(g):
+    def rule(v):
+        nbrs = g.neighbors(v)
+        if len(nbrs) == g.n - 1:
+            return None
+        if all(g.has_edge(a, b) for a, b in combinations(nbrs, 2)):
+            return len(nbrs)
+        return False
+
+    expected = next(((v, rule(v)) for v in range(g.n) if rule(v) is not False), None)
+    assert find_peel(g.adj) == expected
