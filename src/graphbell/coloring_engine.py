@@ -9,7 +9,7 @@ vertex is checked per node, and the peel test and the rewrites are the
 unchecked tuple helpers of ``graph_core``.  ``brute_force_profile``
 backtracks over the partitions into stable sets, one by one, and serves as
 the independent oracle the test suite compares against.  Both are
-exponential in the worst case; the engine is practical to roughly twenty
+exponential in the worst case; the engine is practical to about 24
 vertices on generic graphs and up to ``PROFILE_MAX_ORDER`` on the structured
 families, and the oracle's cost follows the number of stable partitions,
 which is largest on sparse graphs.
@@ -33,12 +33,7 @@ BRUTE_FORCE_MAX_ORDER = 12
 
 @dataclass(frozen=True)
 class StirlingProfile:
-    """Count vector ``counts[k]`` of stable-set partitions with exactly k blocks.
-
-    Immutable value object; componentwise + and - are provided so the
-    deletion-contraction identities can be stated directly on profiles
-    (vectors of different lengths align by zero padding).
-    """
+    """Count vector ``counts[k]`` of stable-set partitions with exactly k blocks."""
 
     n: int
     counts: tuple[int, ...]
@@ -68,20 +63,6 @@ class StirlingProfile:
     def chromatic_number(self) -> int:
         """Least k with a nonzero count (valid for profiles of actual graphs)."""
         return next(k for k, c in enumerate(self.counts) if c)
-
-    def _aligned(self, other: "StirlingProfile"):
-        n = max(self.n, other.n)
-        a = self.counts + (0,) * (n - self.n)
-        b = other.counts + (0,) * (n - other.n)
-        return n, a, b
-
-    def __add__(self, other: "StirlingProfile") -> "StirlingProfile":
-        n, a, b = self._aligned(other)
-        return StirlingProfile(n, tuple(x + y for x, y in zip(a, b)))
-
-    def __sub__(self, other: "StirlingProfile") -> "StirlingProfile":
-        n, a, b = self._aligned(other)
-        return StirlingProfile(n, tuple(x - y for x, y in zip(a, b)))
 
 
 class ProfileCache:
@@ -165,9 +146,10 @@ def profile(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> Stirl
     that is dominating, giving counts(G, k) = counts(G-v, k-1), or
     simplicial with r neighbors (r = 0 if isolated), giving
     counts(G, k) = (k-r)*counts(G-v, k) + counts(G-v, k-1).  A graph with no
-    such vertex branches on vertex 0: a sparse graph deletes the edge to the
-    lowest-indexed neighbor of 0, and a dense one adds the edge to its
-    lowest-indexed non-neighbor.  Each graph reached is memoized under its
+    such vertex branches on vertex 0, by its own degree: if 0 is adjacent to
+    at least half of the other vertices, add the edge to its lowest-indexed
+    non-neighbor; otherwise delete the edge to the neighbor that shares the
+    fewest neighbors with 0.  Each graph reached is memoized under its
     adjacency tuple (see :class:`ProfileCache`); pass ``memo=None`` to
     disable caching.  Orders above ``PROFILE_MAX_ORDER`` raise ResourceError
     first.
@@ -223,14 +205,28 @@ def _profile_counts(adj: tuple[int, ...], memo: ProfileCache | None) -> tuple[in
             todo += (adj, rule, without_vertex(adj, v))
             continue
         # Vertex 0 was not peeled, so it is neither dominating nor isolated:
-        # it has a neighbor and a non-neighbor.  Adding or deleting the edge
-        # 0-w flips one bit in each of their masks.
-        n, m, a = len(adj), sum(map(int.bit_count, adj)) // 2, adj[0]
-        if n * (n - 1) // 2 - m <= m:
+        # it has a neighbor and a non-neighbor.  Each branch takes 0 one flip
+        # nearer a peel in the G+e or G-e child: a vertex with at least half
+        # the others as neighbors gains its lowest non-neighbor on the way
+        # to dominating; any other loses the neighbor sharing the fewest
+        # neighbors with it (lowest index on ties), the edge that most keeps
+        # N(0) from being a clique.  The loop visits the set bits of a only;
+        # a scan of every index costs several times as much on long cycles.
+        # Adding or deleting the edge 0-w flips one bit in each of their
+        # masks.
+        a = adj[0]
+        if 2 * a.bit_count() >= len(adj) - 1:
             w = (~a & (a | 1) + 1).bit_length() - 1  # lowest non-neighbor
             rule = add
         else:
-            w = (a & -a).bit_length() - 1  # lowest neighbor
+            rest, fewest = a, len(adj)
+            while rest:
+                low = rest & -rest
+                v = low.bit_length() - 1
+                shared = (a & adj[v]).bit_count()
+                if shared < fewest:
+                    w, fewest = v, shared
+                rest ^= low
             rule = sub
         flipped = list(adj)
         flipped[0] ^= 1 << w
