@@ -8,17 +8,21 @@ partition count, ``t`` the total block count, ``a = t/b`` the exact average.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .errors import DomainError
 from .graph_core import FamilyKind, FamilySpec
 from .sequences import alt_sum, bell, shared_cache, two_bell
 
 
-@dataclass(frozen=True)
-class FamilyAggregates:
+class FamilyAggregates(NamedTuple):
+    """Stable-set partition count ``b`` and total block count ``t`` of one graph.
+
+    An immutable tuple ``(b, t)`` that compares as one.
+    """
+
     b: int
     t: int
 

@@ -17,9 +17,9 @@ which is largest on sparse graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
+from typing import NamedTuple
 
 from .errors import DomainError, ResourceError
 from .graph_core import PROFILE_MAX_ORDER, Graph, check_order, find_peel, merged, without_vertex
@@ -31,16 +31,20 @@ from .graph_core import PROFILE_MAX_ORDER, Graph, check_order, find_peel, merged
 BRUTE_FORCE_MAX_ORDER = 12
 
 
-@dataclass(frozen=True)
-class StirlingProfile:
-    """Count vector ``counts[k]`` of stable-set partitions with exactly k blocks."""
+# A NamedTuple class body may not define __new__, so the record subclasses
+# the functional form and checks its length in its own __new__.
+class StirlingProfile(NamedTuple("StirlingProfile", [("n", int), ("counts", tuple)])):
+    """Count vector ``counts[k]`` of stable-set partitions with exactly k blocks.
 
-    n: int
-    counts: tuple[int, ...]
+    A profile is an immutable tuple ``(n, counts)`` and compares as one.
+    """
 
-    def __post_init__(self):
-        if len(self.counts) != self.n + 1:
+    __slots__ = ()
+
+    def __new__(cls, n: int, counts: tuple[int, ...]):
+        if len(counts) != n + 1:
             raise ValueError("profile needs exactly n+1 entries")
+        return super().__new__(cls, n, counts)
 
     @property
     def bell(self) -> int:
@@ -180,10 +184,9 @@ def _profile_counts(adj: tuple[int, ...], memo: ProfileCache | None) -> tuple[in
             if rule is None:
                 counts = (0,) + counts
             elif type(rule) is int:
-                counts = tuple(
-                    (k - rule) * c + d
-                    for k, (c, d) in enumerate(zip(counts + (0,), (0,) + counts))
-                )
+                # (k - r) * counts[k] + counts[k-1] for k = 0..len(counts)
+                counts = tuple(map(add, map(mul, range(-rule, len(counts) + 1 - rule),
+                                            counts + (0,)), (0,) + counts))
             else:
                 counts = tuple(map(rule, done.pop(), counts + (0,)))
             if put is not None:

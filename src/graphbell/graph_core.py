@@ -13,9 +13,9 @@ unchecked function on a bare adjacency tuple (``without_vertex``,
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from enum import Enum
 from random import Random
+from typing import NamedTuple
 
 from .errors import DomainError, ResourceError, UsageError
 
@@ -54,6 +54,8 @@ def without_vertex(adj: tuple[int, ...], v: int) -> tuple[int, ...]:
     Indices above v shift down by one.  v must be a vertex (unchecked); the
     order is ``len(adj)``.
     """
+    if v == 0:  # most of the engine's peels: a plain shift, no masking
+        return tuple([m >> 1 for m in adj[1:]])
     masks = list(adj)
     del masks[v]
     low = (1 << v) - 1
@@ -78,13 +80,15 @@ def merged(adj: tuple[int, ...], keep: int, drop: int) -> tuple[int, ...]:
     ])
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Simple undirected labeled graph: order plus one adjacency bitmask per vertex.
 
-    Values are hashable and compare by labeled equality (same order, same
-    edge set).  Constructors are responsible for keeping the adjacency
-    symmetric and irreflexive; use :meth:`from_edges` for validated input.
+    A graph is an immutable tuple ``(n, adj)``: it hashes, compares and
+    orders as that tuple, so it also equals a plain tuple of the same two
+    fields.  Two graphs are equal when they have the same order and the same
+    labeled edge set.  Constructors are responsible for keeping the
+    adjacency symmetric and irreflexive; use :meth:`from_edges` for
+    validated input.
     """
 
     n: int
@@ -189,28 +193,30 @@ class FamilyKind(Enum):
     HNR = "h"
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+# A NamedTuple class body may not define __new__, so a record that checks
+# its fields subclasses the functional form and validates in its own __new__.
+class FamilySpec(NamedTuple("FamilySpec", [
+    ("kind", FamilyKind), ("n", int), ("r", int), ("p", int),
+])):
     """Parameters of a named graph family, plus ``p`` appended isolated vertices.
 
     ``r`` is the tail length and only meaningful for ``HNR`` (a cycle of
-    order n with a path of r extra vertices hung off one cycle vertex).
+    order n with a path of r extra vertices hung off one cycle vertex).  A
+    spec is an immutable tuple ``(kind, n, r, p)`` and compares as one.
     """
 
-    kind: FamilyKind
-    n: int
-    r: int = 0
-    p: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0 or self.r < 0 or self.p < 0:
+    def __new__(cls, kind: FamilyKind, n: int, r: int = 0, p: int = 0):
+        if n < 0 or r < 0 or p < 0:
             raise DomainError("family parameters must be nonnegative")
-        if self.kind in (FamilyKind.PATH, FamilyKind.STAR, FamilyKind.CATERPILLAR) and self.n < 1:
-            raise DomainError(f"{self.kind.value} requires n >= 1")
-        if self.kind in (FamilyKind.CYCLE, FamilyKind.HNR) and self.n < 3:
-            raise DomainError(f"{self.kind.value} requires n >= 3")
-        if self.kind is not FamilyKind.HNR and self.r != 0:
+        if kind in (FamilyKind.PATH, FamilyKind.STAR, FamilyKind.CATERPILLAR) and n < 1:
+            raise DomainError(f"{kind.value} requires n >= 1")
+        if kind in (FamilyKind.CYCLE, FamilyKind.HNR) and n < 3:
+            raise DomainError(f"{kind.value} requires n >= 3")
+        if kind is not FamilyKind.HNR and r != 0:
             raise DomainError("tail length r applies only to the h family")
+        return super().__new__(cls, kind, n, r, p)
 
     @property
     def order(self) -> int:
@@ -269,13 +275,12 @@ def find_peel(adj: tuple[int, ...]):
     return None
 
 
-@dataclass(frozen=True)
-class CanonicalKey:
+class CanonicalKey(NamedTuple):
     """Deterministic fingerprint of a graph, shared by many isomorphic labelings.
 
     The payload is the full relabeled edge encoding (not a digest), so equal
     keys always denote isomorphic graphs; the converse is not guaranteed and
-    nothing may rely on it.
+    nothing may rely on it.  A key is an immutable one-field tuple.
     """
 
     data: bytes

@@ -9,10 +9,9 @@ can be explored without being asserted.  Reports carry the margin
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from random import Random
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import closed_forms as cf
 from .coloring_engine import profile
@@ -107,8 +106,7 @@ def _i6(n, _p):
     return lhs, rhs
 
 
-@dataclass(frozen=True)
-class InequalityDef:
+class InequalityDef(NamedTuple):
     """One named statement: normalized sides plus its documented validity data.
 
     ``extensions`` are points below ``n_min`` verified to hold strictly and
@@ -213,12 +211,12 @@ _DEFS: dict[str, InequalityDef] = {
 INEQUALITY_IDS = tuple(_DEFS)
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     """One grid point: normalized sides, margin = rhs - lhs, strict iff margin > 0.
 
     A point with ``expected_equality`` passes iff the margin is exactly zero;
-    every other in-range point passes iff the margin is positive.
+    every other in-range point passes iff the margin is positive.  A report
+    is an immutable tuple of its eleven fields and compares as one.
     """
 
     id: str

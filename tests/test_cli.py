@@ -15,7 +15,7 @@ from graphbell.coloring_engine import PROFILE_MAX_ORDER
 from graphbell.errors import DomainError, GraphBellError, ResourceError, UsageError
 from graphbell.graph_core import FamilyKind, FamilySpec, Graph
 from graphbell.inequality_verifier import INEQUALITY_IDS, InequalityReport
-from graphbell.sequences import STIRLING_MAX_ROWS, shared_cache
+from graphbell.sequences import STIRLING_MAX_ROWS, shared_cache, stirling2
 
 
 def run_cli(capsys, *argv):
@@ -166,6 +166,40 @@ def test_seq_stirling_csv(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     values = {(int(r["n"]), int(r["k"])): r["value"] for r in rows}
     assert values[(4, 2)] == "7"
+
+
+@pytest.mark.parametrize("n", [0, 1, 40])
+def test_seq_stirling_json_stream_matches_whole_object(capsys, n):
+    code, out, _ = run_cli(capsys, "seq", "--kind", "stirling2", "--n", str(n), "--json")
+    rows = [[str(stirling2(r, k)) for k in range(r + 1)] for r in range(n + 1)]
+    whole = {"kind": "stirling2", "n_max": n, "rows": rows}
+    assert code == 0
+    assert out == json.dumps(whole, separators=(",", ":")) + "\n"
+
+
+# Starts the command in its argv, reaps it with wait4 and prints its exit code
+# and peak RSS in kB.  Linux carries the peak RSS of the process that
+# execs into the new program, so a child started from the test process
+# itself would read at least the suite's own size.
+_PEAK_RSS = (
+    "import os, subprocess, sys\n"
+    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(proc.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+def test_seq_stirling_json_peak_memory_matches_text(child_env):
+    def peak_kb(*fmt):
+        argv = [sys.executable, "-m", "graphbell", "seq", "--kind", "stirling2", "--n", "300"]
+        proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv, *fmt],
+                              capture_output=True, text=True, check=True,
+                              env=child_env, timeout=120)
+        code, kb = map(int, proc.stdout.split())
+        assert code == 0
+        return kb
+
+    assert peak_kb("--json") <= 1.25 * peak_kb()
 
 
 def test_seq_stirling_over_row_cap_exits_resource_at_once(capsys):
@@ -406,3 +440,17 @@ def test_exhaustion_exits_resource(capsys, monkeypatch, exc, reason):
     monkeypatch.setattr(cli, "_cmd_family", fail)
     assert run_cli(capsys, "family", "--family", "cycle:5") == (
         3, "", f"error: input too large: {reason}\n")
+
+
+# --- cold start -----------------------------------------------------------------
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect(child_env):
+    # Every `python -m graphbell` process pays for what the CLI imports.
+    snippet = (
+        "import sys, graphbell.cli;"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", snippet], capture_output=True,
+                          text=True, check=True, env=child_env, timeout=120)
+    assert proc.stdout == "[]\n"

@@ -6,9 +6,12 @@ from random import Random
 
 import pytest
 
+from graphbell.closed_forms import FamilyAggregates
+from graphbell.coloring_engine import StirlingProfile
 from graphbell.errors import DomainError, ResourceError, UsageError
 from graphbell.graph_core import (
     PROFILE_MAX_ORDER,
+    CanonicalKey,
     FamilyKind,
     FamilySpec,
     Graph,
@@ -18,6 +21,7 @@ from graphbell.graph_core import (
     parse_edge_list,
     random_graph,
 )
+from graphbell.inequality_verifier import InequalityReport, definition
 
 
 def cycle(n):
@@ -200,6 +204,42 @@ def test_remove_vertex_shift_down():
     # old vertices 2,3 become 1,2; only their edge survives
     assert g.n == 3
     assert g.edges() == [(1, 2)]
+
+
+# --- records ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "record,field",
+    [
+        (Graph(2, (2, 1)), "n"),
+        (FamilySpec(FamilyKind.PATH, 3), "p"),
+        (CanonicalKey(b"\x00"), "data"),
+        (StirlingProfile(1, (0, 1)), "counts"),
+        (FamilyAggregates(2, 3), "b"),
+        (definition("I1"), "n_min"),
+        (InequalityReport("I1", 5, 0, 1, 2, 1, True), "margin"),
+    ],
+)
+def test_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0)
+    with pytest.raises(AttributeError):
+        record.extra = 0  # no instance dictionary either
+
+
+def test_record_reprs_are_pinned():
+    assert repr(Graph(2, (2, 1))) == "Graph(n=2, adj=(2, 1))"
+    assert repr(FamilySpec(FamilyKind.PATH, 3)) == (
+        "FamilySpec(kind=<FamilyKind.PATH: 'path'>, n=3, r=0, p=0)"
+    )
+    assert repr(StirlingProfile(1, (0, 1))) == "StirlingProfile(n=1, counts=(0, 1))"
+
+
+def test_graph_hashes_and_compares_as_its_field_tuple():
+    for g in (Graph(0, ()), path(5), random_graph(9, Random(3))):
+        assert hash(g) == hash((g.n, g.adj))
+        assert g == (g.n, g.adj)
 
 
 # --- classification -----------------------------------------------------------
