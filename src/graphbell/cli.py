@@ -9,9 +9,10 @@ on stderr; in text mode the summary is part of stdout and stderr stays empty.
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 resource limit
 (a refused guardrail, or a recursion depth or memory limit hit mid-run),
 4 verification failure.  Codes 1-3 are the ``exit_code`` of the error class
-raised.  All big integers are emitted as decimal strings, with no limit on
-their length; averages as exact "num/den" fractions (text mode adds a
-tagged decimal approximation, computed without floating point).
+raised.  A reader that closes stdout early (``| head``) also gives 1, with
+nothing on stderr.  All big integers are emitted as decimal strings, with
+no limit on their length; averages as exact "num/den" fractions (text mode
+adds a tagged decimal approximation, computed without floating point).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -339,7 +341,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so the interpreter's
+        # final flush of what is still buffered cannot fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return UsageError.exit_code
     except GraphBellError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

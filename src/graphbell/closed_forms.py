@@ -9,12 +9,11 @@ partition count, ``t`` the total block count, ``a = t/b`` the exact average.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import NamedTuple
 
 from .errors import DomainError
 from .graph_core import FamilyKind, FamilySpec
-from .sequences import alt_sum, bell, shared_cache, two_bell
+from .sequences import alt_binomial_sum, bell, bell_binomial_sum, shared_cache, two_bell
 
 
 class FamilyAggregates(NamedTuple):
@@ -46,9 +45,7 @@ def tree_pk1_aggregates(n: int, p: int) -> FamilyAggregates:
         raise DomainError("a tree has at least one vertex")
     if p < 0:
         raise DomainError("isolated-vertex count must be nonnegative")
-    b = sum(comb(p, i) * bell(n + i - 1) for i in range(p + 1))
-    t = sum(comb(p, i) * bell(n + i) for i in range(p + 1))
-    return FamilyAggregates(b, t)
+    return FamilyAggregates(bell_binomial_sum(n - 1, p), bell_binomial_sum(n, p))
 
 
 def cycle_aggregates(n: int) -> FamilyAggregates:
@@ -80,15 +77,13 @@ def hnr_pk1_aggregates(n: int, r: int, p: int) -> FamilyAggregates:
     b = sum_i C(p, i) * alt(n, r+i) and t = sum_i C(p, i) * alt(n, r+i+1).
     This is the two-step recursion (order n = triangle with the whole tail
     + order n-2 with the same tail) summed in closed form, so a point costs
-    2(p+1) table reads.
+    two dot products over slices of the alternating prefix column.
     """
     if n < 3:
         raise DomainError("the tailed-cycle family requires n >= 3")
     if r < 0 or p < 0:
         raise DomainError("tail and isolated-vertex counts must be nonnegative")
-    b = sum(comb(p, i) * alt_sum(n, r + i) for i in range(p + 1))
-    t = sum(comb(p, i) * alt_sum(n, r + i + 1) for i in range(p + 1))
-    return FamilyAggregates(b, t)
+    return FamilyAggregates(alt_binomial_sum(n, r, p), alt_binomial_sum(n, r + 1, p))
 
 
 def lemma15_identity_check(n: int, p: int) -> bool:

@@ -54,7 +54,7 @@ class StirlingProfile(NamedTuple("StirlingProfile", [("n", int), ("counts", tupl
     @property
     def total(self) -> int:
         """Total number of blocks over all stable-set partitions."""
-        return sum(k * c for k, c in enumerate(self.counts))
+        return sum(map(mul, range(self.n + 1), self.counts))
 
     @property
     def average(self) -> Fraction:

@@ -418,11 +418,19 @@ def load_edge_list(path) -> Graph:
 
 
 def random_graph(n: int, rng: Random, edge_prob: float = 0.5) -> Graph:
-    """Sample a labeled graph on n vertices with independent edges."""
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < edge_prob
-    ]
-    return Graph.from_edges(n, edges)
+    """Sample a labeled graph on n vertices with independent edges.
+
+    Pairs (u, v), u < v, are drawn in lexicographic order, one
+    ``rng.random()`` each, and the bits are set as they are drawn.
+    """
+    if n < 0:
+        raise DomainError("graph order must be nonnegative")
+    draw = rng.random
+    masks = [0] * n
+    for u in range(n):
+        bit_u = 1 << u
+        for v in range(u + 1, n):
+            if draw() < edge_prob:
+                masks[u] |= 1 << v
+                masks[v] |= bit_u
+    return Graph(n, tuple(masks))

@@ -9,7 +9,6 @@ can be explored without being asserted.  Reports carry the margin
 
 from __future__ import annotations
 
-from math import comb
 from random import Random
 from typing import Callable, NamedTuple
 
@@ -17,7 +16,7 @@ from . import closed_forms as cf
 from .coloring_engine import profile
 from .errors import DomainError, UsageError
 from .graph_core import random_graph
-from .sequences import alt_sum, bell, shared_cache
+from .sequences import alt_binomial_sum, alt_sum, bell, bell_binomial_sum, shared_cache
 
 
 def _cross(lo: cf.FamilyAggregates, hi: cf.FamilyAggregates) -> tuple[int, int]:
@@ -27,16 +26,16 @@ def _cross(lo: cf.FamilyAggregates, hi: cf.FamilyAggregates) -> tuple[int, int]:
 
 def _bsum(n, p, shift):
     """sum_i C(p, i) * bell(n+i+shift): a tree-type binomial Bell sum."""
-    return sum(comb(p, i) * bell(n + i + shift) for i in range(p + 1))
+    return bell_binomial_sum(n + shift, p)
 
 
 def _cycle_sum(n, p, shift):
     """sum_j (-1)**(j+1) sum_i C(p, i) * bell(n+i-j+shift), any n >= 1.
 
-    The two sums are swapped: sum_i C(p, i) * alt_sum(n, shift+i) costs p+1
-    table reads.
+    The two sums are swapped: sum_i C(p, i) * alt_sum(n, shift+i), one
+    call over slices of the alternating prefix column.
     """
-    return sum(comb(p, i) * alt_sum(n, shift + i) for i in range(p + 1))
+    return alt_binomial_sum(n, shift, p)
 
 
 def _t_path_shift(n, p):

@@ -6,8 +6,11 @@ over all partitions of an (n+1)-element set.  The Bell column and the
 Stirling triangle are grown by *independent* recurrences (Bell triangle vs.
 the two-term triangle rule) so the test suite can cross-check one pipeline
 against the other.  The Bell column carries its alternating prefix sums, so
-every alternating Bell sum is one subtraction; the Stirling triangle is
-grown only as far as ``stirling2`` has been asked, so Bell lookups cost
+every alternating Bell sum is one subtraction.  A binomial Bell sum
+sum_i C(p, i) * bell(m + i), and its alternating counterpart, is one dot
+product of a binomial row with one slice of a cached column, so a family
+with p isolated vertices costs one call, not p + 1.  The Stirling triangle
+is grown only as far as ``stirling2`` has been asked, so Bell lookups cost
 memory linear in the index.  Each table has one hard cap, checked before
 it grows: ``HARD_MAX_TERMS`` Bell terms and ``STIRLING_MAX_ROWS`` triangle
 rows.  Everything is exact integer or Fraction arithmetic; there is no
@@ -18,6 +21,8 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from math import comb
+from operator import mul
 
 from .errors import DomainError, ResourceError
 
@@ -32,6 +37,23 @@ HARD_MAX_TERMS = 4096
 # row); at n = 767 and 1023 the output is 177 and 440 MB, and --json peaked
 # near 0.7 and 1.6 GB.
 STIRLING_MAX_ROWS = 512
+
+# Binomial rows C(p, 0..p), plain and with alternating signs, kept for
+# p < BINOMIAL_ROWS_KEPT; a row for a larger p is built per call.
+BINOMIAL_ROWS_KEPT = 32
+_BINOMIAL_ROWS = tuple(tuple(comb(p, i) for i in range(p + 1)) for p in range(BINOMIAL_ROWS_KEPT))
+_SIGNED_BINOMIAL_ROWS = tuple(
+    tuple(-c if i % 2 else c for i, c in enumerate(row)) for row in _BINOMIAL_ROWS
+)
+
+
+def _binomial_row(p: int, signed: bool = False) -> tuple[int, ...]:
+    """C(p, i) for i = 0..p, times (-1)**i when ``signed``."""
+    if 0 <= p < BINOMIAL_ROWS_KEPT:
+        return (_SIGNED_BINOMIAL_ROWS if signed else _BINOMIAL_ROWS)[p]
+    if p < 0:
+        raise DomainError("binomial row index must be nonnegative")
+    return tuple(-comb(p, i) if signed and i % 2 else comb(p, i) for i in range(p + 1))
 
 
 class BigSeqCache:
@@ -147,6 +169,44 @@ class BigSeqCache:
         diff = prefix[n + shift - 1] - (prefix[shift] if shift >= 0 else 0)
         return -diff if (n + shift) % 2 == 0 else diff
 
+    def bell_binomial_sum(self, m: int, p: int) -> int:
+        """Sum of C(p, i) * bell(m + i) for i = 0..p.
+
+        One dot product of a binomial row with the slice bell[m : m+p+1].
+        Raises DomainError for a negative m or p, and ResourceError before
+        any term grows if m + p >= HARD_MAX_TERMS.
+        """
+        if m < 0:
+            raise DomainError("Bell index must be nonnegative")
+        self.ensure(m + p)
+        return sum(map(mul, _binomial_row(p), self._bell[m : m + p + 1]))
+
+    def alt_binomial_sum(self, n: int, shift: int, p: int) -> int:
+        """Sum of C(p, i) * alt_sum(n, shift + i) for i = 0..p.
+
+        With the alternating prefix sums P, term i is
+        (-1)**(n+shift+1) * (-1)**i * (P[n+shift-1+i] - P[shift+i]), so the
+        sum is two dot products of the signed binomial row with two slices
+        of P.  At shift = -1 the first term reads P[-1] = 0, so the second
+        slice starts one term later.  The sum is 0 for n < 2; otherwise
+        shift < -1 raises DomainError, and an index past HARD_MAX_TERMS
+        ResourceError, before any term grows.
+        """
+        if n < 2:
+            return 0
+        if 1 + shift < 0:
+            raise DomainError("alternating Bell sum would need a negative Bell index")
+        top = n + shift - 1
+        self.ensure(top + p)
+        row = _binomial_row(p, signed=True)
+        prefix = self._alt_prefix
+        diff = sum(map(mul, row, prefix[top : top + p + 1]))
+        if shift >= 0:
+            diff -= sum(map(mul, row, prefix[shift : shift + p + 1]))
+        else:
+            diff -= sum(map(mul, row[1:], prefix[:p]))
+        return -diff if (n + shift) % 2 == 0 else diff
+
 
 _SHARED = BigSeqCache()
 
@@ -173,4 +233,12 @@ def avg_blocks(n: int) -> Fraction:
 
 def alt_sum(n: int, shift: int = 0) -> int:
     return _SHARED.alt_sum(n, shift)
+
+
+def bell_binomial_sum(m: int, p: int) -> int:
+    return _SHARED.bell_binomial_sum(m, p)
+
+
+def alt_binomial_sum(n: int, shift: int, p: int) -> int:
+    return _SHARED.alt_binomial_sum(n, shift, p)
 

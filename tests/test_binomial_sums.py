@@ -1,0 +1,107 @@
+"""Binomial Bell sums over slices of the cached columns.
+
+``bell_binomial_sum(m, p)`` is sum_i C(p, i) * bell(m + i) and
+``alt_binomial_sum(n, shift, p)`` is sum_i C(p, i) * alt_sum(n, shift + i).
+Each is checked against its per-term sum, and the Bell sum also against
+the Stirling triangle, whose recurrence shares nothing with the Bell
+column.  The settings profile registered in ``conftest.py`` derandomizes
+the search.
+"""
+
+from math import comb
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from graphbell.errors import DomainError, ResourceError  # noqa: E402
+from graphbell.sequences import (  # noqa: E402
+    BINOMIAL_ROWS_KEPT,
+    HARD_MAX_TERMS,
+    BigSeqCache,
+    alt_binomial_sum,
+    alt_sum,
+    bell,
+    bell_binomial_sum,
+    stirling2,
+)
+
+# p runs past the kept binomial rows, so rows built per call are covered.
+P_MAX = BINOMIAL_ROWS_KEPT + 8
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 120), st.integers(0, P_MAX))
+def test_bell_binomial_sum_is_its_per_term_sum(m, p):
+    assert bell_binomial_sum(m, p) == sum(comb(p, i) * bell(m + i) for i in range(p + 1))
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 40), st.integers(0, P_MAX))
+def test_bell_binomial_sum_matches_stirling_rows(m, p):
+    by_rows = sum(
+        comb(p, i) * sum(stirling2(m + i, k) for k in range(m + i + 1)) for i in range(p + 1)
+    )
+    assert bell_binomial_sum(m, p) == by_rows
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 80), st.integers(-1, 8), st.integers(0, P_MAX))
+def test_alt_binomial_sum_is_its_per_term_sum(n, shift, p):
+    expected = sum(comb(p, i) * alt_sum(n, shift + i) for i in range(p + 1))
+    assert alt_binomial_sum(n, shift, p) == expected
+    # alt_sum itself, term by term: sum_j (-1)**(j+1) * bell(n - j + shift + i).
+    direct = sum(
+        comb(p, i) * (-1) ** (j + 1) * bell(n - j + shift + i)
+        for i in range(p + 1)
+        for j in range(1, n)
+    )
+    assert expected == direct
+
+
+@pytest.mark.parametrize("m", [0, 1, 7])
+def test_p_zero_is_one_term(m):
+    assert bell_binomial_sum(m, 0) == bell(m)
+    for shift in (-1, 0, 3):
+        assert alt_binomial_sum(m + 2, shift, 0) == alt_sum(m + 2, shift)
+
+
+def test_shift_minus_one_drops_the_empty_prefix_term():
+    # Term i = 0 reaches Bell index 0 at j = n - 1 and nothing below it.
+    for n in range(2, 12):
+        for p in (0, 1, 4, P_MAX):
+            assert alt_binomial_sum(n, -1, p) == sum(
+                comb(p, i) * alt_sum(n, i - 1) for i in range(p + 1)
+            )
+
+
+@pytest.mark.parametrize("n", [-3, 0, 1])
+def test_order_below_two_is_empty(n):
+    assert alt_binomial_sum(n, 0, 5) == 0
+    assert alt_binomial_sum(n, -7, P_MAX) == 0
+
+
+def test_negative_indices_are_domain_errors():
+    with pytest.raises(DomainError):
+        bell_binomial_sum(-1, 3)
+    with pytest.raises(DomainError):
+        bell_binomial_sum(4, -1)
+    with pytest.raises(DomainError):
+        alt_binomial_sum(5, -2, 1)
+    with pytest.raises(DomainError):
+        alt_binomial_sum(5, 0, -1)
+
+
+def test_cap_refused_before_any_term_grows():
+    cache = BigSeqCache()
+    with pytest.raises(ResourceError):
+        cache.bell_binomial_sum(HARD_MAX_TERMS - 3, 3)
+    with pytest.raises(ResourceError):
+        cache.bell_binomial_sum(HARD_MAX_TERMS - P_MAX, P_MAX)
+    with pytest.raises(ResourceError):
+        cache.alt_binomial_sum(HARD_MAX_TERMS - 2, 0, 3)
+    with pytest.raises(ResourceError):
+        cache.alt_binomial_sum(3, -1, HARD_MAX_TERMS)
+    assert len(cache._bell) == 1  # refused before any term grew

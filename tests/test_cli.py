@@ -454,3 +454,21 @@ def test_cli_import_leaves_out_dataclasses_and_inspect(child_env):
     proc = subprocess.run([sys.executable, "-c", snippet], capture_output=True,
                           text=True, check=True, env=child_env, timeout=120)
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    # bell through 1000 prints one 880 KB line, stirling2 through 300 about
+    # 13 MB of JSON rows: either overfills a pipe buffer, so the reader's
+    # close reaches the writer mid-output, in print and in writelines.
+    ("seq", "--kind", "bell", "--n", "1000"),
+    ("seq", "--kind", "stirling2", "--n", "300", "--json"),
+])
+def test_closed_output_pipe_exits_usage_without_traceback(argv, child_env):
+    proc = subprocess.Popen([sys.executable, "-m", "graphbell", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err
+    assert err == b""

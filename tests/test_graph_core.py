@@ -161,6 +161,27 @@ def test_add_after_delete_roundtrip_random():
         assert g.delete_edge(u, v).add_edge(u, v) == g
 
 
+def _edge_list_random_graph(n, rng, edge_prob):
+    """The edge-list sampler that ``random_graph`` replaced, kept as its reference."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < edge_prob]
+    return Graph.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("edge_prob", [0, 0.3, 0.5, 1])
+def test_random_graph_matches_edge_list_sampler(edge_prob):
+    # Same graph and the same generator state after each draw, so seeded
+    # callers (PROP7_MIX, selftest) draw the same graphs as before.
+    new, old = Random(11), Random(11)
+    for n in range(13):
+        assert random_graph(n, new, edge_prob) == _edge_list_random_graph(n, old, edge_prob)
+        assert new.getstate() == old.getstate()
+
+
+def test_random_graph_rejects_negative_order():
+    with pytest.raises(DomainError):
+        random_graph(-1, Random(1))
+
+
 def test_merge_k2_gives_k1():
     g = complete(2).merge(0, 1)
     assert g.n == 1 and g.edge_count == 0
