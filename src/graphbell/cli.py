@@ -62,13 +62,9 @@ def parse_family(text: str) -> FamilySpec:
     kind, lo, hi = arity[kind_str]
     if not (lo <= len(params) <= hi):
         raise UsageError(f"family {kind_str!r} takes {lo}..{hi} parameters")
-    if kind is FamilyKind.HNR:
-        n, r = params[0], params[1]
-        p = params[2] if len(params) == 3 else 0
-        return FamilySpec(kind, n, r=r, p=p)
-    n = params[0]
-    p = params[1] if len(params) == 2 else 0
-    return FamilySpec(kind, n, p=p)
+    if kind is not FamilyKind.HNR:
+        params.insert(1, 0)  # only h takes a tail length r
+    return FamilySpec(kind, *params)
 
 
 def _frac_str(fr: Fraction) -> str:

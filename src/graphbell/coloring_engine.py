@@ -6,29 +6,32 @@ simplicial vertices and branches by deletion-contraction from one explicit
 work stack, with no closed-form base cases and no recursion.  Inside the
 loop a graph is its bare adjacency tuple: no ``Graph`` is built and no
 vertex is checked per node, and the peel test and the rewrites are the
-unchecked tuple helpers of ``graph_core``.  ``brute_force_profile``
-backtracks over the partitions into stable sets, one by one, and serves as
-the independent oracle the test suite compares against.  Both are
-exponential in the worst case; the engine is practical to about 24
-vertices on generic graphs and up to ``PROFILE_MAX_ORDER`` on the structured
-families, and the oracle's cost follows the number of stable partitions,
-which is largest on sparse graphs.
+unchecked tuple helpers of ``graph_core``.  ``brute_force_profile`` counts
+the same partitions by a recursion over vertex subsets, memoized per
+subset, and serves as the independent oracle the test suite compares
+against.  Both are exponential in the worst case; the engine is practical
+to about 24 vertices on generic graphs and up to ``PROFILE_MAX_ORDER`` on
+the structured families.  The oracle's cost follows the number of stable
+sets, which is largest on sparse graphs, so it counts its work as it runs
+and stops at ``ORACLE_STEP_BUDGET`` steps.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from operator import add, mul, sub
 from typing import NamedTuple
 
 from .errors import DomainError, ResourceError
 from .graph_core import PROFILE_MAX_ORDER, Graph, check_order, find_peel, merged, without_vertex
 
-# The oracle's cost follows the number of stable partitions it builds, so
-# the edgeless graph, with all Bell(n) partitions stable, is its worst case:
-# 1.5-1.7 s at order 12 on a 2-vCPU box (Python 3.11).  Order 13 would
-# build Bell(13) = 27.6M partitions, about 6.5 times as many.
-BRUTE_FORCE_MAX_ORDER = 12
+# The oracle's budget.  A block it tries costs one step per entry of the
+# count vector it adds, times the 64-bit words of n! (no count is larger),
+# so the budget bounds its time and its memo at any order.  On a 2-vCPU box
+# (Python 3.11), edgeless order 14 takes 3.1M steps in 0.7-1.0 s, G(20, .5)
+# seed 1 2.3M in 0.7-1.0 s, both under 40 MB.
+ORACLE_STEP_BUDGET = 4_000_000
 
 
 # A NamedTuple class body may not define __new__, so the record subclasses
@@ -76,9 +79,7 @@ class ProfileCache:
     work stack to reach an identical labeled subproblem, as the two branches
     of deletion-contraction often do.  Isomorphic relabelings are not
     collapsed: a canonical fingerprint at every node costs far more in pure
-    Python than the extra hits save.  Lookups and inserts are safe to run
-    concurrently under the GIL: any two writers for one key always write
-    equal values, so last-write-wins is harmless.
+    Python than the extra hits save.
     """
 
     def __init__(self):
@@ -106,40 +107,81 @@ SHARED_PROFILE_CACHE = ProfileCache()
 
 
 def brute_force_profile(g: Graph) -> StirlingProfile:
-    """Oracle: enumerate the stable-set partitions one by one.
+    """Oracle: count the stable-set partitions by a recursion over vertex subsets.
 
-    Backtracks over the vertices in order: vertex v joins each block built
-    so far that holds none of its neighbors, or opens a new block, and each
-    complete assignment adds one to the count for its number of blocks.  So
-    only stable partitions are ever built, each exactly once.  Deliberately
-    shares no machinery with :func:`profile`: no peeling, no memo, no graph
-    rewrites.  Orders above ``BRUTE_FORCE_MAX_ORDER`` raise ResourceError.
+    Lawler's dynamic program for the chromatic number (E. L. Lawler, "A note
+    on the complexity of the chromatic number problem", IPL 5, 1976), counted
+    by blocks: the block holding the lowest vertex v of a set S is v plus a
+    stable set T of v's non-neighbors in S, so counts(S, k) sums
+    counts(S - v - T, k - 1) over those T.  Only stable T are enumerated, the
+    counts of each subset reached are memoized, and one explicit stack, at
+    most n deep, replaces recursion.  Shares nothing with :func:`profile`.
+    The cost follows the number of stable sets, not the order (edgeless 14
+    and G(20, .5) cost about the same, a clique of order 1024 almost
+    nothing), so the work is counted as it runs: past
+    ``ORACLE_STEP_BUDGET`` steps it raises ResourceError.
     """
-    n = g.n
-    if n > BRUTE_FORCE_MAX_ORDER:
-        raise ResourceError(
-            f"brute-force enumeration is limited to order {BRUTE_FORCE_MAX_ORDER}"
-        )
-    adj = g.adj
-    counts = [0] * (n + 1)
-    blocks = []
-
-    def place(v: int) -> None:
-        if v == n:
-            counts[len(blocks)] += 1
-            return
-        a, bit = adj[v], 1 << v
-        for i, b in enumerate(blocks):
-            if not a & b:
-                blocks[i] = b | bit
-                place(v + 1)
-                blocks[i] = b
-        blocks.append(bit)
-        place(v + 1)
-        blocks.pop()
-
-    place(0)
-    return StirlingProfile(n, tuple(counts))
+    n, adj = g.n, g.adj
+    # Counts are stored from the top: entry j counts the partitions of S into
+    # |S| - j blocks, with trailing zeros dropped, so a dense S keeps a short
+    # vector.  With rest = S - v, the block v + T adds the vector of
+    # R = rest - T at offset |T| = |rest| - |R|.  The stack holds
+    # (S, |rest|, sums, levels); a level (R, F) holds the rest R left by a
+    # stable T found so far and the vertices F above T's last that may join.
+    memo = {0: (1,)}
+    get = memo.get
+    left = ORACLE_STEP_BUDGET // (factorial(n).bit_length() // 64 + 1)
+    stack = []
+    s = (1 << n) - 1
+    counts = get(s)
+    while True:
+        if counts is None:
+            low = s & -s
+            rest = s ^ low
+            free = rest & ~adj[low.bit_length() - 1]
+            stack.append((s, rest.bit_count(), [], [(rest, free)] if free else []))
+            s = rest  # the first block is v alone
+            counts = get(s)
+            continue
+        if not stack:
+            return StirlingProfile(n, (0,) * (n + 1 - len(counts)) + counts[::-1])
+        top, rest_size, sums, levels = stack[-1]
+        # Add each block's counts into the sums of the subset on top and move
+        # to its next block, until a rest is not yet known or the subset is done.
+        while True:
+            size = len(counts)
+            left -= size
+            if left < 0:
+                raise ResourceError(
+                    f"brute-force oracle exceeded its budget of {ORACLE_STEP_BUDGET} steps"
+                )
+            t = rest_size - s.bit_count()
+            end = t + size
+            if end > len(sums):
+                sums += [0] * (end - len(sums))
+            if size == 1:  # the rest is a clique: one partition, into singletons
+                sums[t] += counts[0]
+            else:
+                sums[t:end] = map(add, sums[t:end], counts)
+            if not levels:
+                stack.pop()
+                s = top
+                memo[s] = counts = tuple(sums)
+                break
+            rest, free = levels[-1]
+            u = free & -free
+            free ^= u
+            if free:
+                levels[-1] = (rest, free)
+            else:
+                levels.pop()
+            s = rest ^ u
+            free &= ~adj[u.bit_length() - 1]
+            if free:
+                levels.append((s, free))
+            counts = get(s)
+            if counts is None:
+                break
 
 
 def profile(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> StirlingProfile:

@@ -110,10 +110,6 @@ class Graph(NamedTuple):
             masks[v] |= 1 << u
         return Graph(n, tuple(masks))
 
-    @property
-    def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.adj) // 2
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges (u, v) with u < v, lexicographically sorted."""
         out = []
@@ -122,29 +118,15 @@ class Graph(NamedTuple):
             out.extend((u, u + 1 + w) for w in _bits(upper))
         return out
 
-    def degree(self, v: int) -> int:
-        self._require_vertex(v)
-        return self.adj[v].bit_count()
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted((m.bit_count() for m in self.adj), reverse=True))
-
-    def neighbors(self, v: int) -> list[int]:
-        self._require_vertex(v)
-        return list(_bits(self.adj[v]))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._require_vertex(u)
-        self._require_vertex(v)
-        return bool(self.adj[u] >> v & 1)
-
     def _require_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise UsageError(f"vertex {v} out of range for order {self.n}")
 
     def delete_edge(self, u: int, v: int) -> "Graph":
         """Remove the edge {u, v}; the vertices must currently be adjacent."""
-        if u == v or not self.has_edge(u, v):
+        self._require_vertex(u)
+        self._require_vertex(v)
+        if not self.adj[u] >> v & 1:  # also refuses u == v: there is no self-loop
             raise UsageError(f"delete_edge needs an existing edge, got ({u},{v})")
         masks = list(self.adj)
         masks[u] &= ~(1 << v)
@@ -157,7 +139,7 @@ class Graph(NamedTuple):
         self._require_vertex(v)
         if u == v:
             raise UsageError("add_edge needs two distinct vertices")
-        if self.has_edge(u, v):
+        if self.adj[u] >> v & 1:
             raise UsageError(f"edge ({u},{v}) already present")
         masks = list(self.adj)
         masks[u] |= 1 << v

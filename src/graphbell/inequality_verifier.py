@@ -29,15 +29,6 @@ def _bsum(n, p, shift):
     return bell_binomial_sum(n + shift, p)
 
 
-def _cycle_sum(n, p, shift):
-    """sum_j (-1)**(j+1) sum_i C(p, i) * bell(n+i-j+shift), any n >= 1.
-
-    The two sums are swapped: sum_i C(p, i) * alt_sum(n, shift+i), one
-    call over slices of the alternating prefix column.
-    """
-    return alt_binomial_sum(n, shift, p)
-
-
 def _t_path_shift(n, p):
     return _cross(cf.tree_pk1_aggregates(n, p + 1), cf.tree_pk1_aggregates(n + 1, p))
 
@@ -61,8 +52,8 @@ def _t_cycle_vs_h3(n, p):
 
 def _c14(n, p):
     s_1 = _bsum(n, p, -1)
-    lhs = _cycle_sum(n, p, 1) * (s_1 - _bsum(n, p, -2))
-    rhs = _cycle_sum(n, p, 0) * (_bsum(n, p, 0) - s_1)
+    lhs = alt_binomial_sum(n, 1, p) * (s_1 - _bsum(n, p, -2))
+    rhs = alt_binomial_sum(n, 0, p) * (_bsum(n, p, 0) - s_1)
     return lhs, rhs
 
 
@@ -71,7 +62,7 @@ def _t_cycle_vs_path(n, p):
 
 
 def _c17(n, p):
-    return _bsum(n, p, 0) * _cycle_sum(n, p, 0), _bsum(n, p, -1) * _cycle_sum(n, p, 1)
+    return _bsum(n, p, 0) * alt_binomial_sum(n, 0, p), _bsum(n, p, -1) * alt_binomial_sum(n, 1, p)
 
 
 def _t_cycle_drop2(n, p):
@@ -112,6 +103,7 @@ class InequalityDef(NamedTuple):
     flagged in reports.  ``equality_points`` are in-range n values where the
     two sides provably coincide (the compared families are the same graph);
     there the verifier asserts an exact zero margin instead of strictness.
+    ``sides`` is None for a sampled check, whose sides are drawn per point.
     """
 
     id: str
@@ -122,7 +114,6 @@ class InequalityDef(NamedTuple):
     sides: Callable[[int, int], tuple[int, int]] | None
     extensions: tuple[int, ...] = ()
     equality_points: tuple[int, ...] = ()
-    sampled: bool = False
 
 
 _DEFS: dict[str, InequalityDef] = {
@@ -202,7 +193,7 @@ _DEFS: dict[str, InequalityDef] = {
         InequalityDef(
             "PROP7_MIX",
             "averages mix below the larger one: seeded random-instance check of the mediant bound",
-            1, 1, False, None, sampled=True,
+            1, 1, False, None,
         ),
     ]
 }
@@ -278,7 +269,7 @@ def check(id: str, n: int, p: int = 0) -> InequalityReport:
 
 def _evaluate(d: InequalityDef, n: int, p: int, in_range: bool) -> InequalityReport:
     seed = None
-    if d.sampled:
+    if d.sides is None:
         seed = _point_seed(n, p)
         lhs, rhs = _prop7_sides(Random(seed))
     else:

@@ -19,7 +19,6 @@ floating point anywhere in this module.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import comb
 from operator import mul
@@ -59,15 +58,13 @@ def _binomial_row(p: int, signed: bool = False) -> tuple[int, ...]:
 class BigSeqCache:
     """Append-only cache of Bell numbers and the k-block partition triangle.
 
-    Growth is lock-guarded so concurrent readers may share one instance;
-    rows are never mutated after being appended.  Next to the Bell column
+    Rows are never mutated after being appended.  Next to the Bell column
     sits ``_alt_prefix[m] = sum_{i<=m} (-1)**i * bell(i)``, grown in the same
     step; the Stirling triangle is grown on its own, by ``stirling2``.  Each
     table refuses, with ResourceError, to grow past its one hard cap.
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._bell: list[int] = [1]
         self._alt_prefix: list[int] = [1]
         self._bell_triangle_row: list[int] = [1]
@@ -94,19 +91,16 @@ class BigSeqCache:
         if n < len(self._bell):
             return
         self.grow_capacity(n + 1)
-        with self._lock:
-            while len(self._bell) <= n:
-                # Bell triangle: next row starts with the previous row's last entry.
-                row = self._bell_triangle_row
-                nxt = [row[-1]]
-                for x in row:
-                    nxt.append(nxt[-1] + x)
-                self._bell_triangle_row = nxt
-                # The prefix goes first: the unlocked fast path above reads
-                # len(self._bell), so index m of both columns must exist by then.
-                m = len(self._bell)
-                self._alt_prefix.append(self._alt_prefix[-1] + (-nxt[0] if m % 2 else nxt[0]))
-                self._bell.append(nxt[0])
+        while len(self._bell) <= n:
+            # Bell triangle: next row starts with the previous row's last entry.
+            row = self._bell_triangle_row
+            nxt = [row[-1]]
+            for x in row:
+                nxt.append(nxt[-1] + x)
+            self._bell_triangle_row = nxt
+            m = len(self._bell)
+            self._alt_prefix.append(self._alt_prefix[-1] + (-nxt[0] if m % 2 else nxt[0]))
+            self._bell.append(nxt[0])
 
     def bell(self, n: int) -> int:
         if n < 0:
@@ -129,15 +123,14 @@ class BigSeqCache:
                 raise ResourceError(
                     f"Stirling row {n} exceeds the cap of {STIRLING_MAX_ROWS} triangle rows"
                 )
-            with self._lock:
-                # Triangle rule: count(n, k) = k*count(n-1, k) + count(n-1, k-1).
-                while len(self._stirling) <= n:
-                    prev = self._stirling[-1]
-                    m = len(self._stirling)
-                    srow = [0] * (m + 1)
-                    for j in range(1, m + 1):
-                        srow[j] = j * (prev[j] if j < m else 0) + prev[j - 1]
-                    self._stirling.append(srow)
+            # Triangle rule: count(n, k) = k*count(n-1, k) + count(n-1, k-1).
+            while len(self._stirling) <= n:
+                prev = self._stirling[-1]
+                m = len(self._stirling)
+                srow = [0] * (m + 1)
+                for j in range(1, m + 1):
+                    srow[j] = j * (prev[j] if j < m else 0) + prev[j - 1]
+                self._stirling.append(srow)
         return self._stirling[n][k]
 
     def two_bell(self, n: int) -> int:

@@ -159,7 +159,7 @@ def test_criterion_5_reduction_identities():
             order = list(range(base.n))
             rng.shuffle(order)
             for w in order:
-                if w not in clique and all(base.has_edge(w, x) for x in clique):
+                if w not in clique and all(base.adj[w] >> x & 1 for x in clique):
                     clique.append(w)
                     if len(clique) >= 3:
                         break

@@ -1,6 +1,8 @@
 """Engine vs. oracle, reduction identities, and the profile value object."""
 
 import sys
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import perm
@@ -9,7 +11,7 @@ from random import Random
 
 import pytest
 
-from graphbell import graph_core
+from graphbell import coloring_engine, graph_core
 from graphbell.coloring_engine import (
     PROFILE_MAX_ORDER,
     ProfileCache,
@@ -79,8 +81,9 @@ def test_null_graph_profile():
 def test_edgeless_oracle_counts_every_partition():
     # Every partition of an edgeless graph is stable, so the oracle's tally
     # must be the whole Stirling row, found without the Bell or Stirling
-    # recurrences.
-    for n in range(9):
+    # recurrences.  Edgeless graphs are the oracle's costliest per vertex,
+    # and order 14 is still inside its budget.
+    for n in range(15):
         counts = brute_force_profile(Graph.from_edges(n)).counts
         assert counts == tuple(stirling2(n, k) for k in range(n + 1))
         assert sum(counts) == bell(n)
@@ -97,9 +100,32 @@ def test_brute_force_p3_and_k1():
     assert brute_force_profile(family(FamilyKind.PATH, 1)).counts == (0, 1)
 
 
-def test_brute_force_guardrail():
+def test_oracle_budget_stops_edgeless_22(monkeypatch):
+    # Edgeless order 22 needs far more steps than the budget allows.  A small
+    # budget is used up at once, before the memo or the stack grow large.
+    monkeypatch.setattr(coloring_engine, "ORACLE_STEP_BUDGET", 50_000)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ResourceError, match="budget of 50000 steps"):
+            brute_force_profile(family(FamilyKind.EMPTY, 22))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 5
+    assert peak < 1_000_000
+
+
+def test_oracle_ends_without_recursion_at_order_1024():
+    # The oracle keeps one explicit stack, so a clique, which opens one
+    # subset per vertex, needs no recursion; an edgeless graph uses up the
+    # budget instead.
+    n = 1024
+    full = (1 << n) - 1
+    clique = Graph(n, tuple(full ^ 1 << v for v in range(n)))
+    assert brute_force_profile(clique).counts == (0,) * n + (1,)
     with pytest.raises(ResourceError):
-        brute_force_profile(family(FamilyKind.EMPTY, 13))
+        brute_force_profile(family(FamilyKind.EMPTY, n))
 
 
 def test_profile_order_cap():
@@ -143,14 +169,28 @@ def glue(a, b, shared, adjacent=False):
 
 
 def test_engine_matches_oracle_orders_10_to_12():
-    # Order 12 is the oracle's cap.  The glued pairs split at a separator
-    # of 0, 1 or 2 vertices, with the 2-vertex one both joined and not.
+    # The glued pairs split at a separator of 0, 1 or 2 vertices, with the
+    # 2-vertex one both joined and not.
     rng = Random(324)
     graphs = [
         random_graph(n, rng, edge_prob=q) for n in (10, 11, 12) for q in (0.3, 0.5, 0.7)
     ]
     for shared, adjacent in [(0, False), (0, False), (1, False), (2, True), (2, False)]:
         graphs.append(glue(random_graph(6, rng), random_graph(6, rng), shared, adjacent))
+    for g in graphs:
+        assert profile(g, ProfileCache()) == brute_force_profile(g)
+
+
+def test_engine_matches_oracle_orders_13_to_18():
+    # Past the orders the old partition-by-partition oracle reached.  The
+    # glued pairs join parts of 8 and 9 vertices on 0, 1 or 2 shared ones,
+    # so they have orders 17 and 16.
+    rng = Random(325)
+    graphs = [random_graph(n, rng, edge_prob=q) for n, q in zip(range(13, 19), (0.5, 0.7) * 3)]
+    for shared, adjacent in [(0, False), (1, False), (2, True), (2, False)]:
+        a = random_graph(8 + shared // 2, rng, edge_prob=0.7)
+        b = random_graph(9, rng, edge_prob=0.7)
+        graphs.append(glue(a, b, shared, adjacent))
     for g in graphs:
         assert profile(g, ProfileCache()) == brute_force_profile(g)
 
@@ -247,7 +287,7 @@ def test_edge_addition_identity():
             (u, v)
             for u in range(g.n)
             for v in range(u + 1, g.n)
-            if not g.has_edge(u, v)
+            if not g.adj[u] >> v & 1
         ]
         if not non_edges:
             continue
@@ -273,7 +313,7 @@ def plant_simplicial(base, rng):
     candidates = list(range(base.n))
     rng.shuffle(candidates)
     for w in candidates:
-        if w not in clique and all(base.has_edge(w, x) for x in clique):
+        if w not in clique and all(base.adj[w] >> x & 1 for x in clique):
             clique.append(w)
             if len(clique) >= 3:
                 break

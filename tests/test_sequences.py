@@ -1,7 +1,5 @@
 """Integer-sequence tables: frozen prefixes, identities, and brute-force oracles."""
 
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -29,8 +27,8 @@ def partitions_by_block_count(n):
     """Independent oracle: tally the set partitions of an n-set by block count.
 
     Every partition of the edgeless graph's vertices is stable, so the
-    brute-force enumerator lists them all; it shares nothing with the Bell
-    or Stirling recurrences.  Entry k of the result counts the k-block ones.
+    brute-force oracle counts them all; it shares nothing with the Bell or
+    Stirling recurrences.  Entry k of the result counts the k-block ones.
     """
     return brute_force_profile(Graph.from_edges(n)).counts
 
@@ -184,26 +182,3 @@ def test_stirling_row_cap():
     assert cache.stirling2(n, 2) == 2 ** (n - 1) - 1
     assert cache.stirling2(n, n - 1) == n * (n - 1) // 2
     assert sum(cache.stirling2(n, k) for k in range(n + 1)) == cache.bell(n)
-
-
-def test_shared_cache_concurrent_growth():
-    cache = BigSeqCache()
-
-    def read(i):
-        if i % 3 == 0:
-            return cache.bell(200)
-        if i % 3 == 1:
-            return cache.alt_sum(200, 1)
-        return tuple(cache.stirling2(150, k) for k in range(151))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, inside the growth loops too
-    try:
-        with ThreadPoolExecutor(max_workers=8) as ex:
-            results = list(ex.map(read, range(24), timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    ref = shared_cache()
-    assert set(results[0::3]) == {ref.bell(200)}
-    assert set(results[1::3]) == {ref.alt_sum(200, 1)}
-    assert set(results[2::3]) == {tuple(ref.stirling2(150, k) for k in range(151))}
