@@ -33,7 +33,8 @@ from .sequences import avg_blocks, bell, shared_cache, stirling2, two_bell
 
 EXIT_VERIFICATION = 4
 
-_FAMILY_GRAMMAR = "path:n[,p] cycle:n[,p] star:n[,p] h:n,r[,p] empty:n complete:n"
+_FAMILY_GRAMMAR = ("path:n[,p] cycle:n[,p] star:n[,p] caterpillar:n[,p] "
+                   "h:n,r[,p] empty:n complete:n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,17 +50,12 @@ def parse_family(text: str) -> FamilySpec:
         params = [int(x) for x in rest.split(",")] if rest else []
     except ValueError:
         raise UsageError(f"non-integer parameter in family spec {text!r}") from None
-    arity = {
-        "path": (FamilyKind.PATH, 1, 2),
-        "cycle": (FamilyKind.CYCLE, 1, 2),
-        "star": (FamilyKind.STAR, 1, 2),
-        "h": (FamilyKind.HNR, 2, 3),
-        "empty": (FamilyKind.EMPTY, 1, 1),
-        "complete": (FamilyKind.COMPLETE, 1, 1),
-    }
-    if kind_str not in arity:
-        raise UsageError(f"unknown family {kind_str!r}; grammar: {_FAMILY_GRAMMAR}")
-    kind, lo, hi = arity[kind_str]
+    try:
+        kind = FamilyKind(kind_str)
+    except ValueError:
+        raise UsageError(f"unknown family {kind_str!r}; grammar: {_FAMILY_GRAMMAR}") from None
+    lo = 2 if kind is FamilyKind.HNR else 1
+    hi = lo if kind in (FamilyKind.EMPTY, FamilyKind.COMPLETE) else lo + 1
     if not (lo <= len(params) <= hi):
         raise UsageError(f"family {kind_str!r} takes {lo}..{hi} parameters")
     if kind is not FamilyKind.HNR:

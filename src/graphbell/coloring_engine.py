@@ -24,7 +24,9 @@ from operator import add, mul, sub
 from typing import NamedTuple
 
 from .errors import DomainError, ResourceError
-from .graph_core import PROFILE_MAX_ORDER, Graph, check_order, find_peel, merged, without_vertex
+from .graph_core import (
+    PROFILE_MAX_ORDER, Graph, check_order, find_peel, flipped, merged, without_vertex,
+)
 
 # The oracle's budget.  A block it tries costs one step per entry of the
 # count vector it adds, times the 64-bit words of n! (no count is larger),
@@ -72,24 +74,20 @@ class StirlingProfile(NamedTuple("StirlingProfile", [("n", int), ("counts", tupl
         return next(k for k, c in enumerate(self.counts) if c)
 
 
-class ProfileCache:
-    """Memo table for count vectors, keyed by the adjacency tuple of a labeled graph.
+class ProfileCache(dict):
+    """Memo of count vectors: a ``dict`` keyed by a labeled graph's adjacency tuple.
 
     The tuple alone is the key: its length is the order.  A hit needs the
     work stack to reach an identical labeled subproblem, as the two branches
     of deletion-contraction often do.  Isomorphic relabelings are not
     collapsed: a canonical fingerprint at every node costs far more in pure
-    Python than the extra hits save.
+    Python than the extra hits save.  The engine reads through
+    ``get_labeled`` and writes through ``put``, so a subclass that overrides
+    them sees every lookup and store.
     """
 
-    def __init__(self):
-        self._labeled: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def get_labeled(self, adj: tuple[int, ...]):
-        return self._labeled.get(adj)
-
-    def put(self, adj: tuple[int, ...], counts: tuple[int, ...]) -> None:
-        self._labeled[adj] = counts
+    get_labeled = dict.get
+    put = dict.__setitem__
 
     # perfbench/tracing.py (counting_cache_class) wraps these two by name,
     # so they stay until that tracer drops them.  The engine calls neither.
@@ -98,9 +96,6 @@ class ProfileCache:
 
     def put_labeled(self, g: Graph, counts: tuple[int, ...]) -> None:
         self.put(g.adj, counts)
-
-    def __len__(self) -> int:
-        return len(self._labeled)
 
 
 SHARED_PROFILE_CACHE = ProfileCache()
@@ -257,8 +252,6 @@ def _profile_counts(adj: tuple[int, ...], memo: ProfileCache | None) -> tuple[in
         # neighbors with it (lowest index on ties), the edge that most keeps
         # N(0) from being a clique.  The loop visits the set bits of a only;
         # a scan of every index costs several times as much on long cycles.
-        # Adding or deleting the edge 0-w flips one bit in each of their
-        # masks.
         a = adj[0]
         if 2 * a.bit_count() >= len(adj) - 1:
             w = (~a & (a | 1) + 1).bit_length() - 1  # lowest non-neighbor
@@ -273,10 +266,7 @@ def _profile_counts(adj: tuple[int, ...], memo: ProfileCache | None) -> tuple[in
                     w, fewest = v, shared
                 rest ^= low
             rule = sub
-        flipped = list(adj)
-        flipped[0] ^= 1 << w
-        flipped[w] ^= 1
-        todo += (adj, rule, merged(adj, 0, w), tuple(flipped))
+        todo += (adj, rule, merged(adj, 0, w), flipped(adj, 0, w))
     return done.pop()
 
 

@@ -4,10 +4,11 @@ Vertices are always 0..n-1.  Every operation returns a new graph; merge and
 vertex removal renumber by shifting the indices above the vacated slot down
 by one, so indices stay contiguous and the result is deterministic.
 
-Vertex removal, merging and the peel test each have one implementation, an
-unchecked function on a bare adjacency tuple (``without_vertex``,
-``merged``, ``find_peel``).  The profile engine calls them directly; the
-``Graph`` methods validate their arguments, then delegate.
+Vertex removal, merging, the edge flip and the peel test each have one
+implementation, an unchecked function on a bare adjacency tuple
+(``without_vertex``, ``merged``, ``flipped``, ``find_peel``).  The profile
+engine calls them directly; the ``Graph`` methods validate their arguments,
+then delegate.
 """
 
 from __future__ import annotations
@@ -80,6 +81,18 @@ def merged(adj: tuple[int, ...], keep: int, drop: int) -> tuple[int, ...]:
     ])
 
 
+def flipped(adj: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
+    """Adjacency masks of the graph ``adj`` with the edge {u, v} toggled.
+
+    The edge is added if absent and deleted if present.  Needs two distinct
+    vertices u and v of ``adj`` (unchecked).
+    """
+    masks = list(adj)
+    masks[u] ^= 1 << v
+    masks[v] ^= 1 << u
+    return tuple(masks)
+
+
 class Graph(NamedTuple):
     """Simple undirected labeled graph: order plus one adjacency bitmask per vertex.
 
@@ -128,10 +141,7 @@ class Graph(NamedTuple):
         self._require_vertex(v)
         if not self.adj[u] >> v & 1:  # also refuses u == v: there is no self-loop
             raise UsageError(f"delete_edge needs an existing edge, got ({u},{v})")
-        masks = list(self.adj)
-        masks[u] &= ~(1 << v)
-        masks[v] &= ~(1 << u)
-        return Graph(self.n, tuple(masks))
+        return Graph(self.n, flipped(self.adj, u, v))
 
     def add_edge(self, u: int, v: int) -> "Graph":
         """Insert the edge {u, v}; the vertices must be distinct and non-adjacent."""
@@ -141,10 +151,7 @@ class Graph(NamedTuple):
             raise UsageError("add_edge needs two distinct vertices")
         if self.adj[u] >> v & 1:
             raise UsageError(f"edge ({u},{v}) already present")
-        masks = list(self.adj)
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-        return Graph(self.n, tuple(masks))
+        return Graph(self.n, flipped(self.adj, u, v))
 
     def merge(self, u: int, v: int) -> "Graph":
         """Identify u and v into a single vertex kept at min(u, v).

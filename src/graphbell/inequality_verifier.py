@@ -16,7 +16,7 @@ from . import closed_forms as cf
 from .coloring_engine import profile
 from .errors import DomainError, UsageError
 from .graph_core import random_graph
-from .sequences import alt_binomial_sum, alt_sum, bell, bell_binomial_sum, shared_cache
+from .sequences import alt_binomial_sum, bell, bell_binomial_sum, shared_cache
 
 
 def _cross(lo: cf.FamilyAggregates, hi: cf.FamilyAggregates) -> tuple[int, int]:
@@ -24,17 +24,13 @@ def _cross(lo: cf.FamilyAggregates, hi: cf.FamilyAggregates) -> tuple[int, int]:
     return lo.t * hi.b, hi.t * lo.b
 
 
-def _bsum(n, p, shift):
-    """sum_i C(p, i) * bell(n+i+shift): a tree-type binomial Bell sum."""
-    return bell_binomial_sum(n + shift, p)
-
-
 def _t_path_shift(n, p):
     return _cross(cf.tree_pk1_aggregates(n, p + 1), cf.tree_pk1_aggregates(n + 1, p))
 
 
 def _c9(n, p):
-    return _bsum(n, p + 1, 0) * _bsum(n, p, 0), _bsum(n, p + 1, -1) * _bsum(n, p, 1)
+    lhs = bell_binomial_sum(n, p + 1) * bell_binomial_sum(n, p)
+    return lhs, bell_binomial_sum(n - 1, p + 1) * bell_binomial_sum(n + 1, p)
 
 
 def _t_h3_vs_path(n, p):
@@ -42,8 +38,8 @@ def _t_h3_vs_path(n, p):
 
 
 def _c11(n, p):
-    s0, s_1 = _bsum(n, p, 0), _bsum(n, p, -1)
-    return s0 * (s0 - s_1), _bsum(n, p, 1) * (s_1 - _bsum(n, p, -2))
+    s0, s_1 = bell_binomial_sum(n, p), bell_binomial_sum(n - 1, p)
+    return s0 * (s0 - s_1), bell_binomial_sum(n + 1, p) * (s_1 - bell_binomial_sum(n - 2, p))
 
 
 def _t_cycle_vs_h3(n, p):
@@ -51,9 +47,9 @@ def _t_cycle_vs_h3(n, p):
 
 
 def _c14(n, p):
-    s_1 = _bsum(n, p, -1)
-    lhs = alt_binomial_sum(n, 1, p) * (s_1 - _bsum(n, p, -2))
-    rhs = alt_binomial_sum(n, 0, p) * (_bsum(n, p, 0) - s_1)
+    s_1 = bell_binomial_sum(n - 1, p)
+    lhs = alt_binomial_sum(n, 1, p) * (s_1 - bell_binomial_sum(n - 2, p))
+    rhs = alt_binomial_sum(n, 0, p) * (bell_binomial_sum(n, p) - s_1)
     return lhs, rhs
 
 
@@ -62,7 +58,8 @@ def _t_cycle_vs_path(n, p):
 
 
 def _c17(n, p):
-    return _bsum(n, p, 0) * alt_binomial_sum(n, 0, p), _bsum(n, p, -1) * alt_binomial_sum(n, 1, p)
+    lhs = bell_binomial_sum(n, p) * alt_binomial_sum(n, 0, p)
+    return lhs, bell_binomial_sum(n - 1, p) * alt_binomial_sum(n, 1, p)
 
 
 def _t_cycle_drop2(n, p):
@@ -82,17 +79,18 @@ def _i3(n, _p):
 
 
 def _i4(n, _p):
-    return (bell(n - 1) - bell(n - 2)) * alt_sum(n, 1), (bell(n) - bell(n - 1)) * alt_sum(n, 0)
+    lhs = (bell(n - 1) - bell(n - 2)) * alt_binomial_sum(n, 1, 0)
+    return lhs, (bell(n) - bell(n - 1)) * alt_binomial_sum(n, 0, 0)
 
 
 def _i5(n, _p):
-    return bell(n) * alt_sum(n, 0), bell(n - 1) * alt_sum(n, 1)
+    return bell(n) * alt_binomial_sum(n, 0, 0), bell(n - 1) * alt_binomial_sum(n, 1, 0)
 
 
 def _i6(n, _p):
     s = -1 if n % 2 else 1
-    lhs = (bell(n) + bell(n - 1) + 7 * s) * alt_sum(n, 0)
-    rhs = (bell(n - 1) + bell(n - 2) + 3 * s) * alt_sum(n, 1)
+    lhs = (bell(n) + bell(n - 1) + 7 * s) * alt_binomial_sum(n, 0, 0)
+    rhs = (bell(n - 1) + bell(n - 2) + 3 * s) * alt_binomial_sum(n, 1, 0)
     return lhs, rhs
 
 

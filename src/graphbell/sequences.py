@@ -6,15 +6,16 @@ over all partitions of an (n+1)-element set.  The Bell column and the
 Stirling triangle are grown by *independent* recurrences (Bell triangle vs.
 the two-term triangle rule) so the test suite can cross-check one pipeline
 against the other.  The Bell column carries its alternating prefix sums, so
-every alternating Bell sum is one subtraction.  A binomial Bell sum
-sum_i C(p, i) * bell(m + i), and its alternating counterpart, is one dot
-product of a binomial row with one slice of a cached column, so a family
-with p isolated vertices costs one call, not p + 1.  The Stirling triangle
-is grown only as far as ``stirling2`` has been asked, so Bell lookups cost
-memory linear in the index.  Each table has one hard cap, checked before
-it grows: ``HARD_MAX_TERMS`` Bell terms and ``STIRLING_MAX_ROWS`` triangle
-rows.  Everything is exact integer or Fraction arithmetic; there is no
-floating point anywhere in this module.
+every alternating Bell sum is one subtraction (``alt_binomial_sum`` at
+p = 0).  A binomial Bell sum sum_i C(p, i) * bell(m + i), and its
+alternating counterpart, is one dot product of a binomial row with one
+slice of a cached column, so a family with p isolated vertices costs one
+call, not p + 1.  The Stirling triangle is grown only as far as
+``stirling2`` has been asked, so Bell lookups cost memory linear in the
+index.  Each table has one hard cap, checked before it grows:
+``HARD_MAX_TERMS`` Bell terms and ``STIRLING_MAX_ROWS`` triangle rows.
+Everything is exact integer or Fraction arithmetic; there is no floating
+point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -145,23 +146,6 @@ class BigSeqCache:
             raise DomainError("average block count requires n >= 1")
         return Fraction(self.two_bell(n - 1), self.bell(n))
 
-    def alt_sum(self, n: int, shift: int = 0) -> int:
-        """Sum of (-1)**(j+1) * bell(n - j + shift) for j = 1..n-1, for any n.
-
-        The sum is empty (0) for n < 2.  Substituting i = n - j + shift gives
-        (-1)**(n+shift+1) * (P[n+shift-1] - P[shift]) with the alternating
-        prefix sums P, so each call is one subtraction after the column is
-        grown.  Raises DomainError if a term would need a negative Bell index.
-        """
-        if n < 2:
-            return 0
-        if 1 + shift < 0:
-            raise DomainError("alternating Bell sum would need a negative Bell index")
-        self.ensure(n + shift - 1)
-        prefix = self._alt_prefix
-        diff = prefix[n + shift - 1] - (prefix[shift] if shift >= 0 else 0)
-        return -diff if (n + shift) % 2 == 0 else diff
-
     def bell_binomial_sum(self, m: int, p: int) -> int:
         """Sum of C(p, i) * bell(m + i) for i = 0..p.
 
@@ -175,9 +159,11 @@ class BigSeqCache:
         return sum(map(mul, _binomial_row(p), self._bell[m : m + p + 1]))
 
     def alt_binomial_sum(self, n: int, shift: int, p: int) -> int:
-        """Sum of C(p, i) * alt_sum(n, shift + i) for i = 0..p.
+        """Sum of C(p, i) * A(n, shift + i) for i = 0..p.
 
-        With the alternating prefix sums P, term i is
+        A(n, s), the sum of (-1)**(j+1) * bell(n - j + s) for j = 1..n-1, is
+        the alternating Bell sum; p = 0 gives A(n, shift) alone.  With the
+        alternating prefix sums P, term i is
         (-1)**(n+shift+1) * (-1)**i * (P[n+shift-1+i] - P[shift+i]), so the
         sum is two dot products of the signed binomial row with two slices
         of P.  At shift = -1 the first term reads P[-1] = 0, so the second
@@ -222,10 +208,6 @@ def two_bell(n: int) -> int:
 
 def avg_blocks(n: int) -> Fraction:
     return _SHARED.avg_blocks(n)
-
-
-def alt_sum(n: int, shift: int = 0) -> int:
-    return _SHARED.alt_sum(n, shift)
 
 
 def bell_binomial_sum(m: int, p: int) -> int:

@@ -1,7 +1,9 @@
 """Binomial Bell sums over slices of the cached columns.
 
 ``bell_binomial_sum(m, p)`` is sum_i C(p, i) * bell(m + i) and
-``alt_binomial_sum(n, shift, p)`` is sum_i C(p, i) * alt_sum(n, shift + i).
+``alt_binomial_sum(n, shift, p)`` is sum_i C(p, i) * A(n, shift + i), where
+the alternating Bell sum A(n, s) = sum_j (-1)**(j+1) * bell(n - j + s), j = 1..n-1,
+is ``alt_binomial_sum(n, s, 0)``.
 Each is checked against its per-term sum, and the Bell sum also against
 the Stirling triangle, whose recurrence shares nothing with the Bell
 column.  The settings profile registered in ``conftest.py`` derandomizes
@@ -22,7 +24,6 @@ from graphbell.sequences import (  # noqa: E402
     HARD_MAX_TERMS,
     BigSeqCache,
     alt_binomial_sum,
-    alt_sum,
     bell,
     bell_binomial_sum,
     stirling2,
@@ -50,9 +51,9 @@ def test_bell_binomial_sum_matches_stirling_rows(m, p):
 @settings(max_examples=200)
 @given(st.integers(0, 80), st.integers(-1, 8), st.integers(0, P_MAX))
 def test_alt_binomial_sum_is_its_per_term_sum(n, shift, p):
-    expected = sum(comb(p, i) * alt_sum(n, shift + i) for i in range(p + 1))
+    expected = sum(comb(p, i) * alt_binomial_sum(n, shift + i, 0) for i in range(p + 1))
     assert alt_binomial_sum(n, shift, p) == expected
-    # alt_sum itself, term by term: sum_j (-1)**(j+1) * bell(n - j + shift + i).
+    # Each A(n, shift + i), term by term: sum_j (-1)**(j+1) * bell(n - j + shift + i).
     direct = sum(
         comb(p, i) * (-1) ** (j + 1) * bell(n - j + shift + i)
         for i in range(p + 1)
@@ -65,7 +66,9 @@ def test_alt_binomial_sum_is_its_per_term_sum(n, shift, p):
 def test_p_zero_is_one_term(m):
     assert bell_binomial_sum(m, 0) == bell(m)
     for shift in (-1, 0, 3):
-        assert alt_binomial_sum(m + 2, shift, 0) == alt_sum(m + 2, shift)
+        assert alt_binomial_sum(m + 2, shift, 0) == sum(
+            (-1) ** (j + 1) * bell(m + 2 - j + shift) for j in range(1, m + 2)
+        )
 
 
 def test_shift_minus_one_drops_the_empty_prefix_term():
@@ -73,7 +76,7 @@ def test_shift_minus_one_drops_the_empty_prefix_term():
     for n in range(2, 12):
         for p in (0, 1, 4, P_MAX):
             assert alt_binomial_sum(n, -1, p) == sum(
-                comb(p, i) * alt_sum(n, i - 1) for i in range(p + 1)
+                comb(p, i) * alt_binomial_sum(n, i - 1, 0) for i in range(p + 1)
             )
 
 

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +39,7 @@ def run_cli(capsys, *argv):
         ("h:5,2,1", FamilySpec(FamilyKind.HNR, 5, r=2, p=1)),
         ("empty:3", FamilySpec(FamilyKind.EMPTY, 3)),
         ("complete:4", FamilySpec(FamilyKind.COMPLETE, 4)),
+        ("caterpillar:9,2", FamilySpec(FamilyKind.CATERPILLAR, 9, p=2)),
     ],
 )
 def test_parse_family_grammar(text, expected):
@@ -202,6 +204,31 @@ def test_seq_stirling_json_peak_memory_matches_text(child_env):
     assert peak_kb("--json") <= 1.25 * peak_kb()
 
 
+# Installs perfbench's span hooks after the CLI import, as its cli workload
+# does, then runs one request through the counting memo.  In a child
+# interpreter, because uninstalling the hooks leaves SHARED_PROFILE_CACHE in
+# the counting class.
+_HOOKS = (
+    "import json, sys\n"
+    "import graphbell.cli\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "from tracing import LABELED_LOOKUPS, Hooks, Tracer\n"
+    "tracer = Tracer()\n"
+    "Hooks(tracer).install(cli=True).count_shared_memo()\n"
+    "code = graphbell.cli.main(['compute', '--family', 'cycle:6', '--json'])\n"
+    "print(json.dumps([code, sorted(tracer.missing), tracer.counters[LABELED_LOOKUPS]]))\n"
+)
+
+
+def test_perfbench_hooks_find_every_target(child_env):
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    proc = subprocess.run([sys.executable, "-c", _HOOKS, str(perfbench)],
+                          capture_output=True, text=True, env=child_env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, missing, lookups = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0 and missing == [] and lookups > 0
+
+
 def test_seq_stirling_over_row_cap_exits_resource_at_once(capsys):
     rows_before = len(shared_cache()._stirling)
     code, out, err = run_cli(capsys, "seq", "--kind", "stirling2", "--n", "4000")
@@ -238,7 +265,7 @@ def test_family_cycle5_json(capsys):
 def test_family_matches_compute_aggregates(capsys, child_env):
     # The last three read Bell terms past index 256.
     for spec in ["path:6,1", "star:6,1", "cycle:7,2", "h:5,3,1", "empty:5", "complete:4",
-                 "path:5,400", "star:5,300", "empty:400"]:
+                 "caterpillar:9,2", "caterpillar:8", "path:5,400", "star:5,300", "empty:400"]:
         _, fam_out, _ = run_cli(capsys, "family", "--family", spec, "--json")
         _, cmp_out, _ = run_cli(capsys, "compute", "--family", spec, "--json")
         fam, cmp_ = json.loads(fam_out), json.loads(cmp_out)

@@ -373,9 +373,14 @@ def test_profile_never_fingerprints(monkeypatch):
 
 
 def test_memo_length_counts_labeled_entries():
-    stored = set()
+    stored, looked_up = set(), set()
 
+    # The perfbench tracer counts memo traffic by overriding these two.
     class Recording(ProfileCache):
+        def get_labeled(self, adj):
+            looked_up.add(adj)
+            return super().get_labeled(adj)
+
         def put(self, adj, counts):
             stored.add(adj)
             super().put(adj, counts)
@@ -384,6 +389,9 @@ def test_memo_length_counts_labeled_entries():
     g = family(FamilyKind.PATH, 300)
     counts = profile(g, memo)
     assert 0 < len(memo) == len(stored) <= 300
+    assert stored <= looked_up  # each graph stored was first looked up and missed
+    looked_up.clear()
+    assert profile(g, memo) == counts and looked_up == {g.adj}  # one lookup, a hit
     assert profile(g, None) == counts
 
 

@@ -21,6 +21,7 @@ from graphbell.coloring_engine import ProfileCache, brute_force_profile, profile
 from graphbell.graph_core import (  # noqa: E402
     Graph,
     find_peel,
+    flipped,
     merged,
     random_graph,
     without_vertex,
@@ -109,6 +110,9 @@ def test_rewrite_helpers_match_relabelled_edge_lists(data):
     joined = relabelled(g, n - 1, lambda x: keep if x == drop else x - (x > drop))
     assert merged(g.adj, keep, drop) == joined.adj
     assert g.merge(u, v) == g.merge(v, u) == joined
+    toggled = Graph.from_edges(n, sorted(set(g.edges()) ^ {(keep, drop)}))
+    assert flipped(g.adj, u, v) == flipped(g.adj, v, u) == toggled.adj
+    assert (g.delete_edge if g.adj[u] >> v & 1 else g.add_edge)(u, v) == toggled
 
 
 @settings(max_examples=100)

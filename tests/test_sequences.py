@@ -11,7 +11,7 @@ from graphbell.sequences import (
     HARD_MAX_TERMS,
     STIRLING_MAX_ROWS,
     BigSeqCache,
-    alt_sum,
+    alt_binomial_sum,
     avg_blocks,
     bell,
     shared_cache,
@@ -98,16 +98,16 @@ def test_avg_blocks_zero_rejected():
 
 
 def test_alternating_bell_sum_values():
-    assert alt_sum(5, 0) == 15 - 5 + 2 - 1 == 11
-    assert alt_sum(5, 1) == 52 - 15 + 5 - 2 == 40
-    assert alt_sum(3, 0) == 1
+    assert alt_binomial_sum(5, 0, 0) == 15 - 5 + 2 - 1 == 11
+    assert alt_binomial_sum(5, 1, 0) == 52 - 15 + 5 - 2 == 40
+    assert alt_binomial_sum(3, 0, 0) == 1
 
 
 def test_alternating_bell_sum_domain():
     with pytest.raises(DomainError):
-        alt_sum(5, -2)
+        alt_binomial_sum(5, -2, 0)
     with pytest.raises(DomainError):
-        alt_sum(4, -2)
+        alt_binomial_sum(4, -2, 0)
 
 
 def direct_alt_sum(n, shift):
@@ -117,7 +117,7 @@ def direct_alt_sum(n, shift):
 def test_alternating_sums_match_direct_j_sum():
     for n in range(121):
         for shift in range(-1, 7):
-            assert alt_sum(n, shift) == direct_alt_sum(n, shift)
+            assert alt_binomial_sum(n, shift, 0) == direct_alt_sum(n, shift)
 
 
 def test_growth_order_does_not_change_values():
@@ -127,8 +127,8 @@ def test_growth_order_does_not_change_values():
     assert len(bell_first._stirling) == 1  # Bell growth leaves the triangle alone
     assert rows == [[bell_first.stirling2(n, k) for k in range(n + 1)] for n in range(81)]
     assert bells == [stirling_first.bell(n) for n in range(81)] == [sum(r) for r in rows]
-    assert [stirling_first.alt_sum(n, 1) for n in range(80)] == [
-        bell_first.alt_sum(n, 1) for n in range(80)
+    assert [stirling_first.alt_binomial_sum(n, 1, 0) for n in range(80)] == [
+        bell_first.alt_binomial_sum(n, 1, 0) for n in range(80)
     ]
 
 
@@ -165,7 +165,7 @@ def test_capacity_guardrail():
     with pytest.raises(ResourceError):
         cache.bell(HARD_MAX_TERMS)
     with pytest.raises(ResourceError):
-        cache.alt_sum(HARD_MAX_TERMS + 1)
+        cache.alt_binomial_sum(HARD_MAX_TERMS + 1, 0, 0)
     assert len(cache._bell) == 1  # refused before any term grew
     shared_cache().grow_capacity(HARD_MAX_TERMS)
     with pytest.raises(ResourceError):
