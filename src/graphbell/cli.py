@@ -106,7 +106,6 @@ def _cmd_seq(args) -> int:
     n = args.n
     if n < 0:
         raise DomainError("--n must be nonnegative")
-    shared_cache().grow_capacity(n + 3)
     kind = args.kind
     if kind == "stirling2":
         stirling2(n, n)  # grows the whole triangle, or refuses before any row
@@ -134,7 +133,11 @@ def _cmd_seq(args) -> int:
     first = 1 if kind == "avg_blocks" else 0
     if n < first:
         raise DomainError("avg_blocks starts at n = 1")
-    term = {"bell": bell, "two_bell": two_bell, "avg_blocks": avg_blocks}[kind]
+    # Term n reads Bell indices up to n + reach, so n + reach + 1 terms.
+    term, reach = {
+        "bell": (bell, 0), "avg_blocks": (avg_blocks, 1), "two_bell": (two_bell, 2),
+    }[kind]
+    shared_cache().grow_capacity(n + reach + 1)
     fmt = _frac_str if kind == "avg_blocks" else str
     values = [fmt(term(i)) for i in range(first, n + 1)]
     _emit(

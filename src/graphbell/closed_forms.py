@@ -1,7 +1,7 @@
 """Closed-form aggregate invariants for the named graph families.
 
 Everything here is computed from the integer-sequence cache alone, never via
-the deletion-contraction engine, so the two pipelines stay independent and
+the profile engine, so the two pipelines stay independent and
 can be cross-checked against each other in tests.  ``b`` is the stable-set
 partition count, ``t`` the total block count, ``a = t/b`` the exact average.
 """

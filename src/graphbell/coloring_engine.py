@@ -2,8 +2,9 @@
 
 A profile lists, for each k, how many partitions of the vertex set into
 exactly k stable sets a graph admits.  ``profile`` peels dominating and
-simplicial vertices and branches by deletion-contraction from one explicit
-work stack, with no closed-form base cases and no recursion.  Inside the
+simplicial vertices and branches beside a vertex of least degree, by
+deletion-contraction or addition-contraction, from one explicit work
+stack, with no closed-form base cases and no recursion.  Inside the
 loop a graph is its bare adjacency tuple: no ``Graph`` is built and no
 vertex is checked per node, and the peel test and the rewrites are the
 unchecked tuple helpers of ``graph_core``.  ``brute_force_profile`` counts
@@ -78,8 +79,8 @@ class ProfileCache(dict):
     """Memo of count vectors: a ``dict`` keyed by a labeled graph's adjacency tuple.
 
     The tuple alone is the key: its length is the order.  A hit needs the
-    work stack to reach an identical labeled subproblem, as the two branches
-    of deletion-contraction often do.  Isomorphic relabelings are not
+    work stack to reach an identical labeled subproblem, as the two children
+    of a branch often do.  Isomorphic relabelings are not
     collapsed: a canonical fingerprint at every node costs far more in pure
     Python than the extra hits save.  The engine reads through
     ``get_labeled`` and writes through ``put``, so a subclass that overrides
@@ -180,17 +181,20 @@ def brute_force_profile(g: Graph) -> StirlingProfile:
 
 
 def profile(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> StirlingProfile:
-    """Exact profile of ``g`` by vertex peeling and deletion-contraction.
+    """Exact profile of ``g`` by vertex peeling and edge branching.
 
     One loop over one explicit stack does all the work, without recursion.
     A graph that is neither null nor in the memo peels its first vertex v
     that is dominating, giving counts(G, k) = counts(G-v, k-1), or
     simplicial with r neighbors (r = 0 if isolated), giving
     counts(G, k) = (k-r)*counts(G-v, k) + counts(G-v, k-1).  A graph with no
-    such vertex branches on vertex 0, by its own degree: if 0 is adjacent to
-    at least half of the other vertices, add the edge to its lowest-indexed
-    non-neighbor; otherwise delete the edge to the neighbor that shares the
-    fewest neighbors with 0.  Each graph reached is memoized under its
+    such vertex branches beside v, its lowest-indexed vertex of least
+    degree.  If v has degree 2, the edge e to its lower neighbor is deleted:
+    counts(G) = counts(G-e) - counts(G/e).  Otherwise N(v) misses an edge
+    xy, x the lowest neighbor of v with a non-neighbor in N(v) and y the
+    lowest such non-neighbor, and counts(G) = counts(G+xy) + counts(G/xy);
+    in both children v is a step nearer simplicial (Zykov's
+    addition-contraction).  Each graph reached is memoized under its
     adjacency tuple (see :class:`ProfileCache`); pass ``memo=None`` to
     disable caching.  Orders above ``PROFILE_MAX_ORDER`` raise ResourceError
     first.
@@ -244,29 +248,34 @@ def _profile_counts(adj: tuple[int, ...], memo: ProfileCache | None) -> tuple[in
             v, rule = peel
             todo += (adj, rule, without_vertex(adj, v))
             continue
-        # Vertex 0 was not peeled, so it is neither dominating nor isolated:
-        # it has a neighbor and a non-neighbor.  Each branch takes 0 one flip
-        # nearer a peel in the G+e or G-e child: a vertex with at least half
-        # the others as neighbors gains its lowest non-neighbor on the way
-        # to dominating; any other loses the neighbor sharing the fewest
-        # neighbors with it (lowest index on ties), the edge that most keeps
-        # N(0) from being a clique.  The loop visits the set bits of a only;
-        # a scan of every index costs several times as much on long cycles.
-        a = adj[0]
-        if 2 * a.bit_count() >= len(adj) - 1:
-            w = (~a & (a | 1) + 1).bit_length() - 1  # lowest non-neighbor
-            rule = add
-        else:
-            rest, fewest = a, len(adj)
-            while rest:
-                low = rest & -rest
-                v = low.bit_length() - 1
-                shared = (a & adj[v]).bit_count()
-                if shared < fewest:
-                    w, fewest = v, shared
-                rest ^= low
+        # Nothing peeled, so every degree is at least 2 and no neighborhood
+        # is a clique.  Branch beside v, the lowest vertex of least degree
+        # (vertex 0 at degree 2 is that vertex, so cycles skip the scan).
+        # At degree 2, delete the edge to v's lower neighbor; filling there
+        # would make ``memo=None`` take Fibonacci-many steps on cycles.
+        # Otherwise add the missing edge xy inside N(v), x lowest: each
+        # child, G + xy and G / xy, has v one step nearer simplicial.
+        v, a = 0, adj[0]
+        if a.bit_count() != 2:
+            degrees = list(map(int.bit_count, adj))
+            v = degrees.index(min(degrees))
+            a = adj[v]
+        if a.bit_count() == 2:
+            w = (a & -a).bit_length() - 1
+            x, y = (v, w) if v < w else (w, v)
             rule = sub
-        todo += (adj, rule, merged(adj, 0, w), flipped(adj, 0, w))
+        else:
+            rest = a
+            while True:
+                low = rest & -rest
+                x = low.bit_length() - 1
+                missing = a & ~(adj[x] | low)
+                if missing:
+                    break
+                rest ^= low
+            y = (missing & -missing).bit_length() - 1
+            rule = add
+        todo += (adj, rule, merged(adj, x, y), flipped(adj, x, y))
     return done.pop()
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from graphbell import cli
+from graphbell import cli, sequences
 from graphbell.cli import main, parse_family
 from graphbell.coloring_engine import PROFILE_MAX_ORDER
 from graphbell.errors import DomainError, GraphBellError, ResourceError, UsageError
@@ -229,6 +229,21 @@ def test_perfbench_hooks_find_every_target(child_env):
     assert code == 0 and missing == [] and lookups > 0
 
 
+@pytest.mark.parametrize("kind,reach", [("bell", 0), ("avg_blocks", 1), ("two_bell", 2)])
+def test_seq_bell_cap_boundary_per_kind(capsys, monkeypatch, kind, reach):
+    # Term n of a kind reads Bell indices up to n + reach.  With a cap of 20
+    # terms, the last --n whose terms all fit is accepted and the next one
+    # refused before any term is computed.
+    monkeypatch.setattr(sequences, "HARD_MAX_TERMS", 20)
+    last = 20 - 1 - reach
+    code, out, err = run_cli(capsys, "seq", "--kind", kind, "--n", str(last), "--csv")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1].startswith(f"{last},")
+    code, out, err = run_cli(capsys, "seq", "--kind", kind, "--n", str(last + 1))
+    assert code == 3 and out == ""
+    assert err == "error: requested capacity 21 exceeds the hard cap of 20 terms\n"
+
+
 def test_seq_stirling_over_row_cap_exits_resource_at_once(capsys):
     rows_before = len(shared_cache()._stirling)
     code, out, err = run_cli(capsys, "seq", "--kind", "stirling2", "--n", "4000")
@@ -332,13 +347,17 @@ def test_profile_cap_refused_before_build(argv, child_env):
 
 
 @pytest.mark.parametrize("argv", [
-    ("seq", "--kind", "bell", "--n", "4094"),
+    ("seq", "--kind", "bell", "--n", "4096"),
     ("verify", "--id", "I1", "--n-max", "4091"),
     ("family", "--family", "path:4096"),
+    ("seq", "--kind", "two_bell", "--n", "4094"),
+    ("seq", "--kind", "avg_blocks", "--n", "4095"),
 ])
 def test_bell_cap_refused_before_growth(argv, child_env):
-    # Each asks for one Bell term past the cap.  Reaching bell(4095) takes
-    # about 10 s, so a quick exit shows the refusal came before any growth.
+    # Each asks for one Bell term past the cap: bell(4096), the last term of
+    # two_bell through 4094 and of avg_blocks through 4095.  Reaching
+    # bell(4095) takes about 10 s, so a quick exit shows the refusal came
+    # before any growth.
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "graphbell", *argv],
                           capture_output=True, text=True, env=child_env, timeout=120)

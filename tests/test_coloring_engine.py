@@ -195,33 +195,41 @@ def test_engine_matches_oracle_orders_13_to_18():
         assert profile(g, ProfileCache()) == brute_force_profile(g)
 
 
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
+def test_engine_matches_oracle_orders_14_to_18_by_density(q):
+    # Generic graphs at the orders where the branch rule sets the cost.  The
+    # sparsest, G(18, .3), costs the oracle about 1 s.
+    rng = Random(326 + round(10 * q))
+    for n in range(14, 19):
+        g = random_graph(n, rng, edge_prob=q)
+        assert profile(g, ProfileCache()) == brute_force_profile(g)
+
+
 def test_engine_matches_oracle_in_both_branch_modes():
-    # No vertex of these graphs peels, so the engine branches on vertex 0 at
-    # once: a hub in a sparse graph gains its lowest non-neighbor, a
-    # low-degree vertex in a dense graph loses a neighbor, and the neighbor
-    # lost is the one sharing the fewest neighbors with 0, not the lowest.
+    # No vertex of these graphs peels, so the engine branches at once, beside
+    # the lowest vertex v of least degree.  In ``hub`` v = 7 has degree 2 and
+    # loses the edge to its lower neighbor 6.  In ``fill`` v = 4 has degree
+    # 3 and N(4) = {1, 2, 3} misses only 2-3, so the edge added is 2-3: x is
+    # the lowest neighbor with a non-neighbor in N(v), not the lowest one.
+    # The memo never sees ``at_0``, the child of a branch at vertex 0.
     ring = [(v, v % 9 + 1) for v in range(1, 10)]
     hub = Graph.from_edges(10, [(0, v) for v in range(1, 7)] + ring)
-    holes = {(1, 2), (3, 4), (5, 6), (7, 8)}
-    dense = Graph.from_edges(
+    holes = {(0, 9), (1, 9), (2, 3), (5, 6), (7, 8)}
+    fill = Graph.from_edges(
         10,
-        [(0, 1), (0, 2), (0, 3)]
-        + [(u, v) for u, v in combinations(range(1, 10), 2) if (u, v) not in holes],
+        [(1, 4), (2, 4), (3, 4)]
+        + [(u, v) for u, v in combinations([0, 1, 2, 3, 5, 6, 7, 8, 9], 2)
+           if (u, v) not in holes],
     )
-    late = Graph.from_edges(
-        10,
-        [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 5), (3, 6)]
-        + [(4, 7), (4, 8), (5, 8), (5, 9), (6, 8), (6, 9), (7, 9)],
-    )
-    for g, child in [
-        (hub, hub.add_edge(0, 7)),
-        (dense, dense.delete_edge(0, 1)),
-        (late, late.delete_edge(0, 4)),
+    for g, child, at_0 in [
+        (hub, hub.delete_edge(6, 7), hub.add_edge(0, 7)),
+        (fill, fill.add_edge(2, 3), fill.add_edge(0, 4)),
     ]:
         assert graph_core.find_peel(g.adj) is None
         memo = ProfileCache()
         assert profile(g, memo) == brute_force_profile(g)
         assert memo.get_labeled(child.adj) is not None
+        assert memo.get_labeled(at_0.adj) is None
 
 
 def networkx_oracle_graphs():
@@ -263,7 +271,7 @@ def test_engine_matches_networkx_chromatic_polynomial():
             assert sum(c * perm(m, k) for k, c in enumerate(counts)) == poly.subs(x, m)
 
 
-# --- deletion-contraction identities as data -------------------------------------
+# --- deletion- and addition-contraction identities as data ------------------------
 
 
 def test_edge_deletion_identity():
@@ -404,8 +412,9 @@ def test_memo_is_populated_and_reused():
 
 
 def test_disjoint_union_stays_within_work_bound():
-    # The bound is far above what this union needs (about 2k graphs) and far
-    # below what a branch rule that interleaves the two components'
+    # The bound is far above what this union needs (about 900 graphs: each
+    # branch stays beside one least-degree vertex, inside its component)
+    # and far below what a branch rule that interleaves the two components'
     # subproblems stores (about 420k).
     g1 = random_graph(12, Random(1))
     g2 = random_graph(11, Random(2))
@@ -424,9 +433,9 @@ def test_disjoint_union_stays_within_work_bound():
 
 
 def test_dense_generic_graph_stays_within_work_bound():
-    # The bound is about twice what this graph needs (about 9.4k graphs) and
-    # far below what a branch rule blind to vertex 0's degree and triangles
-    # stores (about 48k).
+    # The bound is about three times what this graph needs (about 6.6k
+    # graphs) and far below what an earlier branch at vertex 0, blind to its
+    # degree and triangles, stored (about 48k).
     g = random_graph(18, Random(1))
     memo = ProfileCache()
     counts = profile(g, memo).counts

@@ -74,7 +74,9 @@ def test_load_edge_list_returns_or_raises_library_error(tmp_path, data):
 _INTS = st.integers(-3, 30).map(str)
 _JUNK = st.sampled_from(["", "x", "-1.5", "0x1", "٣", "nan", "--", "-", "--json", "seq"])
 _REFUSED = [
-    ["seq", "--kind", "bell", "--n", "4094"],
+    ["seq", "--kind", "bell", "--n", "4096"],
+    ["seq", "--kind", "two_bell", "--n", "4094"],
+    ["seq", "--kind", "avg_blocks", "--n", "4095"],
     ["seq", "--kind", "stirling2", "--n", "512", "--json"],
     ["compute", "--family", "path:1025"],
     ["verify", "--id", "I1", "--n-max", "4090", "--p-max", "1", "--csv"],
