@@ -7,7 +7,9 @@ deletion-contraction or addition-contraction, from one explicit work
 stack, with no closed-form base cases and no recursion.  Inside the
 loop a graph is its bare adjacency tuple: no ``Graph`` is built and no
 vertex is checked per node, and the peel test and the rewrites are the
-unchecked tuple helpers of ``graph_core``.  ``brute_force_profile`` counts
+unchecked tuple helpers of ``graph_core``.  The engine picks its vertices
+from the top of the tuple, where the families keep their leaves and where
+removing or merging away the last vertex shifts no index.  ``brute_force_profile`` counts
 the same partitions by a recursion over vertex subsets, memoized per
 subset, and serves as the independent oracle the test suite compares
 against.  Both are exponential in the worst case; the engine is practical
@@ -82,9 +84,11 @@ class ProfileCache(dict):
     work stack to reach an identical labeled subproblem, as the two children
     of a branch often do.  Isomorphic relabelings are not
     collapsed: a canonical fingerprint at every node costs far more in pure
-    Python than the extra hits save.  The engine reads through
-    ``get_labeled`` and writes through ``put``, so a subclass that overrides
-    them sees every lookup and store.
+    Python than the extra hits save.  A call stores its root and every graph
+    from its first branch down; the graphs peeled before that branch cannot
+    come up again in the call and are only looked up.  The engine reads
+    through ``get_labeled`` and writes through ``put``, so a subclass that
+    overrides them sees every lookup and store.
     """
 
     get_labeled = dict.get
@@ -184,20 +188,20 @@ def profile(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> Stirl
     """Exact profile of ``g`` by vertex peeling and edge branching.
 
     One loop over one explicit stack does all the work, without recursion.
-    A graph that is neither null nor in the memo peels its first vertex v
+    A graph that is neither null nor in the memo peels its last vertex v
     that is dominating, giving counts(G, k) = counts(G-v, k-1), or
     simplicial with r neighbors (r = 0 if isolated), giving
     counts(G, k) = (k-r)*counts(G-v, k) + counts(G-v, k-1).  A graph with no
-    such vertex branches beside v, its lowest-indexed vertex of least
-    degree.  If v has degree 2, the edge e to its lower neighbor is deleted:
+    such vertex branches beside v, its highest-indexed vertex of least
+    degree.  If v has degree 2, the edge e to its higher neighbor is deleted:
     counts(G) = counts(G-e) - counts(G/e).  Otherwise N(v) misses an edge
-    xy, x the lowest neighbor of v with a non-neighbor in N(v) and y the
-    lowest such non-neighbor, and counts(G) = counts(G+xy) + counts(G/xy);
+    xy, x the highest neighbor of v with a non-neighbor in N(v) and y the
+    highest such non-neighbor, and counts(G) = counts(G+xy) + counts(G/xy);
     in both children v is a step nearer simplicial (Zykov's
-    addition-contraction).  Each graph reached is memoized under its
-    adjacency tuple (see :class:`ProfileCache`); pass ``memo=None`` to
-    disable caching.  Orders above ``PROFILE_MAX_ORDER`` raise ResourceError
-    first.
+    addition-contraction).  The graphs reached are memoized under their
+    adjacency tuples (see :class:`ProfileCache` for which); pass
+    ``memo=None`` to disable caching.  Orders above ``PROFILE_MAX_ORDER``
+    raise ResourceError first.
     """
     check_order(g.n)
     return StirlingProfile(g.n, _profile_counts(g.adj, memo))
@@ -210,13 +214,18 @@ def _profile_counts(adj: tuple[int, ...], memo: ProfileCache | None) -> tuple[in
     # for a dominating peel, r for a simplicial one, add or sub for a branch
     # (the merged graph's counts end on top of the other side's).  A rule is
     # never a tuple, so the type of a popped item tells the two apart.
-    # ``done`` holds finished counts.
+    # ``done`` holds finished counts.  Until the first branch every graph is
+    # a peel of the one before, smaller than all earlier ones, and every
+    # later graph is smaller still, so none of this chain can be reached
+    # again: its steps, below ``floor`` on ``todo``, are not stored, but for
+    # the root, which a later call may ask for.
     if memo is None:
         get = put = None
     else:
         get, put = memo.get_labeled, memo.put
     todo = [adj]
     done = []
+    floor = None
     while todo:
         item = todo.pop()
         if type(item) is not tuple:
@@ -230,7 +239,7 @@ def _profile_counts(adj: tuple[int, ...], memo: ProfileCache | None) -> tuple[in
                                             counts + (0,)), (0,) + counts))
             else:
                 counts = tuple(map(rule, done.pop(), counts + (0,)))
-            if put is not None:
+            if put is not None and (not todo or floor is not None and len(todo) >= floor):
                 put(adj, counts)
             done.append(counts)
             continue
@@ -249,33 +258,38 @@ def _profile_counts(adj: tuple[int, ...], memo: ProfileCache | None) -> tuple[in
             todo += (adj, rule, without_vertex(adj, v))
             continue
         # Nothing peeled, so every degree is at least 2 and no neighborhood
-        # is a clique.  Branch beside v, the lowest vertex of least degree
-        # (vertex 0 at degree 2 is that vertex, so cycles skip the scan).
-        # At degree 2, delete the edge to v's lower neighbor; filling there
-        # would make ``memo=None`` take Fibonacci-many steps on cycles.
-        # Otherwise add the missing edge xy inside N(v), x lowest: each
-        # child, G + xy and G / xy, has v one step nearer simplicial.
-        v, a = 0, adj[0]
+        # is a clique.  Branch beside v, the highest vertex of least degree
+        # (the last vertex at degree 2 is that vertex, so cycles skip the
+        # scan).  At degree 2, delete the edge to v's higher neighbor;
+        # filling there would make ``memo=None`` take Fibonacci-many steps on
+        # cycles.  Otherwise add the missing edge xy inside N(v), x the
+        # highest neighbor of v that misses another, y < x the highest one it
+        # misses: each child, G + xy and G / xy, has v one step nearer
+        # simplicial.  Either way the merge drops the higher end.
+        if floor is None:
+            floor = len(todo)
+        v = len(adj) - 1
+        a = adj[v]
         if a.bit_count() != 2:
             degrees = list(map(int.bit_count, adj))
-            v = degrees.index(min(degrees))
+            v -= degrees[::-1].index(min(degrees))
             a = adj[v]
         if a.bit_count() == 2:
-            w = (a & -a).bit_length() - 1
-            x, y = (v, w) if v < w else (w, v)
+            w = a.bit_length() - 1
+            keep, drop = (v, w) if v < w else (w, v)
             rule = sub
         else:
             rest = a
             while True:
-                low = rest & -rest
-                x = low.bit_length() - 1
-                missing = a & ~(adj[x] | low)
+                drop = rest.bit_length() - 1
+                high = 1 << drop
+                missing = a & ~(adj[drop] | high)
                 if missing:
                     break
-                rest ^= low
-            y = (missing & -missing).bit_length() - 1
+                rest ^= high
+            keep = missing.bit_length() - 1
             rule = add
-        todo += (adj, rule, merged(adj, x, y), flipped(adj, x, y))
+        todo += (adj, rule, merged(adj, keep, drop), flipped(adj, keep, drop))
     return done.pop()
 
 

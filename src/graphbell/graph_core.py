@@ -23,13 +23,15 @@ from .errors import DomainError, ResourceError, UsageError
 
 # The largest graph the profile engine accepts.  It lives here so that input
 # parsers can refuse a larger order before any per-vertex allocation.  The
-# engine's memo keeps every graph it reaches, about order**3 bits for a path.
-# Measured on a 2-vCPU box (Python 3.11) with `compute --family F --json` at
-# order 1024, wall / peak RSS: path and h:3,1021 0.8-1.0 s / 275 MB, empty
-# 0.8 s / 237 MB, star 0.8 s / 236 MB, complete 0.8 s / 86 MB; the engine
-# alone on path:1100 and 1200 peaks at 329 and 422 MB.  Cycles cost the most,
-# since a cycle branches once per vertex: cycle:1000 and cycle:1024 take
-# 2.7 s / 692 MB and 2.2-2.6 s / 741 MB.
+# engine memoizes nothing it peels before its first branch, and the chain of
+# those peels shares every mask a peel leaves alone, so a graph that peels
+# to nothing (a path, star, caterpillar, complete or edgeless graph, or
+# h:3,r) costs little memory.  Below a branch every graph reached is
+# memoized: a cycle's memo grows about as order**3 bits.  Measured on a
+# 2-vCPU box (Python 3.11) with `compute --family F --json` at order 1024,
+# wall / peak RSS: path, star, empty, caterpillar and h:3,1021 0.4-0.55 s /
+# 22 MB, complete 0.7 s / 81 MB.  Cycles cost the most, since a cycle
+# branches once per vertex: cycle:1024 takes 2.4 s / 663 MB.
 PROFILE_MAX_ORDER = 1024
 
 
@@ -53,12 +55,19 @@ def without_vertex(adj: tuple[int, ...], v: int) -> tuple[int, ...]:
     """Adjacency masks of the graph ``adj`` with vertex v and its edges deleted.
 
     Indices above v shift down by one.  v must be a vertex (unchecked); the
-    order is ``len(adj)``.
+    order is ``len(adj)``.  Removing the last vertex, as most of the
+    engine's peels do, rewrites only its neighbors' masks and shares the
+    rest with ``adj``.
     """
-    if v == 0:  # most of the engine's peels: a plain shift, no masking
-        return tuple([m >> 1 for m in adj[1:]])
     masks = list(adj)
     del masks[v]
+    if v == len(masks):
+        bit, rest = 1 << v, adj[v]
+        while rest:
+            low = rest & -rest
+            masks[low.bit_length() - 1] ^= bit
+            rest ^= low
+        return tuple(masks)
     low = (1 << v) - 1
     return tuple([m & low | m >> v + 1 << v for m in masks])
 
@@ -69,12 +78,21 @@ def merged(adj: tuple[int, ...], keep: int, drop: int) -> tuple[int, ...]:
     The merged vertex stays at ``keep`` with the union of both
     neighborhoods; a keep-drop edge disappears and parallel edges collapse.
     Indices above ``drop`` shift down by one.  Needs ``0 <= keep < drop <
-    len(adj)`` (unchecked).
+    len(adj)`` (unchecked).  Dropping the last vertex, as the engine's
+    branches do on a cycle, rewrites only the masks of ``drop``'s neighbors.
     """
     kbit, dbit = 1 << keep, 1 << drop
     masks = list(adj)
     masks[keep] = (masks[keep] | masks[drop]) & ~(kbit | dbit)
     del masks[drop]
+    if drop == len(masks):
+        rest = adj[drop] & ~kbit
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            masks[u] = masks[u] ^ dbit | kbit
+            rest ^= low
+        return tuple(masks)
     low = dbit - 1
     return tuple([
         (m & low | (kbit if m & dbit else 0)) | m >> drop + 1 << drop for m in masks
@@ -239,17 +257,19 @@ def build(spec: FamilySpec) -> Graph:
 
 
 def find_peel(adj: tuple[int, ...]):
-    """First vertex the profile engine can peel, with its rule, or None.
+    """Last vertex the profile engine can peel, with its rule, or None.
 
     With closed neighborhoods N[v] = adj[v] | 1 << v, vertex v is dominating
     when N[v] holds every vertex, and simplicial (its neighbors pairwise
-    adjacent) when N[v] & ~N[u] == 0 for each neighbor u.  Scans v upward and
-    returns ``(v, None)`` for a dominating v, else ``(v, r)`` for a
-    simplicial v with r neighbors (r = 0 if isolated).  The order is
-    ``len(adj)``.
+    adjacent) when N[v] & ~N[u] == 0 for each neighbor u.  Scans v downward
+    from the highest index, where the families keep their leaves and where
+    removal shifts no index, and returns ``(v, None)`` for a dominating v,
+    else ``(v, r)`` for a simplicial v with r neighbors (r = 0 if isolated).
+    The order is ``len(adj)``.
     """
     full = (1 << len(adj)) - 1
-    for v, a in enumerate(adj):
+    for v in range(len(adj) - 1, -1, -1):
+        a = adj[v]
         closed = a | 1 << v
         if closed == full:
             return v, None

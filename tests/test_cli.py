@@ -191,17 +191,29 @@ _PEAK_RSS = (
 )
 
 
-def test_seq_stirling_json_peak_memory_matches_text(child_env):
-    def peak_kb(*fmt):
-        argv = [sys.executable, "-m", "graphbell", "seq", "--kind", "stirling2", "--n", "300"]
-        proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv, *fmt],
-                              capture_output=True, text=True, check=True,
-                              env=child_env, timeout=120)
-        code, kb = map(int, proc.stdout.split())
-        assert code == 0
-        return kb
+def peak_kb(env, *args):
+    """Peak RSS in kB of ``python -m graphbell`` with ``args``, which must exit 0."""
+    argv = [sys.executable, "-m", "graphbell", *args]
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv],
+                          capture_output=True, text=True, check=True, env=env, timeout=120)
+    code, kb = map(int, proc.stdout.split())
+    assert code == 0
+    return kb
 
-    assert peak_kb("--json") <= 1.25 * peak_kb()
+
+def test_seq_stirling_json_peak_memory_matches_text(child_env):
+    argv = ("seq", "--kind", "stirling2", "--n", "300")
+    assert peak_kb(child_env, *argv, "--json") <= 1.25 * peak_kb(child_env, *argv)
+
+
+def test_compute_path_peak_memory_stays_near_a_small_path(child_env):
+    # The engine peels a path without a branch and memoizes none of the
+    # peeled graphs, so path:1024 needs little more than path:8.  A memo of
+    # the whole peel chain took about 275 MB.
+    def peak(n):
+        return peak_kb(child_env, "compute", "--family", f"path:{n}", "--json")
+
+    assert peak(1024) <= 2 * peak(8)
 
 
 # Installs perfbench's span hooks after the CLI import, as its cli workload

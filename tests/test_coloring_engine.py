@@ -207,29 +207,31 @@ def test_engine_matches_oracle_orders_14_to_18_by_density(q):
 
 def test_engine_matches_oracle_in_both_branch_modes():
     # No vertex of these graphs peels, so the engine branches at once, beside
-    # the lowest vertex v of least degree.  In ``hub`` v = 7 has degree 2 and
-    # loses the edge to its lower neighbor 6.  In ``fill`` v = 4 has degree
-    # 3 and N(4) = {1, 2, 3} misses only 2-3, so the edge added is 2-3: x is
-    # the lowest neighbor with a non-neighbor in N(v), not the lowest one.
-    # The memo never sees ``at_0``, the child of a branch at vertex 0.
-    ring = [(v, v % 9 + 1) for v in range(1, 10)]
-    hub = Graph.from_edges(10, [(0, v) for v in range(1, 7)] + ring)
-    holes = {(0, 9), (1, 9), (2, 3), (5, 6), (7, 8)}
+    # the highest vertex v of least degree.  In ``hub`` v = 2 has degree 2
+    # and loses the edge to its higher neighbor 3.  In ``fill`` v = 5 has
+    # degree 4 and N(5) = {2, 6, 7, 8} misses 2-7 and 6-7, so the edge added
+    # is 6-7: x = 7 is the highest neighbor with a non-neighbor in N(v), not
+    # the highest one, and y = 6 the highest neighbor x misses.  The memo
+    # never sees ``lowest``, the child the mirror rule (lowest v, x and y)
+    # would make.
+    ring = [(v, (v + 1) % 9) for v in range(9)]
+    hub = Graph.from_edges(10, [(v, 9) for v in range(3, 9)] + ring)
+    holes = {(2, 7), (6, 7), (8, 9)}
     fill = Graph.from_edges(
         10,
-        [(1, 4), (2, 4), (3, 4)]
-        + [(u, v) for u, v in combinations([0, 1, 2, 3, 5, 6, 7, 8, 9], 2)
+        [(2, 5), (5, 6), (5, 7), (5, 8)]
+        + [(u, v) for u, v in combinations([0, 1, 2, 3, 4, 6, 7, 8, 9], 2)
            if (u, v) not in holes],
     )
-    for g, child, at_0 in [
-        (hub, hub.delete_edge(6, 7), hub.add_edge(0, 7)),
-        (fill, fill.add_edge(2, 3), fill.add_edge(0, 4)),
+    for g, child, lowest in [
+        (hub, hub.delete_edge(2, 3), hub.delete_edge(0, 1)),
+        (fill, fill.add_edge(6, 7), fill.add_edge(2, 7)),
     ]:
         assert graph_core.find_peel(g.adj) is None
         memo = ProfileCache()
         assert profile(g, memo) == brute_force_profile(g)
         assert memo.get_labeled(child.adj) is not None
-        assert memo.get_labeled(at_0.adj) is None
+        assert memo.get_labeled(lowest.adj) is None
 
 
 def networkx_oracle_graphs():
@@ -380,26 +382,54 @@ def test_profile_never_fingerprints(monkeypatch):
     assert pr.bell == agg.b and pr.total == agg.t
 
 
+class Recording(ProfileCache):
+    """A memo that records each graph the engine looks up and each it stores.
+
+    The perfbench tracer counts memo traffic by overriding the same two.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.looked_up, self.stored = set(), set()
+
+    def get_labeled(self, adj):
+        self.looked_up.add(adj)
+        return super().get_labeled(adj)
+
+    def put(self, adj, counts):
+        self.stored.add(adj)
+        super().put(adj, counts)
+
+
 def test_memo_length_counts_labeled_entries():
-    stored, looked_up = set(), set()
-
-    # The perfbench tracer counts memo traffic by overriding these two.
-    class Recording(ProfileCache):
-        def get_labeled(self, adj):
-            looked_up.add(adj)
-            return super().get_labeled(adj)
-
-        def put(self, adj, counts):
-            stored.add(adj)
-            super().put(adj, counts)
-
+    # A path peels to the null graph without a branch, and no graph of that
+    # chain can come up again in the call, so only the root is stored.
     memo = Recording()
     g = family(FamilyKind.PATH, 300)
     counts = profile(g, memo)
-    assert 0 < len(memo) == len(stored) <= 300
-    assert stored <= looked_up  # each graph stored was first looked up and missed
-    looked_up.clear()
-    assert profile(g, memo) == counts and looked_up == {g.adj}  # one lookup, a hit
+    assert list(memo) == [g.adj] and memo.stored == {g.adj}
+    assert len(memo.looked_up) == 300  # every non-null graph of the chain
+    memo.looked_up.clear()
+    assert profile(g, memo) == counts and memo.looked_up == {g.adj}  # one lookup, a hit
+    assert profile(g, None) == counts
+
+
+def test_memo_stores_from_the_first_branch_down():
+    # A cycle branches at once, so the memo holds every graph it reaches.
+    # h:9,3 is that cycle with a path of three vertices, 9-11, hung off
+    # vertex 0: the engine peels the path from the top down to cycle:9 and
+    # branches there, so its memo holds its root and what cycle:9's holds,
+    # but not the two graphs peeled on the way.
+    cycle_memo = Recording()
+    cycle_counts = profile(family(FamilyKind.CYCLE, 9), cycle_memo).counts
+    assert set(cycle_memo) == cycle_memo.stored == cycle_memo.looked_up
+    g = family(FamilyKind.HNR, 9, r=3)
+    memo = Recording()
+    counts = profile(g, memo)
+    assert set(memo) == {g.adj} | set(cycle_memo)
+    chain = {g.remove_vertex(11).adj, g.remove_vertex(11).remove_vertex(10).adj}
+    assert chain <= memo.looked_up and not chain & set(memo)
+    assert memo[family(FamilyKind.CYCLE, 9).adj] == cycle_counts
     assert profile(g, None) == counts
 
 

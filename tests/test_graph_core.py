@@ -266,12 +266,12 @@ def test_graph_hashes_and_compares_as_its_field_tuple():
 
 def test_classify_dominating_wins_in_complete_graph():
     # Every vertex of K4 is both dominating and simplicial; the dominating
-    # rule wins at the first vertex.
-    assert find_peel(complete(4).adj) == (0, None)
+    # rule wins at the last vertex, where the scan starts.
+    assert find_peel(complete(4).adj) == (3, None)
 
 
 def test_classify_leaf_is_simplicial():
-    assert find_peel(path(4).adj) == (0, 1)
+    assert find_peel(path(4).adj) == (3, 1)
 
 
 def test_classify_cycle5_vertices_are_neither():
@@ -279,7 +279,7 @@ def test_classify_cycle5_vertices_are_neither():
 
 
 def test_classify_isolated_vertex_simplicial_zero():
-    assert find_peel(build(FamilySpec(FamilyKind.EMPTY, 3)).adj) == (0, 0)
+    assert find_peel(build(FamilySpec(FamilyKind.EMPTY, 3)).adj) == (2, 0)
 
 
 def test_classify_first_peelable_vertex_need_not_be_vertex_0():
