@@ -29,7 +29,7 @@ from .coloring_engine import SHARED_PROFILE_CACHE, profile
 from .errors import DomainError, GraphBellError, ResourceError, UsageError
 from .graph_core import FamilyKind, FamilySpec, build, check_order, load_edge_list
 from .inequality_verifier import INEQUALITY_IDS, scan, summarize
-from .sequences import avg_blocks, bell, shared_cache, stirling2, two_bell
+from .sequences import avg_blocks, bell, stirling2, two_bell
 
 EXIT_VERIFICATION = 4
 
@@ -133,11 +133,8 @@ def _cmd_seq(args) -> int:
     first = 1 if kind == "avg_blocks" else 0
     if n < first:
         raise DomainError("avg_blocks starts at n = 1")
-    # Term n reads Bell indices up to n + reach, so n + reach + 1 terms.
-    term, reach = {
-        "bell": (bell, 0), "avg_blocks": (avg_blocks, 1), "two_bell": (two_bell, 2),
-    }[kind]
-    shared_cache().grow_capacity(n + reach + 1)
+    term = {"bell": bell, "avg_blocks": avg_blocks, "two_bell": two_bell}[kind]
+    term(n)  # grows the column as far as any term reads, or refuses before any term
     fmt = _frac_str if kind == "avg_blocks" else str
     values = [fmt(term(i)) for i in range(first, n + 1)]
     _emit(

@@ -4,6 +4,8 @@ Everything here is computed from the integer-sequence cache alone, never via
 the profile engine, so the two pipelines stay independent and
 can be cross-checked against each other in tests.  ``b`` is the stable-set
 partition count, ``t`` the total block count, ``a = t/b`` the exact average.
+Each form computes ``t``, the aggregate with the higher Bell index, first,
+so a call past the Bell cap is refused before any term grows.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import NamedTuple
 
 from .errors import DomainError
 from .graph_core import FamilyKind, FamilySpec
-from .sequences import alt_binomial_sum, bell, bell_binomial_sum, shared_cache, two_bell
+from .sequences import alt_binomial_sum, bell, bell_binomial_sum, two_bell
 
 
 class FamilyAggregates(NamedTuple):
@@ -45,7 +47,8 @@ def tree_pk1_aggregates(n: int, p: int) -> FamilyAggregates:
         raise DomainError("a tree has at least one vertex")
     if p < 0:
         raise DomainError("isolated-vertex count must be nonnegative")
-    return FamilyAggregates(bell_binomial_sum(n - 1, p), bell_binomial_sum(n, p))
+    t = bell_binomial_sum(n, p)
+    return FamilyAggregates(bell_binomial_sum(n - 1, p), t)
 
 
 def cycle_aggregates(n: int) -> FamilyAggregates:
@@ -83,7 +86,8 @@ def hnr_pk1_aggregates(n: int, r: int, p: int) -> FamilyAggregates:
         raise DomainError("the tailed-cycle family requires n >= 3")
     if r < 0 or p < 0:
         raise DomainError("tail and isolated-vertex counts must be nonnegative")
-    return FamilyAggregates(alt_binomial_sum(n, r, p), alt_binomial_sum(n, r + 1, p))
+    t = alt_binomial_sum(n, r + 1, p)
+    return FamilyAggregates(alt_binomial_sum(n, r, p), t)
 
 
 def lemma15_identity_check(n: int, p: int) -> bool:
@@ -118,15 +122,7 @@ def complete_aggregates(n: int) -> FamilyAggregates:
 
 
 def aggregates_for(spec: FamilySpec) -> FamilyAggregates:
-    """Dispatch a family spec to its closed form (trees cover path and star).
-
-    Every form but the complete graph's reads Bell numbers up to index
-    ``spec.order`` (``order + 1`` for the edgeless graph), so the Bell cap is
-    checked for that index before any term grows.
-    """
-    if spec.kind is not FamilyKind.COMPLETE:
-        top = spec.order + 1 if spec.kind is FamilyKind.EMPTY else spec.order
-        shared_cache().grow_capacity(top + 1)
+    """Dispatch a family spec to its closed form (trees cover path and star)."""
     if spec.kind in (FamilyKind.PATH, FamilyKind.STAR, FamilyKind.CATERPILLAR):
         return tree_pk1_aggregates(spec.n, spec.p)
     if spec.kind is FamilyKind.CYCLE:
@@ -135,8 +131,6 @@ def aggregates_for(spec: FamilySpec) -> FamilyAggregates:
         return hnr_pk1_aggregates(spec.n, spec.r, spec.p)
     if spec.kind is FamilyKind.EMPTY:
         return empty_aggregates(spec.n + spec.p)
-    if spec.kind is FamilyKind.COMPLETE:
-        if spec.p:
-            raise DomainError("no closed form for a complete graph with isolated vertices")
-        return complete_aggregates(spec.n)
-    raise DomainError(f"no closed form for family {spec.kind.value}")
+    if spec.p:
+        raise DomainError("no closed form for a complete graph with isolated vertices")
+    return complete_aggregates(spec.n)

@@ -1,22 +1,17 @@
 """Exact profiles of non-equivalent proper colorings.
 
 A profile lists, for each k, how many partitions of the vertex set into
-exactly k stable sets a graph admits.  ``profile`` peels dominating and
-simplicial vertices and branches beside a vertex of least degree, by
-deletion-contraction or addition-contraction, from one explicit work
-stack, with no closed-form base cases and no recursion.  Inside the
-loop a graph is its bare adjacency tuple: no ``Graph`` is built and no
-vertex is checked per node, and the peel test and the rewrites are the
-unchecked tuple helpers of ``graph_core``.  The engine picks its vertices
-from the top of the tuple, where the families keep their leaves and where
-removing or merging away the last vertex shifts no index.  ``brute_force_profile`` counts
-the same partitions by a recursion over vertex subsets, memoized per
-subset, and serves as the independent oracle the test suite compares
-against.  Both are exponential in the worst case; the engine is practical
-to about 24 vertices on generic graphs and up to ``PROFILE_MAX_ORDER`` on
-the structured families.  The oracle's cost follows the number of stable
-sets, which is largest on sparse graphs, so it counts its work as it runs
-and stops at ``ORACLE_STEP_BUDGET`` steps.
+exactly k stable sets a graph admits.  ``profile`` computes it in exact
+integers by peeling vertices and branching on edges; its docstring states
+the rules, and ``memo=None`` (the CLI's ``--no-memo``) turns its memo off
+without changing any count.  ``brute_force_profile`` counts the same
+partitions by a recursion over vertex subsets, memoized per subset, and
+serves as the independent oracle the test suite compares against.  Both
+are exponential in the worst case; the engine is practical to about 24
+vertices on generic graphs and up to ``PROFILE_MAX_ORDER`` on the
+structured families.  The oracle's cost follows the number of stable sets,
+which is largest on sparse graphs, so it counts its work as it runs and
+stops at ``ORACLE_STEP_BUDGET`` steps.
 """
 
 from __future__ import annotations
@@ -28,7 +23,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, ResourceError
 from .graph_core import (
-    PROFILE_MAX_ORDER, Graph, check_order, find_peel, flipped, merged, without_vertex,
+    PROFILE_MAX_ORDER, Graph, check_order, flipped, merged, without_vertex,
 )
 
 # The oracle's budget.  A block it tries costs one step per entry of the
@@ -187,9 +182,8 @@ def brute_force_profile(g: Graph) -> StirlingProfile:
 def profile(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> StirlingProfile:
     """Exact profile of ``g`` by vertex peeling and edge branching.
 
-    One loop over one explicit stack does all the work, without recursion.
-    A graph that is neither null nor in the memo peels its last vertex v
-    that is dominating, giving counts(G, k) = counts(G-v, k-1), or
+    A graph that is neither null nor in the memo peels its highest-indexed
+    vertex v that is dominating, giving counts(G, k) = counts(G-v, k-1), or
     simplicial with r neighbors (r = 0 if isolated), giving
     counts(G, k) = (k-r)*counts(G-v, k) + counts(G-v, k-1).  A graph with no
     such vertex branches beside v, its highest-indexed vertex of least
@@ -198,13 +192,45 @@ def profile(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> Stirl
     xy, x the highest neighbor of v with a non-neighbor in N(v) and y the
     highest such non-neighbor, and counts(G) = counts(G+xy) + counts(G/xy);
     in both children v is a step nearer simplicial (Zykov's
-    addition-contraction).  The graphs reached are memoized under their
-    adjacency tuples (see :class:`ProfileCache` for which); pass
-    ``memo=None`` to disable caching.  Orders above ``PROFILE_MAX_ORDER``
-    raise ResourceError first.
+    addition-contraction).  A merge keeps the lower index.  Every choice
+    takes the highest index because the families keep their leaves at the
+    top, and removing or merging away the last vertex shifts no index.
+
+    One loop over one explicit stack does all the work, without recursion,
+    on bare adjacency tuples: no ``Graph`` is built and no vertex is checked
+    per node.  The graphs reached are memoized under their adjacency tuples
+    (see :class:`ProfileCache` for which); pass ``memo=None`` to disable
+    caching.  Orders above ``PROFILE_MAX_ORDER`` raise ResourceError first.
     """
     check_order(g.n)
     return StirlingProfile(g.n, _profile_counts(g.adj, memo))
+
+
+def find_peel(adj: tuple[int, ...]):
+    """Last vertex the profile engine can peel, with its rule, or None.
+
+    With closed neighborhoods N[v] = adj[v] | 1 << v, vertex v is dominating
+    when N[v] holds every vertex, and simplicial (its neighbors pairwise
+    adjacent) when N[v] & ~N[u] == 0 for each neighbor u.  Scans v downward
+    from the highest index (see :func:`profile`) and returns ``(v, None)``
+    for a dominating v, else ``(v, r)`` for a simplicial v with r neighbors
+    (r = 0 if isolated).  The order is ``len(adj)``.
+    """
+    full = (1 << len(adj)) - 1
+    for v in range(len(adj) - 1, -1, -1):
+        a = adj[v]
+        closed = a | 1 << v
+        if closed == full:
+            return v, None
+        rest = a
+        while rest:
+            low = rest & -rest
+            if closed & ~(adj[low.bit_length() - 1] | low):
+                break
+            rest ^= low
+        else:
+            return v, a.bit_count()
+    return None
 
 
 def _profile_counts(adj: tuple[int, ...], memo: ProfileCache | None) -> tuple[int, ...]:
@@ -258,14 +284,10 @@ def _profile_counts(adj: tuple[int, ...], memo: ProfileCache | None) -> tuple[in
             todo += (adj, rule, without_vertex(adj, v))
             continue
         # Nothing peeled, so every degree is at least 2 and no neighborhood
-        # is a clique.  Branch beside v, the highest vertex of least degree
-        # (the last vertex at degree 2 is that vertex, so cycles skip the
-        # scan).  At degree 2, delete the edge to v's higher neighbor;
-        # filling there would make ``memo=None`` take Fibonacci-many steps on
-        # cycles.  Otherwise add the missing edge xy inside N(v), x the
-        # highest neighbor of v that misses another, y < x the highest one it
-        # misses: each child, G + xy and G / xy, has v one step nearer
-        # simplicial.  Either way the merge drops the higher end.
+        # is a clique: branch as ``profile`` states.  The last vertex at
+        # degree 2 is the v it names, so cycles skip the degree scan.
+        # Filling in at degree 2 would make ``memo=None`` take
+        # Fibonacci-many steps on cycles.
         if floor is None:
             floor = len(todo)
         v = len(adj) - 1

@@ -4,9 +4,10 @@ Vertices are always 0..n-1.  Every operation returns a new graph; merge and
 vertex removal renumber by shifting the indices above the vacated slot down
 by one, so indices stay contiguous and the result is deterministic.
 
-Vertex removal, merging, the edge flip and the peel test each have one
-implementation, an unchecked function on a bare adjacency tuple
-(``without_vertex``, ``merged``, ``flipped``, ``find_peel``).  The profile
+Vertex removal, merging and the edge flip each have one implementation, an
+unchecked function on a bare adjacency tuple (``without_vertex``,
+``merged``, ``flipped``), and only ``without_vertex`` renumbers: a merge
+joins the two neighborhoods, then removes the dropped vertex.  The profile
 engine calls them directly; the ``Graph`` methods validate their arguments,
 then delegate.
 """
@@ -22,16 +23,13 @@ from .errors import DomainError, ResourceError, UsageError
 
 
 # The largest graph the profile engine accepts.  It lives here so that input
-# parsers can refuse a larger order before any per-vertex allocation.  The
-# engine memoizes nothing it peels before its first branch, and the chain of
-# those peels shares every mask a peel leaves alone, so a graph that peels
-# to nothing (a path, star, caterpillar, complete or edgeless graph, or
-# h:3,r) costs little memory.  Below a branch every graph reached is
-# memoized: a cycle's memo grows about as order**3 bits.  Measured on a
-# 2-vCPU box (Python 3.11) with `compute --family F --json` at order 1024,
-# wall / peak RSS: path, star, empty, caterpillar and h:3,1021 0.4-0.55 s /
-# 22 MB, complete 0.7 s / 81 MB.  Cycles cost the most, since a cycle
-# branches once per vertex: cycle:1024 takes 2.4 s / 663 MB.
+# parsers can refuse a larger order before any per-vertex allocation.  What a
+# graph below it costs depends on how the engine peels and branches on it
+# (see ``coloring_engine.profile``).  Measured on a 2-vCPU box (Python 3.11)
+# with `compute --family F --json` at order 1024, wall / peak RSS: path,
+# star, empty, caterpillar and h:3,1021 0.4-0.55 s / 22 MB, complete 0.7 s /
+# 81 MB.  Cycles cost the most, since a cycle branches once per vertex and
+# its memo grows about as order**3 bits: cycle:1024 takes 2.4 s / 663 MB.
 PROFILE_MAX_ORDER = 1024
 
 
@@ -55,9 +53,8 @@ def without_vertex(adj: tuple[int, ...], v: int) -> tuple[int, ...]:
     """Adjacency masks of the graph ``adj`` with vertex v and its edges deleted.
 
     Indices above v shift down by one.  v must be a vertex (unchecked); the
-    order is ``len(adj)``.  Removing the last vertex, as most of the
-    engine's peels do, rewrites only its neighbors' masks and shares the
-    rest with ``adj``.
+    order is ``len(adj)``.  Removing the last vertex shifts no index, so it
+    rewrites only its neighbors' masks and shares the rest with ``adj``.
     """
     masks = list(adj)
     del masks[v]
@@ -77,26 +74,19 @@ def merged(adj: tuple[int, ...], keep: int, drop: int) -> tuple[int, ...]:
 
     The merged vertex stays at ``keep`` with the union of both
     neighborhoods; a keep-drop edge disappears and parallel edges collapse.
-    Indices above ``drop`` shift down by one.  Needs ``0 <= keep < drop <
-    len(adj)`` (unchecked).  Dropping the last vertex, as the engine's
-    branches do on a cycle, rewrites only the masks of ``drop``'s neighbors.
+    The neighbors of ``drop`` that ``keep`` lacks are joined to ``keep``,
+    then ``without_vertex`` removes ``drop``, so indices above ``drop``
+    shift down by one.  Needs ``0 <= keep < drop < len(adj)`` (unchecked).
     """
-    kbit, dbit = 1 << keep, 1 << drop
+    kbit = 1 << keep
+    rest = adj[drop] & ~(adj[keep] | kbit)
     masks = list(adj)
-    masks[keep] = (masks[keep] | masks[drop]) & ~(kbit | dbit)
-    del masks[drop]
-    if drop == len(masks):
-        rest = adj[drop] & ~kbit
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            masks[u] = masks[u] ^ dbit | kbit
-            rest ^= low
-        return tuple(masks)
-    low = dbit - 1
-    return tuple([
-        (m & low | (kbit if m & dbit else 0)) | m >> drop + 1 << drop for m in masks
-    ])
+    masks[keep] |= rest
+    while rest:
+        low = rest & -rest
+        masks[low.bit_length() - 1] |= kbit
+        rest ^= low
+    return without_vertex(tuple(masks), drop)
 
 
 def flipped(adj: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
@@ -254,34 +244,6 @@ def build(spec: FamilySpec) -> Graph:
             edges.append((0, n))
             edges += [(n + i, n + i + 1) for i in range(r - 1)]
     return Graph.from_edges(spec.order, edges)
-
-
-def find_peel(adj: tuple[int, ...]):
-    """Last vertex the profile engine can peel, with its rule, or None.
-
-    With closed neighborhoods N[v] = adj[v] | 1 << v, vertex v is dominating
-    when N[v] holds every vertex, and simplicial (its neighbors pairwise
-    adjacent) when N[v] & ~N[u] == 0 for each neighbor u.  Scans v downward
-    from the highest index, where the families keep their leaves and where
-    removal shifts no index, and returns ``(v, None)`` for a dominating v,
-    else ``(v, r)`` for a simplicial v with r neighbors (r = 0 if isolated).
-    The order is ``len(adj)``.
-    """
-    full = (1 << len(adj)) - 1
-    for v in range(len(adj) - 1, -1, -1):
-        a = adj[v]
-        closed = a | 1 << v
-        if closed == full:
-            return v, None
-        rest = a
-        while rest:
-            low = rest & -rest
-            if closed & ~(adj[low.bit_length() - 1] | low):
-                break
-            rest ^= low
-        else:
-            return v, a.bit_count()
-    return None
 
 
 class CanonicalKey(NamedTuple):

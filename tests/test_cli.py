@@ -245,8 +245,11 @@ def test_perfbench_hooks_find_every_target(child_env):
 def test_seq_bell_cap_boundary_per_kind(capsys, monkeypatch, kind, reach):
     # Term n of a kind reads Bell indices up to n + reach.  With a cap of 20
     # terms, the last --n whose terms all fit is accepted and the next one
-    # refused before any term is computed.
+    # refused before any term is computed.  The column is checked against
+    # the cap only when it grows, so the test starts from a fresh one rather
+    # than from whatever earlier tests grew.
     monkeypatch.setattr(sequences, "HARD_MAX_TERMS", 20)
+    monkeypatch.setattr(sequences, "_SHARED", sequences.BigSeqCache())
     last = 20 - 1 - reach
     code, out, err = run_cli(capsys, "seq", "--kind", kind, "--n", str(last), "--csv")
     assert code == 0 and err == ""

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from graphbell import sequences
 from graphbell.closed_forms import (
     FamilyAggregates,
     aggregates_for,
@@ -18,7 +19,7 @@ from graphbell.closed_forms import (
     tree_pk1_aggregates,
 )
 from graphbell.coloring_engine import ProfileCache, profile
-from graphbell.errors import DomainError
+from graphbell.errors import DomainError, ResourceError
 from graphbell.graph_core import FamilyKind, FamilySpec, Graph, build
 from graphbell.sequences import bell
 
@@ -221,6 +222,35 @@ def test_aggregates_for_dispatch():
     assert aggregates_for(FamilySpec(FamilyKind.HNR, 5, r=2, p=1)).b == hnr_pk1_aggregates(5, 2, 1).b
     assert aggregates_for(FamilySpec(FamilyKind.EMPTY, 4)).b == bell(4)
     assert aggregates_for(FamilySpec(FamilyKind.COMPLETE, 4)).t == 4
+    # Every kind against the engine, with and without isolated vertices.
+    for kind in FamilyKind:
+        for p in (0,) if kind is FamilyKind.COMPLETE else (0, 2):
+            spec = FamilySpec(kind, 5, r=2 if kind is FamilyKind.HNR else 0, p=p)
+            agg = aggregates_for(spec)
+            assert (agg.b, agg.t) == engine_bt(build(spec)), spec
+    with pytest.raises(DomainError):
+        aggregates_for(FamilySpec(FamilyKind.COMPLETE, 4, p=1))
+
+
+@pytest.mark.parametrize("form,args", [
+    (tree_pk1_aggregates, (20, 0)),
+    (cycle_pk1_aggregates, (20, 0)),
+    (h3_tail_aggregates, (17, 0)),
+    (hnr_pk1_aggregates, (15, 5, 0)),
+    (lemma15_identity_check, (18, 0)),
+], ids=lambda x: getattr(x, "__name__", str(x)))
+def test_closed_forms_refuse_past_the_bell_cap_before_any_term(monkeypatch, form, args):
+    # Each call reads Bell index 20, one past a cap of 20 terms, and must be
+    # refused while the column still holds only bell(0).  One order lower,
+    # the same form is answered.
+    monkeypatch.setattr(sequences, "HARD_MAX_TERMS", 20)
+    cache = sequences.BigSeqCache()
+    monkeypatch.setattr(sequences, "_SHARED", cache)
+    with pytest.raises(ResourceError,
+                       match="^requested capacity 21 exceeds the hard cap of 20 terms$"):
+        form(*args)
+    assert len(cache._bell) == 1
+    form(args[0] - 1, *args[1:])
 
 
 def test_aggregate_invariants():

@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from graphbell.closed_forms import FamilyAggregates
-from graphbell.coloring_engine import StirlingProfile
+from graphbell.coloring_engine import StirlingProfile, find_peel
 from graphbell.errors import DomainError, ResourceError, UsageError
 from graphbell.graph_core import (
     PROFILE_MAX_ORDER,
@@ -17,7 +17,6 @@ from graphbell.graph_core import (
     Graph,
     build,
     canonical_key,
-    find_peel,
     parse_edge_list,
     random_graph,
 )

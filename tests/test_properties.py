@@ -17,10 +17,14 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from graphbell.coloring_engine import ProfileCache, brute_force_profile, profile  # noqa: E402
+from graphbell.coloring_engine import (  # noqa: E402
+    ProfileCache,
+    brute_force_profile,
+    find_peel,
+    profile,
+)
 from graphbell.graph_core import (  # noqa: E402
     Graph,
-    find_peel,
     flipped,
     merged,
     random_graph,
