@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from operator import add, mul, sub
+from operator import add, mul
 from typing import NamedTuple
 
 from .errors import DomainError, ResourceError
@@ -99,6 +99,9 @@ class ProfileCache(dict):
 
 
 SHARED_PROFILE_CACHE = ProfileCache()
+
+# The combine rule of a degree-2 branch (see ``_profile_counts``).
+_ELIMINATE = "eliminate"
 
 
 def brute_force_profile(g: Graph) -> StirlingProfile:
@@ -185,10 +188,15 @@ def profile(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> Stirl
     A graph that is neither null nor in the memo peels its highest-indexed
     vertex v that is dominating, giving counts(G, k) = counts(G-v, k-1), or
     simplicial with r neighbors (r = 0 if isolated), giving
-    counts(G, k) = (k-r)*counts(G-v, k) + counts(G-v, k-1).  A graph with no
-    such vertex branches beside v, its highest-indexed vertex of least
-    degree.  If v has degree 2, the edge e to its higher neighbor is deleted:
-    counts(G) = counts(G-e) - counts(G/e).  Otherwise N(v) misses an edge
+    counts(G, k) = (k-r)*counts(G-v, k) + counts(G-v, k-1), the
+    falling-factorial form of P(G) = (x-r)*P(G-v).  A graph with no such
+    vertex branches beside v, its highest-indexed vertex of least degree.
+    If v has degree 2, its neighbors a and b are not adjacent (else v would
+    be simplicial), and v goes in one step:
+    P(G) = (x-2)*P(G-v) + P((G-v)/ab), since deleting and contracting vb
+    gives P(G) = (x-1)*P(G-v) - P(G-v+ab), and P(G-v+ab) =
+    P(G-v) - P((G-v)/ab).  So counts(G, k) = (k-2)*counts(G-v, k) +
+    counts(G-v, k-1) + counts((G-v)/ab, k).  Otherwise N(v) misses an edge
     xy, x the highest neighbor of v with a non-neighbor in N(v) and y the
     highest such non-neighbor, and counts(G) = counts(G+xy) + counts(G/xy);
     in both children v is a step nearer simplicial (Zykov's
@@ -237,9 +245,10 @@ def _profile_counts(adj: tuple[int, ...], memo: ProfileCache | None) -> tuple[in
     # Graphs are bare adjacency tuples, their order len(adj).  ``todo`` holds
     # graphs still to expand and combine steps, each step pushed as the graph
     # and then its rule, below the graphs whose counts it needs: rule None
-    # for a dominating peel, r for a simplicial one, add or sub for a branch
-    # (the merged graph's counts end on top of the other side's).  A rule is
-    # never a tuple, so the type of a popped item tells the two apart.
+    # for a dominating peel, r for a simplicial one, add for a fill-in branch
+    # and ``_ELIMINATE`` for a degree-2 one (the merged graph's counts end on
+    # top of the other side's).  A rule is never a tuple, so the type of a
+    # popped item tells the two apart.
     # ``done`` holds finished counts.  Until the first branch every graph is
     # a peel of the one before, smaller than all earlier ones, and every
     # later graph is smaller still, so none of this chain can be reached
@@ -263,8 +272,13 @@ def _profile_counts(adj: tuple[int, ...], memo: ProfileCache | None) -> tuple[in
                 # (k - r) * counts[k] + counts[k-1] for k = 0..len(counts)
                 counts = tuple(map(add, map(mul, range(-rule, len(counts) + 1 - rule),
                                             counts + (0,)), (0,) + counts))
+            elif rule is add:
+                counts = tuple(map(add, done.pop(), counts + (0,)))
             else:
-                counts = tuple(map(rule, done.pop(), counts + (0,)))
+                # (k - 2) * counts(G-v)[k] + counts(G-v)[k-1] + counts((G-v)/ab)[k]
+                rest = done.pop()
+                counts = tuple(map(add, map(mul, range(-2, len(rest) - 1), rest + (0,)),
+                                   map(add, (0,) + rest, counts + (0, 0))))
             if put is not None and (not todo or floor is not None and len(todo) >= floor):
                 put(adj, counts)
             done.append(counts)
@@ -285,9 +299,10 @@ def _profile_counts(adj: tuple[int, ...], memo: ProfileCache | None) -> tuple[in
             continue
         # Nothing peeled, so every degree is at least 2 and no neighborhood
         # is a clique: branch as ``profile`` states.  The last vertex at
-        # degree 2 is the v it names, so cycles skip the degree scan.
-        # Filling in at degree 2 would make ``memo=None`` take
-        # Fibonacci-many steps on cycles.
+        # degree 2 is the v it names, so cycles skip the degree scan.  At
+        # degree 2 the children have orders n-1 and n-2, so without a memo a
+        # cycle costs T(C_n) = T(P_n-1) + T(C_n-2) steps, quadratic in n;
+        # filling in there would make it Fibonacci.
         if floor is None:
             floor = len(todo)
         v = len(adj) - 1
@@ -297,21 +312,23 @@ def _profile_counts(adj: tuple[int, ...], memo: ProfileCache | None) -> tuple[in
             v -= degrees[::-1].index(min(degrees))
             a = adj[v]
         if a.bit_count() == 2:
-            w = a.bit_length() - 1
-            keep, drop = (v, w) if v < w else (w, v)
-            rule = sub
-        else:
-            rest = a
-            while True:
-                drop = rest.bit_length() - 1
-                high = 1 << drop
-                missing = a & ~(adj[drop] | high)
-                if missing:
-                    break
-                rest ^= high
-            keep = missing.bit_length() - 1
-            rule = add
-        todo += (adj, rule, merged(adj, keep, drop), flipped(adj, keep, drop))
+            # v's two neighbors, as a mask renumbered past v for G-v.
+            rest = without_vertex(adj, v)
+            a = a & (1 << v) - 1 | a >> v + 1 << v
+            drop = a.bit_length() - 1
+            keep = (a ^ 1 << drop).bit_length() - 1
+            todo += (adj, _ELIMINATE, merged(rest, keep, drop), rest)
+            continue
+        rest = a
+        while True:
+            drop = rest.bit_length() - 1
+            high = 1 << drop
+            missing = a & ~(adj[drop] | high)
+            if missing:
+                break
+            rest ^= high
+        keep = missing.bit_length() - 1
+        todo += (adj, add, merged(adj, keep, drop), flipped(adj, keep, drop))
     return done.pop()
 
 

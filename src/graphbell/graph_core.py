@@ -28,8 +28,10 @@ from .errors import DomainError, ResourceError, UsageError
 # (see ``coloring_engine.profile``).  Measured on a 2-vCPU box (Python 3.11)
 # with `compute --family F --json` at order 1024, wall / peak RSS: path,
 # star, empty, caterpillar and h:3,1021 0.4-0.55 s / 22 MB, complete 0.7 s /
-# 81 MB.  Cycles cost the most, since a cycle branches once per vertex and
-# its memo grows about as order**3 bits: cycle:1024 takes 2.4 s / 663 MB.
+# 81 MB.  Cycles cost the most: a cycle branches once per two vertices, into
+# a path and the cycle two vertices shorter, so its memo holds about 1.5 *
+# order graphs and grows about as order**3 bits: cycle:1024 takes 1.4 s /
+# 343 MB.
 PROFILE_MAX_ORDER = 1024
 
 

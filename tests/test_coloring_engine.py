@@ -217,12 +217,14 @@ def test_engine_matches_oracle_orders_14_to_18_by_density(q):
 def test_engine_matches_oracle_in_both_branch_modes():
     # No vertex of these graphs peels, so the engine branches at once, beside
     # the highest vertex v of least degree.  In ``hub`` v = 2 has degree 2
-    # and loses the edge to its higher neighbor 3.  In ``fill`` v = 5 has
-    # degree 4 and N(5) = {2, 6, 7, 8} misses 2-7 and 6-7, so the edge added
-    # is 6-7: x = 7 is the highest neighbor with a non-neighbor in N(v), not
-    # the highest one, and y = 6 the highest neighbor x misses.  The memo
-    # never sees ``lowest``, the child the mirror rule (lowest v, x and y)
-    # would make.
+    # and neighbors 1 and 3, which become 1 and 2 once v is gone: its
+    # children are G-v and (G-v)/{1, 2}, and the memo never sees the child
+    # of deleting the edge 2-3, nor the one the mirror rule (lowest v and
+    # neighbor) would make.  In ``fill`` v = 5 has degree 4 and
+    # N(5) = {2, 6, 7, 8} misses 2-7 and 6-7, so the edge added is 6-7:
+    # x = 7 is the highest neighbor with a non-neighbor in N(v), not the
+    # highest one, and y = 6 the highest neighbor x misses.  The memo never
+    # sees the child the mirror rule (lowest v, x and y) would make.
     ring = [(v, (v + 1) % 9) for v in range(9)]
     hub = Graph.from_edges(10, [(v, 9) for v in range(3, 9)] + ring)
     holes = {(2, 7), (6, 7), (8, 9)}
@@ -232,15 +234,19 @@ def test_engine_matches_oracle_in_both_branch_modes():
         + [(u, v) for u, v in combinations([0, 1, 2, 3, 4, 6, 7, 8, 9], 2)
            if (u, v) not in holes],
     )
-    for g, child, lowest in [
-        (hub, flipped(hub.adj, 2, 3), flipped(hub.adj, 0, 1)),
-        (fill, flipped(fill.adj, 6, 7), flipped(fill.adj, 2, 7)),
+    hub_rest = without_vertex(hub.adj, 2)
+    for g, children, others in [
+        (hub, [hub_rest, merged(hub_rest, 1, 2)],
+         [flipped(hub.adj, 2, 3), flipped(hub.adj, 0, 1)]),
+        (fill, [flipped(fill.adj, 6, 7)], [flipped(fill.adj, 2, 7)]),
     ]:
         assert coloring_engine.find_peel(g.adj) is None
         memo = ProfileCache()
         assert profile(g, memo) == brute_force_profile(g)
-        assert memo.get_labeled(child) is not None
-        assert memo.get_labeled(lowest) is None
+        for child in children:
+            assert memo.get_labeled(child) is not None
+        for other in others:
+            assert memo.get_labeled(other) is None
 
 
 def networkx_oracle_graphs():
@@ -301,6 +307,36 @@ def test_edge_deletion_identity():
         deleted = counts_of(flipped(g.adj, u, v))
         contracted = counts_of(merged(g.adj, u, v)) + (0,)
         assert profile(g).counts == tuple(map(sub, deleted, contracted))
+
+
+def test_degree_2_elimination_identity():
+    # A degree-2 vertex v with non-adjacent neighbors a and b goes in one
+    # step: P(G) = (x-2)*P(G-v) + P((G-v)/ab).  In the falling-factorial
+    # basis, (x-2)*x^(k falling) = x^(k+1 falling) + (k-2)*x^(k falling).
+    rng = Random(22)
+    checked = 0
+    for _ in range(60):
+        base = random_graph(rng.randint(2, 8), rng, edge_prob=0.5)
+        non_edges = [(a, b) for a, b in combinations(range(base.n), 2)
+                     if not base.adj[a] >> b & 1]
+        if not non_edges:
+            continue
+        a, b = rng.choice(non_edges)
+        v = rng.randint(0, base.n)
+
+        def up(x):
+            return x + (x >= v)
+
+        g = Graph.from_edges(
+            base.n + 1, [(up(x), up(y)) for x, y in base.edges()] + [(v, up(a)), (v, up(b))]
+        )
+        rest = without_vertex(g.adj, v)
+        lower = counts_of(rest)
+        times = tuple((k - 2) * c + d for k, (c, d) in enumerate(zip(lower + (0,), (0,) + lower)))
+        contracted = counts_of(merged(rest, a, b)) + (0, 0)
+        assert brute_force_profile(g).counts == tuple(map(add, times, contracted))
+        checked += 1
+    assert checked >= 40
 
 
 def test_edge_addition_identity():
@@ -490,6 +526,23 @@ def test_dense_generic_graph_stays_within_work_bound():
     # One partition into singletons; one with a single pair per non-edge.
     assert counts[18] == 1
     assert counts[17] == 18 * 17 // 2 - len(g.edges())
+
+
+def test_sparse_generic_graph_stays_within_work_bound():
+    # Sparse graphs branch mostly at degree 2.  The bound is well above what
+    # this graph needs (about 27.6k graphs, eliminating each degree-2 vertex
+    # in one branch) and well below what deleting an edge at it stored
+    # (about 87.6k).
+    g = random_graph(24, Random(2), 0.2)
+    memo = ProfileCache()
+    counts = profile(g, memo).counts
+    assert len(memo) <= 45_000
+    # Reversed labels send the search down another path to the same counts.
+    mirrored = Graph.from_edges(24, [(23 - v, 23 - u) for u, v in g.edges()])
+    assert profile(mirrored, ProfileCache()).counts == counts
+    # One partition into singletons; one with a single pair per non-edge.
+    assert counts[24] == 1
+    assert counts[23] == 24 * 23 // 2 - len(g.edges())
 
 
 def test_engine_handles_structured_midsize_quickly():

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from graphbell.closed_forms import cycle_pk1_aggregates, h3_tail_aggregates
+from graphbell.coloring_engine import ProfileCache, profile
 from graphbell.errors import DomainError, UsageError
 from graphbell.inequality_verifier import (
     INEQUALITY_IDS,
@@ -14,7 +15,8 @@ from graphbell.inequality_verifier import (
     scan,
     summarize,
 )
-from graphbell.sequences import alt_binomial_sum, bell
+from graphbell.graph_core import FamilyKind, FamilySpec, build
+from graphbell.sequences import alt_binomial_sum, bell, stirling2
 
 GRID_IDS = [i for i in INEQUALITY_IDS if i != "PROP7_MIX"]
 PAIRS = [
@@ -197,6 +199,61 @@ def test_average_form_and_cross_multiplied_form_agree():
         for ra, rc in zip(a_reports, c_reports):
             assert (ra.n, ra.p) == (rc.n, rc.p)
             assert (ra.lhs, ra.rhs) == (rc.lhs, rc.rhs)
+
+
+def test_c9_and_c17_sides_from_stirling_rows():
+    # C9 and C17 call the same sums as their T_* partners, so for them
+    # test_average_form_and_cross_multiplied_form_agree checks nothing.  Here
+    # both sides are rebuilt from Bell numbers taken as Stirling row sums,
+    # with the sums written out.
+    bells = [sum(stirling2(m, k) for k in range(m + 1)) for m in range(36)]
+
+    def binomial_sum(m, p):  # sum_i C(p, i) * bell(m + i)
+        return sum(comb(p, i) * bells[m + i] for i in range(p + 1))
+
+    def alternating(n, s):  # sum_{j=1..n-1} (-1)^(j+1) * bell(n - j + s)
+        return sum((-1) ** (j + 1) * bells[n - j + s] for j in range(1, n))
+
+    def alternating_sum(n, shift, p):  # sum_i C(p, i) * alternating(n, shift + i)
+        return sum(comb(p, i) * alternating(n, shift + i) for i in range(p + 1))
+
+    expected = {
+        "C9": lambda n, p: (binomial_sum(n, p + 1) * binomial_sum(n, p),
+                            binomial_sum(n - 1, p + 1) * binomial_sum(n + 1, p)),
+        "C17": lambda n, p: (binomial_sum(n, p) * alternating_sum(n, 0, p),
+                             binomial_sum(n - 1, p) * alternating_sum(n, 1, p)),
+    }
+    for id, sides in expected.items():
+        reports = scan(id, 30, 3, explore=True)
+        assert {(r.n, r.p) for r in reports} == {
+            (n, p) for n in range(definition(id).eval_min, 31) for p in range(4)
+        }
+        for r in reports:
+            assert (r.lhs, r.rhs) == sides(r.n, r.p)
+
+
+def test_path_shift_and_cycle_vs_path_sides_match_profiles():
+    # The T_* sides cross-multiply closed-form aggregates; here each
+    # aggregate is the bell and total of the engine's profile of the built
+    # graph instead.
+    def aggregates(kind, n, p):
+        pr = profile(build(FamilySpec(kind, n, p=p)), ProfileCache())
+        return pr.bell, pr.total
+
+    def cross(lo, hi):
+        return lo[1] * hi[0], hi[1] * lo[0]
+
+    expected = {
+        "T_PATH_SHIFT": lambda n, p: cross(aggregates(FamilyKind.PATH, n, p + 1),
+                                           aggregates(FamilyKind.PATH, n + 1, p)),
+        "T_CYCLE_VS_PATH": lambda n, p: cross(aggregates(FamilyKind.PATH, n, p),
+                                              aggregates(FamilyKind.CYCLE, n, p)),
+    }
+    for id, sides in expected.items():
+        reports = scan(id, 10, 3, explore=True)
+        assert len(reports) == 4 * (11 - definition(id).eval_min)
+        for r in reports:
+            assert (r.lhs, r.rhs) == sides(r.n, r.p)
 
 
 def test_scan_capacity_guardrail():

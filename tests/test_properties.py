@@ -15,7 +15,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from graphbell.coloring_engine import (  # noqa: E402
     ProfileCache,
@@ -80,6 +80,26 @@ def test_no_partition_below_chromatic_number(g):
     chi = chromatic_number(g)
     assert all(c == 0 for c in counts[:chi])
     assert counts[chi] > 0
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_degree_2_elimination_matches_oracle(data):
+    # Plant v beside two non-adjacent vertices a and b of a drawn graph:
+    # counts(G, k) = (k-2)*counts(G-v, k) + counts(G-v, k-1) + counts((G-v)/ab, k).
+    base = data.draw(graphs())
+    non_edges = [(a, b) for a, b in combinations(range(base.n), 2) if not base.adj[a] >> b & 1]
+    assume(non_edges)
+    a, b = data.draw(st.sampled_from(non_edges))
+    v = data.draw(st.integers(0, base.n))
+    edges = [(x + (x >= v), y + (y >= v)) for x, y in base.edges()]
+    g = Graph.from_edges(base.n + 1, edges + [(v, a + (a >= v)), (v, b + (b >= v))])
+    rest = without_vertex(g.adj, v)
+    lower = profile(Graph(base.n, rest), ProfileCache()).counts
+    upper = profile(Graph(base.n - 1, merged(rest, a, b)), ProfileCache()).counts + (0, 0)
+    combined = [(k - 2) * c + d + e
+                for k, (c, d, e) in enumerate(zip(lower + (0,), (0,) + lower, upper))]
+    assert brute_force_profile(g).counts == tuple(combined)
 
 
 def relabelled(g: Graph, order: int, label) -> Graph:
