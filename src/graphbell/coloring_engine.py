@@ -34,20 +34,18 @@ from .graph_core import (
 ORACLE_STEP_BUDGET = 4_000_000
 
 
-# A NamedTuple class body may not define __new__, so the record subclasses
-# the functional form and checks its length in its own __new__.
-class StirlingProfile(NamedTuple("StirlingProfile", [("n", int), ("counts", tuple)])):
+class StirlingProfile(NamedTuple):
     """Count vector ``counts[k]`` of stable-set partitions with exactly k blocks.
 
-    A profile is an immutable tuple ``(n, counts)`` and compares as one.
+    A profile is an immutable one-field tuple ``(counts,)`` and compares as
+    one.  Its order ``n`` is ``len(counts) - 1``.
     """
 
-    __slots__ = ()
+    counts: tuple[int, ...]
 
-    def __new__(cls, n: int, counts: tuple[int, ...]):
-        if len(counts) != n + 1:
-            raise ValueError("profile needs exactly n+1 entries")
-        return super().__new__(cls, n, counts)
+    @property
+    def n(self) -> int:
+        return len(self.counts) - 1
 
     @property
     def bell(self) -> int:
@@ -142,7 +140,7 @@ def brute_force_profile(g: Graph) -> StirlingProfile:
             counts = get(s)
             continue
         if not stack:
-            return StirlingProfile(n, (0,) * (n + 1 - len(counts)) + counts[::-1])
+            return StirlingProfile((0,) * (n + 1 - len(counts)) + counts[::-1])
         top, rest_size, sums, levels = stack[-1]
         # Add each block's counts into the sums of the subset on top and move
         # to its next block, until a rest is not yet known or the subset is done.
@@ -211,7 +209,7 @@ def profile(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> Stirl
     caching.  Orders above ``PROFILE_MAX_ORDER`` raise ResourceError first.
     """
     check_order(g.n)
-    return StirlingProfile(g.n, _profile_counts(g.adj, memo))
+    return StirlingProfile(_profile_counts(g.adj, memo))
 
 
 def find_peel(adj: tuple[int, ...]):

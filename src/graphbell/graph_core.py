@@ -35,6 +35,13 @@ from .errors import DomainError, ResourceError, UsageError
 PROFILE_MAX_ORDER = 1024
 
 
+# The longest edge-list file ``load_edge_list`` reads, in characters.  The
+# largest valid list without comments, K_1024, is 3.9 MiB.  Parsing holds
+# every line at once, so a list at the cap made of short lines peaks at
+# about 0.37 GB, what ``cycle:1024`` costs the engine.
+EDGE_LIST_MAX_CHARS = 16 << 20
+
+
 def check_order(n: int) -> None:
     """Raise ResourceError if a graph of order ``n`` is above ``PROFILE_MAX_ORDER``."""
     if n > PROFILE_MAX_ORDER:
@@ -104,18 +111,21 @@ def flipped(adj: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
 
 
 class Graph(NamedTuple):
-    """Simple undirected labeled graph: order plus one adjacency bitmask per vertex.
+    """Simple undirected labeled graph: one adjacency bitmask per vertex.
 
-    A graph is an immutable tuple ``(n, adj)``: it hashes, compares and
-    orders as that tuple, so it also equals a plain tuple of the same two
-    fields.  Two graphs are equal when they have the same order and the same
-    labeled edge set.  Constructors are responsible for keeping the
-    adjacency symmetric and irreflexive; use :meth:`from_edges` for
-    validated input.
+    A graph is an immutable one-field tuple ``(adj,)``, and its order ``n``
+    is ``len(adj)``.  It hashes, compares and orders as that tuple, so it
+    also equals a plain tuple ``(adj,)``.  Two graphs are equal when they
+    have the same labeled edge set on the same vertices.  Constructors are
+    responsible for keeping the adjacency symmetric and irreflexive; use
+    :meth:`from_edges` for validated input.
     """
 
-    n: int
     adj: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.adj)
 
     @staticmethod
     def from_edges(n: int, edges=()) -> "Graph":
@@ -131,7 +141,7 @@ class Graph(NamedTuple):
                 raise UsageError(f"duplicate edge ({u},{v})")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        return Graph(n, tuple(masks))
+        return Graph(tuple(masks))
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges (u, v) with u < v, lexicographically sorted."""
@@ -151,7 +161,7 @@ class Graph(NamedTuple):
         self._require_vertex(v)
         if not self.adj[u] >> v & 1:  # also refuses u == v: there is no self-loop
             raise UsageError(f"delete_edge needs an existing edge, got ({u},{v})")
-        return Graph(self.n, flipped(self.adj, u, v))
+        return Graph(flipped(self.adj, u, v))
 
     def add_edge(self, u: int, v: int) -> "Graph":
         """Insert the edge {u, v}; the vertices must be distinct and non-adjacent."""
@@ -161,7 +171,7 @@ class Graph(NamedTuple):
             raise UsageError("add_edge needs two distinct vertices")
         if self.adj[u] >> v & 1:
             raise UsageError(f"edge ({u},{v}) already present")
-        return Graph(self.n, flipped(self.adj, u, v))
+        return Graph(flipped(self.adj, u, v))
 
     def merge(self, u: int, v: int) -> "Graph":
         """Identify u and v into a single vertex kept at min(u, v).
@@ -174,12 +184,12 @@ class Graph(NamedTuple):
         self._require_vertex(v)
         if u == v:
             raise UsageError("merge needs two distinct vertices")
-        return Graph(self.n - 1, merged(self.adj, min(u, v), max(u, v)))
+        return Graph(merged(self.adj, min(u, v), max(u, v)))
 
     def remove_vertex(self, v: int) -> "Graph":
         """Delete v and its incident edges; higher indices shift down by one."""
         self._require_vertex(v)
-        return Graph(self.n - 1, without_vertex(self.adj, v))
+        return Graph(without_vertex(self.adj, v))
 
 
 class FamilyKind(Enum):
@@ -381,12 +391,17 @@ def load_edge_list(path) -> Graph:
     """Read an edge-list file as UTF-8 text and parse it.
 
     A file that cannot be opened or is not valid UTF-8 raises UsageError.
+    At most ``EDGE_LIST_MAX_CHARS`` characters are read: a longer file, or
+    an endless one such as ``/dev/zero``, raises ResourceError before any
+    parsing.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read(EDGE_LIST_MAX_CHARS + 1)
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read edge list {path}: {exc}") from None
+    if len(text) > EDGE_LIST_MAX_CHARS:
+        raise ResourceError(f"edge list {path} is longer than {EDGE_LIST_MAX_CHARS} characters")
     return parse_edge_list(text)
 
 
@@ -406,4 +421,4 @@ def random_graph(n: int, rng: Random, edge_prob: float = 0.5) -> Graph:
             if draw() < edge_prob:
                 masks[u] |= 1 << v
                 masks[v] |= bit_u
-    return Graph(n, tuple(masks))
+    return Graph(tuple(masks))

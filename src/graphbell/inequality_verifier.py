@@ -113,6 +113,10 @@ class InequalityDef(NamedTuple):
     extensions: tuple[int, ...] = ()
     equality_points: tuple[int, ...] = ()
 
+    def in_range(self, n: int) -> bool:
+        """Whether the statement is asserted at ``n``: from ``n_min`` up, or an extension."""
+        return n >= self.n_min or n in self.extensions
+
 
 _DEFS: dict[str, InequalityDef] = {
     d.id: d
@@ -200,11 +204,13 @@ INEQUALITY_IDS = tuple(_DEFS)
 
 
 class InequalityReport(NamedTuple):
-    """One grid point: normalized sides, margin = rhs - lhs, strict iff margin > 0.
+    """One grid point: the normalized sides and where the point lies.
 
-    A point with ``expected_equality`` passes iff the margin is exactly zero;
-    every other in-range point passes iff the margin is positive.  A report
-    is an immutable tuple of its eleven fields and compares as one.
+    ``margin`` (``rhs - lhs``) and ``holds_strict`` (``rhs > lhs``) are
+    computed from the sides.  A point with ``expected_equality`` passes iff
+    the margin is exactly zero; every other in-range point passes iff the
+    claim holds strictly.  A report is an immutable tuple of its nine fields
+    and compares as one.
     """
 
     id: str
@@ -212,12 +218,18 @@ class InequalityReport(NamedTuple):
     p: int
     lhs: int
     rhs: int
-    margin: int
-    holds_strict: bool
     boundary_extension: bool = False
     in_range: bool = True
     expected_equality: bool = False
     seed: int | None = None
+
+    @property
+    def margin(self) -> int:
+        return self.rhs - self.lhs
+
+    @property
+    def holds_strict(self) -> bool:
+        return self.rhs > self.lhs
 
     @property
     def as_expected(self) -> bool:
@@ -260,27 +272,25 @@ def check(id: str, n: int, p: int = 0) -> InequalityReport:
     d = definition(id)
     if p < 0:
         raise DomainError("p must be nonnegative")
-    if n < d.n_min and n not in d.extensions:
+    if not d.in_range(n):
         raise DomainError(f"{id} holds for n >= {d.n_min}; n={n} is out of range")
-    return _evaluate(d, n, p if d.uses_p else 0, in_range=True)
+    return _evaluate(d, n, p if d.uses_p else 0)
 
 
-def _evaluate(d: InequalityDef, n: int, p: int, in_range: bool) -> InequalityReport:
+def _evaluate(d: InequalityDef, n: int, p: int) -> InequalityReport:
     seed = None
     if d.sides is None:
         seed = _point_seed(n, p)
         lhs, rhs = _prop7_sides(Random(seed))
     else:
         lhs, rhs = d.sides(n, p)
-    margin = rhs - lhs
+    in_range = d.in_range(n)
     return InequalityReport(
         id=d.id,
         n=n,
         p=p,
         lhs=lhs,
         rhs=rhs,
-        margin=margin,
-        holds_strict=margin > 0,
         boundary_extension=in_range and n < d.n_min,
         in_range=in_range,
         expected_equality=n in d.equality_points,
@@ -310,11 +320,10 @@ def scan(
     lowest = d.eval_min if explore else min(d.extensions + (d.n_min,))
     reports = []
     for n in range(lowest, n_max + 1):
-        in_range = n >= d.n_min or n in d.extensions
-        if not explore and not in_range:
+        if not explore and not d.in_range(n):
             continue
         for p in range(p_max + 1) if d.uses_p else (0,):
-            reports.append(_evaluate(d, n, p, in_range))
+            reports.append(_evaluate(d, n, p))
     return reports
 
 

@@ -405,7 +405,7 @@ def test_verify_summary_goes_to_stderr_once_with_json_or_csv(capsys, fmt):
 
 @pytest.mark.parametrize("fmt", ["--json", "--csv", None])
 def test_verify_violation_exits_4_and_is_counted(capsys, monkeypatch, fmt):
-    bad = InequalityReport("I1", 5, 0, lhs=3, rhs=2, margin=-1, holds_strict=False)
+    bad = InequalityReport("I1", 5, 0, lhs=3, rhs=2)
     monkeypatch.setattr(cli, "scan", lambda *a, **k: [bad])
     code, out, err = run_cli(capsys, "verify", "--id", "I1", "--n-max", "5",
                              *([fmt] if fmt else []))

@@ -15,7 +15,6 @@ from graphbell import coloring_engine, graph_core
 from graphbell.coloring_engine import (
     PROFILE_MAX_ORDER,
     ProfileCache,
-    StirlingProfile,
     avg_colors,
     bell_graph,
     brute_force_profile,
@@ -131,7 +130,7 @@ def test_oracle_ends_without_recursion_at_order_1024():
     # budget instead.
     n = 1024
     full = (1 << n) - 1
-    clique = Graph(n, tuple(full ^ 1 << v for v in range(n)))
+    clique = Graph(tuple(full ^ 1 << v for v in range(n)))
     assert brute_force_profile(clique).counts == (0,) * n + (1,)
     with pytest.raises(ResourceError):
         brute_force_profile(family(FamilyKind.EMPTY, n))
@@ -142,6 +141,10 @@ def test_profile_order_cap():
     memo = ProfileCache()
     with pytest.raises(ResourceError):
         profile(family(FamilyKind.EMPTY, PROFILE_MAX_ORDER + 1), memo)
+    # A graph built from its masks directly is refused the same way: its
+    # order is the number of masks.
+    with pytest.raises(ResourceError):
+        profile(Graph((0,) * (PROFILE_MAX_ORDER + 1)), memo)
     assert len(memo) == 0  # refused before any work
 
 
@@ -293,7 +296,7 @@ def test_engine_matches_networkx_chromatic_polynomial():
 
 def counts_of(adj):
     """Profile counts of a bare adjacency tuple, as the engine's rewrites leave it."""
-    return profile(Graph(len(adj), adj)).counts
+    return profile(Graph(adj)).counts
 
 
 def test_edge_deletion_identity():
@@ -498,7 +501,7 @@ def test_disjoint_union_stays_within_work_bound():
     # subproblems stores (about 420k).
     g1 = random_graph(12, Random(1))
     g2 = random_graph(11, Random(2))
-    g = Graph(23, g1.adj + tuple(mask << 12 for mask in g2.adj))
+    g = Graph(g1.adj + tuple(mask << 12 for mask in g2.adj))
     memo = ProfileCache()
     counts = profile(g, memo).counts
     assert len(memo) <= 10_000
@@ -572,11 +575,3 @@ def test_avg_colors_complete(n):
 def test_avg_colors_null_graph_rejected():
     with pytest.raises(DomainError):
         avg_colors(family(FamilyKind.EMPTY, 0))
-
-
-# --- profile value object ---------------------------------------------------------
-
-
-def test_profile_length_validated():
-    with pytest.raises(ValueError):
-        StirlingProfile(2, (1, 0))

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from graphbell import graph_core
 from graphbell.closed_forms import FamilyAggregates
 from graphbell.coloring_engine import StirlingProfile, find_peel
 from graphbell.errors import DomainError, ResourceError, UsageError
@@ -17,6 +18,7 @@ from graphbell.graph_core import (
     Graph,
     build,
     canonical_key,
+    load_edge_list,
     parse_edge_list,
     random_graph,
 )
@@ -230,13 +232,13 @@ def test_remove_vertex_shift_down():
 @pytest.mark.parametrize(
     "record,field",
     [
-        (Graph(2, (2, 1)), "n"),
+        (Graph((2, 1)), "n"),
         (FamilySpec(FamilyKind.PATH, 3), "p"),
         (CanonicalKey(b"\x00"), "data"),
-        (StirlingProfile(1, (0, 1)), "counts"),
+        (StirlingProfile((0, 1)), "counts"),
         (FamilyAggregates(2, 3), "b"),
         (definition("I1"), "n_min"),
-        (InequalityReport("I1", 5, 0, 1, 2, 1, True), "margin"),
+        (InequalityReport("I1", 5, 0, 1, 2), "margin"),
     ],
 )
 def test_records_are_immutable(record, field):
@@ -247,17 +249,18 @@ def test_records_are_immutable(record, field):
 
 
 def test_record_reprs_are_pinned():
-    assert repr(Graph(2, (2, 1))) == "Graph(n=2, adj=(2, 1))"
+    assert repr(Graph((2, 1))) == "Graph(adj=(2, 1))"
     assert repr(FamilySpec(FamilyKind.PATH, 3)) == (
         "FamilySpec(kind=<FamilyKind.PATH: 'path'>, n=3, r=0, p=0)"
     )
-    assert repr(StirlingProfile(1, (0, 1))) == "StirlingProfile(n=1, counts=(0, 1))"
+    assert repr(StirlingProfile((0, 1))) == "StirlingProfile(counts=(0, 1))"
+    assert StirlingProfile((0, 1)).n == 1
 
 
 def test_graph_hashes_and_compares_as_its_field_tuple():
-    for g in (Graph(0, ()), path(5), random_graph(9, Random(3))):
-        assert hash(g) == hash((g.n, g.adj))
-        assert g == (g.n, g.adj)
+    for g in (Graph(()), path(5), random_graph(9, Random(3))):
+        assert hash(g) == hash((g.adj,))
+        assert g == (g.adj,)
 
 
 # --- classification -----------------------------------------------------------
@@ -373,3 +376,16 @@ def test_parse_edge_list_order_cap():
     assert parse_edge_list(f"{PROFILE_MAX_ORDER} 0\n").n == PROFILE_MAX_ORDER
     with pytest.raises(ResourceError):
         parse_edge_list(f"{PROFILE_MAX_ORDER + 1} 0\n")
+
+
+def test_load_edge_list_length_cap(tmp_path, monkeypatch):
+    text = "3 1\n0 1  # edge\n"
+    monkeypatch.setattr(graph_core, "EDGE_LIST_MAX_CHARS", len(text))
+    f = tmp_path / "g.txt"
+    f.write_text(text)
+    assert load_edge_list(f) == Graph.from_edges(3, [(0, 1)])
+    f.write_text(text + "#")
+    with pytest.raises(ResourceError):
+        load_edge_list(f)
+    with pytest.raises(ResourceError):  # endless: only the cap ends the read
+        load_edge_list("/dev/zero")

@@ -126,6 +126,20 @@ def test_coinciding_families_report_exact_equality():
     assert r.expected_equality and r.margin == 0
 
 
+@pytest.mark.parametrize("id", INEQUALITY_IDS)
+def test_check_matches_scan_at_every_in_range_point(id):
+    # check and scan share one range rule: every explored point scan marks
+    # in range is the report check gives there, and check refuses the rest.
+    d = definition(id)
+    for r in scan(id, 9, 2, explore=True):
+        assert r.in_range == d.in_range(r.n)
+        if r.in_range:
+            assert check(id, r.n, r.p) == r
+        else:
+            with pytest.raises(DomainError):
+                check(id, r.n, r.p)
+
+
 def test_i_series_ignore_p():
     assert check("I1", 7, 3) == check("I1", 7, 0)
 
@@ -290,11 +304,11 @@ def test_prop7_reports_deterministic_and_seeded():
 def test_summarize_counts_expectation_deviations():
     from graphbell.inequality_verifier import InequalityReport
 
-    good = InequalityReport("I1", 5, 0, 1, 2, 1, True)
-    bad = InequalityReport("I1", 6, 0, 3, 2, -1, False)
-    eq_ok = InequalityReport("C14", 3, 0, 4, 4, 0, False, expected_equality=True)
-    eq_bad = InequalityReport("C14", 3, 1, 4, 5, 1, True, expected_equality=True)
-    oor = InequalityReport("I3", 2, 0, 2, 0, -2, False, in_range=False)
+    good = InequalityReport("I1", 5, 0, 1, 2)
+    bad = InequalityReport("I1", 6, 0, 3, 2)
+    eq_ok = InequalityReport("C14", 3, 0, 4, 4, expected_equality=True)
+    eq_bad = InequalityReport("C14", 3, 1, 4, 5, expected_equality=True)
+    oor = InequalityReport("I3", 2, 0, 2, 0, in_range=False)
     summary = summarize([good, bad, eq_ok, eq_bad, oor])
     assert summary["violations"] == 2
     assert summary["first_out_of_range_failure"] == (2, 0)

@@ -95,8 +95,8 @@ def test_degree_2_elimination_matches_oracle(data):
     edges = [(x + (x >= v), y + (y >= v)) for x, y in base.edges()]
     g = Graph.from_edges(base.n + 1, edges + [(v, a + (a >= v)), (v, b + (b >= v))])
     rest = without_vertex(g.adj, v)
-    lower = profile(Graph(base.n, rest), ProfileCache()).counts
-    upper = profile(Graph(base.n - 1, merged(rest, a, b)), ProfileCache()).counts + (0, 0)
+    lower = profile(Graph(rest), ProfileCache()).counts
+    upper = profile(Graph(merged(rest, a, b)), ProfileCache()).counts + (0, 0)
     combined = [(k - 2) * c + d + e
                 for k, (c, d, e) in enumerate(zip(lower + (0,), (0,) + lower, upper))]
     assert brute_force_profile(g).counts == tuple(combined)
