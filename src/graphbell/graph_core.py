@@ -35,10 +35,8 @@ from .errors import DomainError, ResourceError, UsageError
 PROFILE_MAX_ORDER = 1024
 
 
-# The longest edge-list file ``load_edge_list`` reads, in characters.  The
-# largest valid list without comments, K_1024, is 3.9 MiB.  Parsing holds
-# every line at once, so a list at the cap made of short lines peaks at
-# about 0.37 GB, what ``cycle:1024`` costs the engine.
+# The longest edge-list file ``load_edge_list`` reads, in characters.  Parsing
+# holds every line at once, so parse memory sets the cap.
 EDGE_LIST_MAX_CHARS = 16 << 20
 
 

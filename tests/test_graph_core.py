@@ -239,6 +239,8 @@ def test_remove_vertex_shift_down():
         (FamilyAggregates(2, 3), "b"),
         (definition("I1"), "n_min"),
         (InequalityReport("I1", 5, 0, 1, 2), "margin"),
+        (Graph((2, 1)), "adj"),
+        (InequalityReport("I1", 5, 0, 1, 2), "lhs"),
     ],
 )
 def test_records_are_immutable(record, field):
