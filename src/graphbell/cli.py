@@ -67,14 +67,11 @@ def _frac_str(fr: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator}"
 
 
-def _approx_str(fr: Fraction, digits: int = 4) -> str:
-    """Rounded decimal rendering via integer arithmetic (display only)."""
-    scale = 10**digits
-    neg = fr < 0
+def _approx_str(fr: Fraction) -> str:
+    """Rounded to four decimal places via integer arithmetic (display only)."""
     num, den = abs(fr.numerator), fr.denominator
-    q = (2 * num * scale + den) // (2 * den)
-    whole, frac = divmod(q, scale)
-    return f"{'-' if neg else ''}{whole}.{frac:0{digits}d}"
+    whole, frac = divmod((2 * num * 10**4 + den) // (2 * den), 10**4)
+    return f"{'-' if fr < 0 else ''}{whole}.{frac:04d}"
 
 
 def _emit(args, obj, header, rows, text) -> None:
@@ -224,9 +221,7 @@ def _report_line(r) -> str:
         flags += " [out-of-range]"
     if r.expected_equality:
         flags += " [families coincide]"
-        verdict = "EQUALITY" if r.margin == 0 else "VIOLATION"
-    else:
-        verdict = "OK" if r.holds_strict else "VIOLATION"
+    verdict = ("EQUALITY" if r.expected_equality else "OK") if r.as_expected else "VIOLATION"
     return (
         f"{r.id} n={r.n} p={r.p} lhs={r.lhs} rhs={r.rhs} "
         f"margin={r.margin} {verdict}{flags}"

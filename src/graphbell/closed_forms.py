@@ -33,15 +33,11 @@ class FamilyAggregates(NamedTuple):
         return Fraction(self.t, self.b)
 
 
-def tree_aggregates(n: int) -> FamilyAggregates:
-    """Any tree of order n: b = bell(n-1), t = bell(n), independent of shape."""
-    return tree_pk1_aggregates(n, 0)
-
-
 def tree_pk1_aggregates(n: int, p: int) -> FamilyAggregates:
     """A tree of order n plus p isolated vertices, as binomial Bell sums.
 
     b = sum_i C(p, i) * bell(n+i-1) and t = sum_i C(p, i) * bell(n+i).
+    At p = 0 that is b = bell(n-1) and t = bell(n), whatever the tree's shape.
     """
     if n < 1:
         raise DomainError("a tree has at least one vertex")
@@ -51,29 +47,12 @@ def tree_pk1_aggregates(n: int, p: int) -> FamilyAggregates:
     return FamilyAggregates(bell_binomial_sum(n - 1, p), t)
 
 
-def cycle_aggregates(n: int) -> FamilyAggregates:
-    """A cycle of order n >= 3, as alternating Bell sums."""
-    return hnr_pk1_aggregates(n, 0, 0)
-
-
-def cycle_pk1_aggregates(n: int, p: int) -> FamilyAggregates:
-    """A cycle of order n >= 3 plus p isolated vertices: a tailed cycle with no tail."""
-    return hnr_pk1_aggregates(n, 0, p)
-
-
-def h3_tail_aggregates(m: int, p: int) -> FamilyAggregates:
-    """A triangle with a tail of m path vertices, plus p isolated vertices.
-
-    This is the tailed cycle of order 3.  Both aggregates equal the
-    order-(m+3) path value minus the order-(m+2) path value.
-    """
-    return hnr_pk1_aggregates(3, m, p)
-
-
 def hnr_pk1_aggregates(n: int, r: int, p: int) -> FamilyAggregates:
     """A cycle of order n with an r-vertex tail, plus p isolated vertices.
 
-    The one closed form for every cycle-type family.  A plain cycle plus p
+    The one closed form for every cycle-type family: a plain cycle is r = 0,
+    and the tailed triangle n = 3, whose aggregates are the order-(r+3)
+    tree value minus the order-(r+2) one.  A plain cycle plus p
     isolated vertices has b = sum_i C(p, i) * alt(n, i) and t shifts each
     alternating Bell sum alt up by one (Duncan & Peele, J. Integer Seq. 12,
     2009).  A tail of r vertices shifts every Bell index by r:
@@ -99,7 +78,7 @@ def lemma15_identity_check(n: int, p: int) -> bool:
     """
     if n < 3 or p < 0:
         raise DomainError("identity check requires n >= 3 and p >= 0")
-    lhs = cycle_pk1_aggregates(n, p + 2)
+    lhs = hnr_pk1_aggregates(n, 0, p + 2)
     terms = [hnr_pk1_aggregates(n, r, p) for r in (2, 1, 0)]
     rhs_b = terms[0].b + 2 * terms[1].b + terms[2].b
     rhs_t = terms[0].t + 2 * terms[1].t + terms[2].t
@@ -122,12 +101,14 @@ def complete_aggregates(n: int) -> FamilyAggregates:
 
 
 def aggregates_for(spec: FamilySpec) -> FamilyAggregates:
-    """Dispatch a family spec to its closed form (trees cover path and star)."""
+    """Dispatch a family spec to its closed form.
+
+    Trees cover path, star and caterpillar; a cycle is the tailed cycle with
+    r = 0, which ``FamilySpec`` enforces.
+    """
     if spec.kind in (FamilyKind.PATH, FamilyKind.STAR, FamilyKind.CATERPILLAR):
         return tree_pk1_aggregates(spec.n, spec.p)
-    if spec.kind is FamilyKind.CYCLE:
-        return cycle_pk1_aggregates(spec.n, spec.p)
-    if spec.kind is FamilyKind.HNR:
+    if spec.kind in (FamilyKind.CYCLE, FamilyKind.HNR):
         return hnr_pk1_aggregates(spec.n, spec.r, spec.p)
     if spec.kind is FamilyKind.EMPTY:
         return empty_aggregates(spec.n + spec.p)

@@ -329,17 +329,3 @@ def _profile_counts(adj: tuple[int, ...], memo: ProfileCache | None) -> tuple[in
         todo += (adj, add, merged(adj, keep, drop), flipped(adj, keep, drop))
     return done.pop()
 
-
-def bell_graph(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> int:
-    """Number of partitions of the vertex set into stable sets."""
-    return profile(g, memo).bell
-
-
-def total_graph(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> int:
-    """Total number of stable sets over all such partitions."""
-    return profile(g, memo).total
-
-
-def avg_colors(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> Fraction:
-    """Exact average number of color classes; requires at least one vertex."""
-    return profile(g, memo).average

@@ -238,8 +238,6 @@ def build(spec: FamilySpec) -> Graph:
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     elif spec.kind is FamilyKind.PATH:
         edges = [(i, i + 1) for i in range(n - 1)]
-    elif spec.kind is FamilyKind.CYCLE:
-        edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
     elif spec.kind is FamilyKind.STAR:
         edges = [(0, i) for i in range(1, n)]
     elif spec.kind is FamilyKind.CATERPILLAR:
@@ -248,7 +246,7 @@ def build(spec: FamilySpec) -> Graph:
         s = (n + 1) // 2
         edges = [(i, i + 1) for i in range(s - 1)]
         edges += [(i, s + i) for i in range(n - s)]
-    elif spec.kind is FamilyKind.HNR:
+    elif spec.kind in (FamilyKind.CYCLE, FamilyKind.HNR):  # a cycle has r = 0
         edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
         if r > 0:
             edges.append((0, n))
@@ -265,9 +263,6 @@ class CanonicalKey(NamedTuple):
     """
 
     data: bytes
-
-    def hex(self) -> str:
-        return self.data.hex()
 
 
 def canonical_key(g: Graph) -> CanonicalKey:

@@ -34,7 +34,7 @@ def _c9(n, p):
 
 
 def _t_h3_vs_path(n, p):
-    return _cross(cf.h3_tail_aggregates(n - 3, p), cf.tree_pk1_aggregates(n + 1, p))
+    return _cross(cf.hnr_pk1_aggregates(3, n - 3, p), cf.tree_pk1_aggregates(n + 1, p))
 
 
 def _c11(n, p):
@@ -43,7 +43,7 @@ def _c11(n, p):
 
 
 def _t_cycle_vs_h3(n, p):
-    return _cross(cf.cycle_pk1_aggregates(n, p), cf.h3_tail_aggregates(n - 3, p))
+    return _cross(cf.hnr_pk1_aggregates(n, 0, p), cf.hnr_pk1_aggregates(3, n - 3, p))
 
 
 def _c14(n, p):
@@ -54,7 +54,7 @@ def _c14(n, p):
 
 
 def _t_cycle_vs_path(n, p):
-    return _cross(cf.tree_pk1_aggregates(n, p), cf.cycle_pk1_aggregates(n, p))
+    return _cross(cf.tree_pk1_aggregates(n, p), cf.hnr_pk1_aggregates(n, 0, p))
 
 
 def _c17(n, p):
@@ -63,7 +63,7 @@ def _c17(n, p):
 
 
 def _t_cycle_drop2(n, p):
-    return _cross(cf.cycle_pk1_aggregates(n - 2, p + 2), cf.cycle_pk1_aggregates(n, p))
+    return _cross(cf.hnr_pk1_aggregates(n - 2, 0, p + 2), cf.hnr_pk1_aggregates(n, 0, p))
 
 
 def _i1(n, _p):

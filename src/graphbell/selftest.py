@@ -20,8 +20,11 @@ def _all_graphs(n: int):
         yield Graph.from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
 
 
-def run(seed: int = 12345, n_max: int = 12, p_max: int = 2) -> dict:
-    """Run the suite and return a deterministic, JSON-ready report."""
+def run(seed: int, n_max: int, p_max: int) -> dict:
+    """Run the suite and return a deterministic, JSON-ready report.
+
+    The defaults of all three live in the CLI's ``selftest`` options.
+    """
     memo = ProfileCache()
     graphs = [g for n in range(EXHAUSTIVE_MAX_ORDER + 1) for g in _all_graphs(n)]
     checked = len(graphs)

@@ -134,18 +134,6 @@ class BigSeqCache:
                 self._stirling.append(srow)
         return self._stirling[n][k]
 
-    def two_bell(self, n: int) -> int:
-        """Total block count over all partitions of an (n+1)-set."""
-        if n < 0:
-            raise DomainError("2-Bell index must be nonnegative")
-        return self.bell(n + 2) - self.bell(n + 1)
-
-    def avg_blocks(self, n: int) -> Fraction:
-        """Exact average number of blocks in a partition of an n-set (n >= 1)."""
-        if n < 1:
-            raise DomainError("average block count requires n >= 1")
-        return Fraction(self.two_bell(n - 1), self.bell(n))
-
     def bell_binomial_sum(self, m: int, p: int) -> int:
         """Sum of C(p, i) * bell(m + i) for i = 0..p.
 
@@ -166,24 +154,20 @@ class BigSeqCache:
         alternating prefix sums P, term i is
         (-1)**(n+shift+1) * (-1)**i * (P[n+shift-1+i] - P[shift+i]), so the
         sum is two dot products of the signed binomial row with two slices
-        of P.  At shift = -1 the first term reads P[-1] = 0, so the second
-        slice starts one term later.  The sum is 0 for n < 2; otherwise
-        shift < -1 raises DomainError, and an index past HARD_MAX_TERMS
-        ResourceError, before any term grows.
+        of P.  The sum is 0 for n < 2; otherwise a negative shift raises
+        DomainError, and an index past HARD_MAX_TERMS ResourceError, before
+        any term grows.
         """
         if n < 2:
             return 0
-        if 1 + shift < 0:
-            raise DomainError("alternating Bell sum would need a negative Bell index")
+        if shift < 0:
+            raise DomainError("the alternating Bell sum shift must be nonnegative")
         top = n + shift - 1
         self.ensure(top + p)
         row = _binomial_row(p, signed=True)
         prefix = self._alt_prefix
         diff = sum(map(mul, row, prefix[top : top + p + 1]))
-        if shift >= 0:
-            diff -= sum(map(mul, row, prefix[shift : shift + p + 1]))
-        else:
-            diff -= sum(map(mul, row[1:], prefix[:p]))
+        diff -= sum(map(mul, row, prefix[shift : shift + p + 1]))
         return -diff if (n + shift) % 2 == 0 else diff
 
 
@@ -203,11 +187,17 @@ def stirling2(n: int, k: int) -> int:
 
 
 def two_bell(n: int) -> int:
-    return _SHARED.two_bell(n)
+    """Total block count over all partitions of an (n+1)-set."""
+    if n < 0:
+        raise DomainError("2-Bell index must be nonnegative")
+    return bell(n + 2) - bell(n + 1)
 
 
 def avg_blocks(n: int) -> Fraction:
-    return _SHARED.avg_blocks(n)
+    """Exact average number of blocks in a partition of an n-set (n >= 1)."""
+    if n < 1:
+        raise DomainError("average block count requires n >= 1")
+    return Fraction(two_bell(n - 1), bell(n))
 
 
 def bell_binomial_sum(m: int, p: int) -> int:

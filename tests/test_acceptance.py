@@ -12,16 +12,8 @@ from fractions import Fraction
 from itertools import combinations
 from random import Random
 
-from graphbell.closed_forms import (
-    cycle_aggregates,
-    cycle_pk1_aggregates,
-    h3_tail_aggregates,
-    hnr_pk1_aggregates,
-    lemma15_identity_check,
-    tree_aggregates,
-    tree_pk1_aggregates,
-)
-from graphbell.coloring_engine import ProfileCache, avg_colors, brute_force_profile, profile
+from graphbell.closed_forms import hnr_pk1_aggregates, lemma15_identity_check, tree_pk1_aggregates
+from graphbell.coloring_engine import ProfileCache, brute_force_profile, profile
 from graphbell.graph_core import FamilyKind, FamilySpec, Graph, build, random_graph
 from graphbell.inequality_verifier import check, scan, summarize
 from graphbell.sequences import bell, stirling2, two_bell
@@ -101,7 +93,7 @@ def test_criterion_4_closed_form_equivalence():
 
         mismatches = []
         for n in range(1, 10):
-            agg = tree_aggregates(n)
+            agg = tree_pk1_aggregates(n, 0)
             shapes = [build(FamilySpec(FamilyKind.PATH, n)), build(FamilySpec(FamilyKind.STAR, n))]
             for g in shapes:
                 if engine_bt(g) != (agg.b, agg.t):
@@ -114,13 +106,13 @@ def test_criterion_4_closed_form_equivalence():
                     if engine_bt(with_isolated(g, p)) != (agg.b, agg.t):
                         mismatches.append(("tree_pk1", n, p))
         for n in range(3, 10):
-            agg = cycle_aggregates(n)
+            agg = hnr_pk1_aggregates(n, 0, 0)
             if engine_bt(build(FamilySpec(FamilyKind.CYCLE, n))) != (agg.b, agg.t):
                 mismatches.append(("cycle", n))
             for p in range(0, 3):
                 if n + p > 10:
                     continue
-                agg = cycle_pk1_aggregates(n, p)
+                agg = hnr_pk1_aggregates(n, 0, p)
                 g = build(FamilySpec(FamilyKind.CYCLE, n, p=p))
                 if engine_bt(g) != (agg.b, agg.t):
                     mismatches.append(("cycle_pk1", n, p))
@@ -128,7 +120,7 @@ def test_criterion_4_closed_form_equivalence():
             for p in range(0, 3):
                 if 3 + m + p > 10:
                     continue
-                agg = h3_tail_aggregates(m, p)
+                agg = hnr_pk1_aggregates(3, m, p)
                 g = build(FamilySpec(FamilyKind.HNR, 3, r=m, p=p))
                 if engine_bt(g) != (agg.b, agg.t):
                     mismatches.append(("h3_tail", m, p))
@@ -152,7 +144,7 @@ def test_criterion_5_reduction_identities():
             g = Graph.from_edges(
                 base.n + 1, base.edges() + [(v, base.n) for v in range(base.n)]
             )
-            assert avg_colors(g) == 1 + avg_colors(base)
+            assert profile(g).average == 1 + profile(base).average
         for _ in range(50):
             base = random_graph(rng.randint(2, 7), rng)
             clique = [rng.randrange(base.n)]
@@ -164,7 +156,7 @@ def test_criterion_5_reduction_identities():
                     if len(clique) >= 3:
                         break
             g = Graph.from_edges(base.n + 1, base.edges() + [(x, base.n) for x in clique])
-            assert avg_colors(g) > avg_colors(base)
+            assert profile(g).average > profile(base).average
 
 
 def test_criterion_6_lemma_checks():
@@ -176,7 +168,7 @@ def test_criterion_6_lemma_checks():
             for r in range(0, 4):
                 for p in range(0, 3):
                     whole = hnr_pk1_aggregates(n, r, p)
-                    parts_b = h3_tail_aggregates(n - 3 + r, p).b + hnr_pk1_aggregates(n - 2, r, p).b
+                    parts_b = hnr_pk1_aggregates(3, n - 3 + r, p).b + hnr_pk1_aggregates(n - 2, r, p).b
                     assert whole.b == parts_b
 
 

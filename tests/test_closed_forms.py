@@ -1,6 +1,7 @@
 """Closed-form family aggregates against the engine and against each other."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -9,13 +10,9 @@ from graphbell.closed_forms import (
     FamilyAggregates,
     aggregates_for,
     complete_aggregates,
-    cycle_aggregates,
-    cycle_pk1_aggregates,
     empty_aggregates,
-    h3_tail_aggregates,
     hnr_pk1_aggregates,
     lemma15_identity_check,
-    tree_aggregates,
     tree_pk1_aggregates,
 )
 from graphbell.coloring_engine import ProfileCache, profile
@@ -39,22 +36,22 @@ def with_isolated(g, p):
 
 
 def test_tree_aggregates_values():
-    a4 = tree_aggregates(4)
+    a4 = tree_pk1_aggregates(4, 0)
     assert (a4.b, a4.t) == (5, 15)
-    a1 = tree_aggregates(1)
+    a1 = tree_pk1_aggregates(1, 0)
     assert (a1.b, a1.t, a1.a) == (1, 1, Fraction(1))
 
 
 def test_tree_aggregates_rejects_zero():
     with pytest.raises(DomainError):
-        tree_aggregates(0)
+        tree_pk1_aggregates(0, 0)
     with pytest.raises(DomainError):
         tree_pk1_aggregates(0, 1)
 
 
 def test_tree_shape_independence():
     for n in range(1, 8):
-        expected = (tree_aggregates(n).b, tree_aggregates(n).t)
+        expected = (tree_pk1_aggregates(n, 0).b, tree_pk1_aggregates(n, 0).t)
         for kind in (FamilyKind.PATH, FamilyKind.STAR, FamilyKind.CATERPILLAR):
             assert engine_bt(build(FamilySpec(kind, n))) == expected
 
@@ -78,24 +75,28 @@ def test_tree_pk1_matches_engine():
 
 
 def test_cycle_aggregates_values():
-    assert (cycle_aggregates(5).b, cycle_aggregates(5).t) == (11, 40)
-    assert (cycle_aggregates(3).b, cycle_aggregates(3).t) == (1, 3)
-    assert (cycle_aggregates(4).b, cycle_aggregates(4).t) == (4, 12)
+    assert (hnr_pk1_aggregates(5, 0, 0).b, hnr_pk1_aggregates(5, 0, 0).t) == (11, 40)
+    assert (hnr_pk1_aggregates(3, 0, 0).b, hnr_pk1_aggregates(3, 0, 0).t) == (1, 3)
+    assert (hnr_pk1_aggregates(4, 0, 0).b, hnr_pk1_aggregates(4, 0, 0).t) == (4, 12)
 
 
 def test_cycle_aggregates_domain():
     with pytest.raises(DomainError):
-        cycle_aggregates(2)
+        hnr_pk1_aggregates(2, 0, 0)
 
 
 def test_cycle_pk1_reduces_to_cycle():
+    # With no isolated vertex, b and t are single alternating Bell sums.
+    def alternating(n, s):
+        return sum((-1) ** (j + 1) * bell(n - j + s) for j in range(1, n))
+
     for n in range(3, 10):
-        assert cycle_pk1_aggregates(n, 0) == cycle_aggregates(n)
+        assert hnr_pk1_aggregates(n, 0, 0) == FamilyAggregates(alternating(n, 0), alternating(n, 1))
 
 
 def test_cycle_pk1_c3_one_isolated():
     # formula and engine agree; the value is 4 stable-set partitions
-    agg = cycle_pk1_aggregates(3, 1)
+    agg = hnr_pk1_aggregates(3, 0, 1)
     g = with_isolated(build(FamilySpec(FamilyKind.CYCLE, 3)), 1)
     assert (agg.b, agg.t) == engine_bt(g) == (4, 13)
 
@@ -103,45 +104,51 @@ def test_cycle_pk1_c3_one_isolated():
 def test_cycle_pk1_matches_engine():
     for n in range(3, 8):
         for p in range(3):
-            agg = cycle_pk1_aggregates(n, p)
+            agg = hnr_pk1_aggregates(n, 0, p)
             g = with_isolated(build(FamilySpec(FamilyKind.CYCLE, n)), p)
             assert engine_bt(g) == (agg.b, agg.t)
 
 
 def test_cycle_telescoping():
     for n in range(4, 26):
-        assert cycle_aggregates(n).b == tree_aggregates(n).b - cycle_aggregates(n - 1).b
-        assert cycle_aggregates(n).t == tree_aggregates(n).t - cycle_aggregates(n - 1).t
+        cycle, tree, smaller = (
+            hnr_pk1_aggregates(n, 0, 0), tree_pk1_aggregates(n, 0), hnr_pk1_aggregates(n - 1, 0, 0)
+        )
+        assert cycle.b == tree.b - smaller.b
+        assert cycle.t == tree.t - smaller.t
 
 
 # --- tailed triangles and tailed cycles ----------------------------------------------
 
 
 def test_h3_tail_values():
-    assert h3_tail_aggregates(0, 0).b == bell(2) - bell(1) == 1
-    assert h3_tail_aggregates(1, 0).b == bell(3) - bell(2) == 3
+    assert hnr_pk1_aggregates(3, 0, 0).b == bell(2) - bell(1) == 1
+    assert hnr_pk1_aggregates(3, 1, 0).b == bell(3) - bell(2) == 3
     paw = build(FamilySpec(FamilyKind.HNR, 3, r=1))
-    assert engine_bt(paw) == (h3_tail_aggregates(1, 0).b, h3_tail_aggregates(1, 0).t)
+    assert engine_bt(paw) == (hnr_pk1_aggregates(3, 1, 0).b, hnr_pk1_aggregates(3, 1, 0).t)
 
 
 def test_h3_tail_matches_engine():
     for m in range(0, 4):
         for p in range(3):
-            agg = h3_tail_aggregates(m, p)
+            agg = hnr_pk1_aggregates(3, m, p)
             g = build(FamilySpec(FamilyKind.HNR, 3, r=m, p=p))
             assert engine_bt(g) == (agg.b, agg.t)
 
 
 def test_hnr_triangle_case_collapses_to_h3_tail():
+    # At n = 3 each alternating Bell sum has two terms: A(3, s) = bell(s+2) - bell(s+1).
+    def two_terms(s, p):
+        return sum(comb(p, i) * (bell(s + i + 2) - bell(s + i + 1)) for i in range(p + 1))
+
     for r in range(4):
         for p in range(3):
-            assert hnr_pk1_aggregates(3, r, p) == h3_tail_aggregates(r, p)
+            assert hnr_pk1_aggregates(3, r, p) == FamilyAggregates(two_terms(r, p), two_terms(r + 1, p))
 
 
 def test_hnr_4_0_0_matches_cycle4():
     agg = hnr_pk1_aggregates(4, 0, 0)
-    assert agg.b == 4 == cycle_aggregates(4).b
-    assert agg.t == cycle_aggregates(4).t
+    assert (agg.b, agg.t) == (4, 12)
 
 
 def test_hnr_matches_engine_h51():
@@ -150,11 +157,12 @@ def test_hnr_matches_engine_h51():
 
 
 def test_hnr_zero_tail_is_cycle_family():
+    # Against the engine on a cycle listed edge by edge, not built from a spec.
     for n in range(3, 11):
         for p in range(3):
             hn = hnr_pk1_aggregates(n, 0, p)
-            cy = cycle_pk1_aggregates(n, p)
-            assert (hn.b, hn.t) == (cy.b, cy.t)
+            cycle = Graph.from_edges(n + p, [(i, (i + 1) % n) for i in range(n)])
+            assert (hn.b, hn.t) == engine_bt(cycle)
 
 
 def test_h3_tail_is_path_difference():
@@ -162,7 +170,7 @@ def test_h3_tail_is_path_difference():
     for m in range(41):
         for p in range(6):
             big, small = tree_pk1_aggregates(m + 3, p), tree_pk1_aggregates(m + 2, p)
-            assert h3_tail_aggregates(m, p) == FamilyAggregates(big.b - small.b, big.t - small.t)
+            assert hnr_pk1_aggregates(3, m, p) == FamilyAggregates(big.b - small.b, big.t - small.t)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 13])
@@ -180,7 +188,7 @@ def test_hnr_two_step_recursion():
         for r in range(4):
             for p in range(3):
                 whole = hnr_pk1_aggregates(n, r, p)
-                tri = h3_tail_aggregates(n - 3 + r, p)
+                tri = hnr_pk1_aggregates(3, n - 3 + r, p)
                 drop = hnr_pk1_aggregates(n - 2, r, p)
                 assert whole.b == tri.b + drop.b
                 assert whole.t == tri.t + drop.t
@@ -218,7 +226,7 @@ def test_complete_aggregates():
 
 def test_aggregates_for_dispatch():
     assert aggregates_for(FamilySpec(FamilyKind.STAR, 5, p=1)).b == tree_pk1_aggregates(5, 1).b
-    assert aggregates_for(FamilySpec(FamilyKind.CYCLE, 6, p=2)).b == cycle_pk1_aggregates(6, 2).b
+    assert aggregates_for(FamilySpec(FamilyKind.CYCLE, 6, p=2)).b == hnr_pk1_aggregates(6, 0, 2).b
     assert aggregates_for(FamilySpec(FamilyKind.HNR, 5, r=2, p=1)).b == hnr_pk1_aggregates(5, 2, 1).b
     assert aggregates_for(FamilySpec(FamilyKind.EMPTY, 4)).b == bell(4)
     assert aggregates_for(FamilySpec(FamilyKind.COMPLETE, 4)).t == 4
@@ -234,15 +242,16 @@ def test_aggregates_for_dispatch():
 
 @pytest.mark.parametrize("form,args", [
     (tree_pk1_aggregates, (20, 0)),
-    (cycle_pk1_aggregates, (20, 0)),
-    (h3_tail_aggregates, (17, 0)),
+    # The plain cycle and the tailed triangle go through the tailed-cycle form too.
+    pytest.param(hnr_pk1_aggregates, (20, 0, 0), id="cycle"),
+    pytest.param(hnr_pk1_aggregates, (3, 17, 0), id="tailed-triangle"),
     (hnr_pk1_aggregates, (15, 5, 0)),
     (lemma15_identity_check, (18, 0)),
 ], ids=lambda x: getattr(x, "__name__", str(x)))
 def test_closed_forms_refuse_past_the_bell_cap_before_any_term(monkeypatch, form, args):
     # Each call reads Bell index 20, one past a cap of 20 terms, and must be
-    # refused while the column still holds only bell(0).  One order lower,
-    # the same form is answered.
+    # refused while the column still holds only bell(0).  With one term more
+    # of cap, the same call is answered.
     monkeypatch.setattr(sequences, "HARD_MAX_TERMS", 20)
     cache = sequences.BigSeqCache()
     monkeypatch.setattr(sequences, "_SHARED", cache)
@@ -250,14 +259,15 @@ def test_closed_forms_refuse_past_the_bell_cap_before_any_term(monkeypatch, form
                        match="^requested capacity 21 exceeds the hard cap of 20 terms$"):
         form(*args)
     assert len(cache._bell) == 1
-    form(args[0] - 1, *args[1:])
+    monkeypatch.setattr(sequences, "HARD_MAX_TERMS", 21)
+    form(*args)
 
 
 def test_aggregate_invariants():
     samples = [
         tree_pk1_aggregates(4, 2),
-        cycle_pk1_aggregates(6, 1),
-        h3_tail_aggregates(2, 2),
+        hnr_pk1_aggregates(6, 0, 1),
+        hnr_pk1_aggregates(3, 2, 2),
         hnr_pk1_aggregates(7, 2, 1),
     ]
     for agg in samples:

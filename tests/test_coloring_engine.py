@@ -15,14 +15,11 @@ from graphbell import coloring_engine, graph_core
 from graphbell.coloring_engine import (
     PROFILE_MAX_ORDER,
     ProfileCache,
-    avg_colors,
-    bell_graph,
     brute_force_profile,
     check_order,
     profile,
-    total_graph,
 )
-from graphbell.closed_forms import cycle_aggregates
+from graphbell.closed_forms import hnr_pk1_aggregates
 from graphbell.errors import DomainError, ResourceError
 from graphbell.graph_core import (
     FamilyKind,
@@ -367,7 +364,7 @@ def test_dominating_vertex_shifts_average_by_one():
         g = Graph.from_edges(
             base.n + 1, base.edges() + [(v, base.n) for v in range(base.n)]
         )
-        assert avg_colors(g) == 1 + avg_colors(base)
+        assert profile(g).average == 1 + profile(base).average
 
 
 def plant_simplicial(base, rng):
@@ -388,7 +385,7 @@ def test_simplicial_vertex_strictly_raises_average():
     for _ in range(30):
         base = random_graph(rng.randint(2, 7), rng)
         g = plant_simplicial(base, rng)
-        assert avg_colors(g) > avg_colors(base)
+        assert profile(g).average > profile(base).average
 
 
 def test_isolated_vertex_convolution():
@@ -431,7 +428,7 @@ def test_profile_never_fingerprints(monkeypatch):
         expected = brute_force_profile(g)
         assert profile(g, ProfileCache()) == profile(g) == expected
     pr = profile(family(FamilyKind.CYCLE, 14), ProfileCache())
-    agg = cycle_aggregates(14)
+    agg = hnr_pk1_aggregates(14, 0, 0)
     assert pr.bell == agg.b and pr.total == agg.t
 
 
@@ -550,7 +547,7 @@ def test_sparse_generic_graph_stays_within_work_bound():
 
 def test_engine_handles_structured_midsize_quickly():
     pr = profile(family(FamilyKind.CYCLE, 14), ProfileCache())
-    agg = cycle_aggregates(14)
+    agg = hnr_pk1_aggregates(14, 0, 0)
     assert pr.bell == agg.b and pr.total == agg.t
 
 
@@ -558,20 +555,20 @@ def test_engine_handles_structured_midsize_quickly():
 
 
 def test_avg_colors_c5():
-    assert avg_colors(family(FamilyKind.CYCLE, 5)) == Fraction(40, 11)
+    assert profile(family(FamilyKind.CYCLE, 5)).average == Fraction(40, 11)
 
 
 def test_avg_colors_empty3():
-    assert avg_colors(family(FamilyKind.EMPTY, 3)) == Fraction(10, 5) == 2
+    assert profile(family(FamilyKind.EMPTY, 3)).average == Fraction(10, 5) == 2
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_avg_colors_complete(n):
     g = family(FamilyKind.COMPLETE, n)
-    assert avg_colors(g) == n
-    assert bell_graph(g) == 1 and total_graph(g) == n
+    assert profile(g).average == n
+    assert profile(g).bell == 1 and profile(g).total == n
 
 
 def test_avg_colors_null_graph_rejected():
     with pytest.raises(DomainError):
-        avg_colors(family(FamilyKind.EMPTY, 0))
+        profile(family(FamilyKind.EMPTY, 0)).average

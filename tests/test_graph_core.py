@@ -327,7 +327,7 @@ def test_key_distinguishes_refinement_equivalent_graphs():
 def test_key_stable_across_processes(child_env):
     snippet = (
         "from graphbell.graph_core import FamilySpec, FamilyKind, build, canonical_key;"
-        "print(canonical_key(build(FamilySpec(FamilyKind.CYCLE, 5))).hex())"
+        "print(canonical_key(build(FamilySpec(FamilyKind.CYCLE, 5))).data.hex())"
     )
     runs = [
         subprocess.run(
@@ -337,7 +337,7 @@ def test_key_stable_across_processes(child_env):
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
-    assert runs[0].strip() == canonical_key(cycle(5)).hex()
+    assert runs[0].strip() == canonical_key(cycle(5)).data.hex()
 
 
 # --- edge-list format ----------------------------------------------------------

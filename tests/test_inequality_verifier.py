@@ -1,10 +1,13 @@
 """Named inequality checks: spot values, grid scans, and report semantics."""
 
+import csv
+import io
 from math import comb
 
 import pytest
 
-from graphbell.closed_forms import cycle_pk1_aggregates, h3_tail_aggregates
+from graphbell.cli import _REPORT_FIELDS, _report_row
+from graphbell.closed_forms import hnr_pk1_aggregates
 from graphbell.coloring_engine import ProfileCache, profile
 from graphbell.errors import DomainError, UsageError
 from graphbell.inequality_verifier import (
@@ -67,15 +70,15 @@ def test_cycle_vs_path_spot():
 
 def test_cycle_drop2_spot():
     r = check("T_CYCLE_DROP2", 5, 0)
-    small = cycle_pk1_aggregates(3, 2)
-    big = cycle_pk1_aggregates(5, 0)
+    small = hnr_pk1_aggregates(3, 0, 2)
+    big = hnr_pk1_aggregates(5, 0, 0)
     assert (small.b, small.t) == (17, 60)
     assert (r.lhs, r.rhs) == (small.t * big.b, big.t * small.b) == (660, 680)
 
 
 def test_h3_vs_path_spot():
     r = check("T_H3_VS_PATH", 4, 0)
-    lo = h3_tail_aggregates(1, 0)
+    lo = hnr_pk1_aggregates(3, 1, 0)
     assert (lo.b, lo.t) == (3, 10)
     assert (r.lhs, r.rhs) == (150, 156)
 
@@ -84,10 +87,20 @@ def test_h3_vs_path_spot():
 
 
 def test_margin_matches_strictness_everywhere():
+    # Read back from the JSON and CSV renderings, not from the report's own
+    # properties: margin = rhs - lhs, and strict exactly when it is positive.
     for id in GRID_IDS:
-        for r in scan(id, 12, 2):
-            assert r.margin == r.rhs - r.lhs
-            assert r.holds_strict == (r.margin > 0)
+        reports = scan(id, 12, 2)
+        buf = io.StringIO()
+        csv.writer(buf).writerows(map(_report_row, reports))
+        rows = [dict(zip(_REPORT_FIELDS, row)) for row in csv.reader(io.StringIO(buf.getvalue()))]
+        assert len(rows) == len(reports)
+        for r, row in zip(reports, rows):
+            d = r.as_dict()
+            assert int(d["margin"]) == int(d["rhs"]) - int(d["lhs"])
+            assert d["holds_strict"] is (int(d["margin"]) > 0)
+            assert int(row["margin"]) == int(row["rhs"]) - int(row["lhs"])
+            assert row["holds_strict"] == ("true" if int(row["margin"]) > 0 else "false")
 
 
 def test_out_of_range_check_names_bound():
@@ -180,7 +193,7 @@ def test_cycle_sums_match_direct_double_sum():
             b, t = direct_cycle_sum(n, p, 0), direct_cycle_sum(n, p, 1)
             assert (alt_binomial_sum(n, 0, p), alt_binomial_sum(n, 1, p)) == (b, t)
             if n >= 3:
-                agg = cycle_pk1_aggregates(n, p)
+                agg = hnr_pk1_aggregates(n, 0, p)
                 assert (agg.b, agg.t) == (b, t)
 
 
