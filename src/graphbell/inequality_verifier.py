@@ -365,13 +365,14 @@ def _prop7_sides(rng: Random) -> tuple[int, int]:
     """
     while True:
         h = profile(random_graph(rng.randint(4, 7), rng))
+        h_bell, h_total = h.bell, h.total
         partners = []
         ok = True
         for _ in range(rng.randint(1, 3)):
             found = None
             for _ in range(60):
                 f = profile(random_graph(rng.randint(4, 7), rng))
-                if f.total * h.bell < h.total * f.bell:
+                if f.total * h_bell < h_total * f.bell:
                     found = f
                     break
             if found is None:
@@ -382,9 +383,9 @@ def _prop7_sides(rng: Random) -> tuple[int, int]:
             # reference average too small to dominate anything; redraw H
             continue
         weights = [rng.randint(1, 5) for _ in partners]
-        mix_b = h.bell + sum(w * f.bell for w, f in zip(weights, partners))
-        mix_t = h.total + sum(w * f.total for w, f in zip(weights, partners))
-        return mix_t * h.bell, mix_b * h.total
+        mix_b = h_bell + sum(w * f.bell for w, f in zip(weights, partners))
+        mix_t = h_total + sum(w * f.total for w, f in zip(weights, partners))
+        return mix_t * h_bell, mix_b * h_total
 
 
 def prop7_sample_check(trials: int, seed: int) -> bool:

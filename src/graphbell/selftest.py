@@ -2,22 +2,15 @@
 
 from __future__ import annotations
 
-from itertools import combinations
 from random import Random
 
 from .coloring_engine import ProfileCache, brute_force_profile, profile
-from .graph_core import Graph, random_graph
+from .graph_core import all_graphs, random_graph
 from .inequality_verifier import INEQUALITY_IDS, prop7_sample_check, scan, summarize
 
 EXHAUSTIVE_MAX_ORDER = 4
 RANDOM_GRAPHS = 60
 PROP7_TRIALS = 20
-
-
-def _all_graphs(n: int):
-    pairs = list(combinations(range(n), 2))
-    for bits in range(1 << len(pairs)):
-        yield Graph.from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
 
 
 def run(seed: int, n_max: int, p_max: int) -> dict:
@@ -26,7 +19,7 @@ def run(seed: int, n_max: int, p_max: int) -> dict:
     The defaults of all three live in the CLI's ``selftest`` options.
     """
     memo = ProfileCache()
-    graphs = [g for n in range(EXHAUSTIVE_MAX_ORDER + 1) for g in _all_graphs(n)]
+    graphs = [g for n in range(EXHAUSTIVE_MAX_ORDER + 1) for g in all_graphs(n)]
     checked = len(graphs)
     rng = Random(seed)
     graphs += [random_graph(5 + i % 4, rng) for i in range(RANDOM_GRAPHS)]

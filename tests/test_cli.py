@@ -14,7 +14,7 @@ from graphbell import cli, sequences
 from graphbell.cli import main, parse_family
 from graphbell.coloring_engine import PROFILE_MAX_ORDER
 from graphbell.errors import DomainError, GraphBellError, ResourceError, UsageError
-from graphbell.graph_core import FamilyKind, FamilySpec, Graph
+from graphbell.graph_core import EDGE_LIST_MAX_CHARS, FamilyKind, FamilySpec, Graph
 from graphbell.inequality_verifier import INEQUALITY_IDS, InequalityReport
 from graphbell.sequences import STIRLING_MAX_ROWS, shared_cache, stirling2
 
@@ -191,19 +191,31 @@ _PEAK_RSS = (
 )
 
 
-def peak_kb(env, *args):
-    """Peak RSS in kB of ``python -m graphbell`` with ``args``, which must exit 0."""
+def peak_kb(env, *args, code=0):
+    """Peak RSS in kB of ``python -m graphbell`` with ``args``, which must exit ``code``."""
     argv = [sys.executable, "-m", "graphbell", *args]
     proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv],
                           capture_output=True, text=True, check=True, env=env, timeout=120)
-    code, kb = map(int, proc.stdout.split())
-    assert code == 0
+    status, kb = map(int, proc.stdout.split())
+    assert status == code
     return kb
 
 
 def test_seq_stirling_json_peak_memory_matches_text(child_env):
     argv = ("seq", "--kind", "stirling2", "--n", "300")
     assert peak_kb(child_env, *argv, "--json") <= 1.25 * peak_kb(child_env, *argv)
+
+
+def test_edge_list_with_too_many_lines_is_read_only_past_the_header_count(child_env, tmp_path):
+    # A full-size file, header "3 1" and then 4.2M lines "0 1": reading stops
+    # at the second edge line, so the parse costs about the file's text on
+    # top of the interpreter.  Splitting every line first peaked at 365 MB.
+    f = tmp_path / "long.txt"
+    f.write_text("3 1\n" + "0 1\n" * (EDGE_LIST_MAX_CHARS // 4 - 1))
+    assert f.stat().st_size == EDGE_LIST_MAX_CHARS
+    text_kb = EDGE_LIST_MAX_CHARS >> 10
+    base = peak_kb(child_env, "compute", "--family", "path:8")
+    assert peak_kb(child_env, "compute", "--edges", str(f), code=1) <= base + 4 * text_kb
 
 
 def test_compute_path_peak_memory_stays_near_a_small_path(child_env):

@@ -146,10 +146,14 @@ def test_profile_order_cap():
 
 
 def test_engine_matches_oracle_exhaustive_small():
+    # The 76 labeled graphs on 0-4 vertices are the rows of the engine's
+    # base-case table, so the table itself is checked row by row.
+    graphs = [g for n in range(coloring_engine.SMALL_ORDER + 1) for g in all_graphs(n)]
+    expected = {g.adj: brute_force_profile(g).counts for g in graphs}
+    assert len(expected) == 76 and coloring_engine._SMALL == expected
     memo = ProfileCache()
-    for n in range(5):
-        for g in all_graphs(n):
-            assert profile(g, memo) == brute_force_profile(g)
+    for g in graphs:
+        assert profile(g, memo).counts == expected[g.adj]
 
 
 def test_engine_matches_oracle_random():
@@ -286,6 +290,25 @@ def test_engine_matches_networkx_chromatic_polynomial():
         counts = profile(g, ProfileCache()).counts
         for m in range(g.n + 1):
             assert sum(c * perm(m, k) for k, c in enumerate(counts)) == poly.subs(x, m)
+
+
+@pytest.mark.parametrize("small_order", [coloring_engine.SMALL_ORDER, 0])
+def test_engine_matches_oracle_on_every_atlas_graph(monkeypatch, small_order):
+    # Every graph on at most 7 vertices, one per isomorphism class, under
+    # four seeded relabellings each: the engine picks vertices by index, so
+    # each relabelling can take another branch path.  With the table cut to
+    # the null graph, the rules alone reach every leaf.
+    nx = pytest.importorskip("networkx")
+    monkeypatch.setattr(coloring_engine, "SMALL_ORDER", small_order)
+    rng = Random(29)
+    atlas = nx.graph_atlas_g()
+    assert len(atlas) == 1253
+    for h in atlas:
+        n = h.number_of_nodes()
+        for _ in range(4):
+            label = rng.sample(range(n), n)
+            g = Graph.from_edges(n, [(label[u], label[v]) for u, v in h.edges()])
+            assert profile(g, ProfileCache()) == brute_force_profile(g), g
 
 
 # --- deletion- and addition-contraction identities as data ------------------------
@@ -458,7 +481,8 @@ def test_memo_length_counts_labeled_entries():
     g = family(FamilyKind.PATH, 300)
     counts = profile(g, memo)
     assert list(memo) == [g.adj] and memo.stored == {g.adj}
-    assert len(memo.looked_up) == 300  # every non-null graph of the chain
+    # every graph of the chain above the table's order
+    assert len(memo.looked_up) == 300 - coloring_engine.SMALL_ORDER
     memo.looked_up.clear()
     assert profile(g, memo) == counts and memo.looked_up == {g.adj}  # one lookup, a hit
     assert profile(g, None) == counts
