@@ -38,11 +38,8 @@ PROFILE_MAX_ORDER = 1024
 
 
 # The longest edge-list file ``load_edge_list`` reads, in characters.  The
-# parser keeps at most the header's m + 1 edge lines, so a file with more
-# lines than its header says costs little beyond its text (16 MiB under a
-# header "3 1": 49 MB peak RSS, 2-vCPU box, Python 3.11).  A header whose m
-# matches millions of short lines holds them all, and that sets the cap:
-# 4.2M lines "0 1" in 16 MiB peak at 0.64 GB.
+# text is held whole while it is parsed, so the cap bounds that memory and
+# ends the read of an endless file.
 EDGE_LIST_MAX_CHARS = 16 << 20
 
 
@@ -375,9 +372,10 @@ def parse_edge_list(text: str) -> Graph:
 
     Indices are 0-based; everything after ``#`` on a line is a comment.  An
     order above ``PROFILE_MAX_ORDER`` raises ResourceError as soon as the
-    header is read, before any per-vertex allocation.  Lines are read one at
-    a time and reading stops at the (m+1)-th edge line, so a file with too
-    many lines costs no more than m + 1 of them.
+    header is read, before any per-vertex allocation.  Each edge line goes
+    into ``Graph.from_edges`` as it is read, and reading stops at the
+    (m+1)-th, so memory follows the order, not the file.  The first fault
+    in file order is reported.
     """
     rows = filter(None, (raw.group().split("#", 1)[0].strip() for raw in _LINE.finditer(text)))
     header = next(rows, None)
@@ -393,23 +391,24 @@ def parse_edge_list(text: str) -> Graph:
     if n < 0 or m < 0:
         raise UsageError("header counts must be nonnegative")
     check_order(n)
-    body = []
-    for line in rows:
-        if len(body) == m:
-            raise UsageError(f"expected {m} edge lines, found more than {m}")
-        body.append(line)
-    if len(body) != m:
-        raise UsageError(f"expected {m} edge lines, found {len(body)}")
-    edges = []
-    for line in body:
-        parts = line.split()
-        if len(parts) != 2:
-            raise UsageError(f"malformed edge line {line!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise UsageError(f"non-integer edge line {line!r}") from None
-    return Graph.from_edges(n, edges)
+
+    def edges():
+        found = 0
+        for found, line in enumerate(rows, 1):
+            if found > m:
+                raise UsageError(f"expected {m} edge lines, found more than {m}")
+            parts = line.split()
+            if len(parts) != 2:
+                raise UsageError(f"malformed edge line {line!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise UsageError(f"non-integer edge line {line!r}") from None
+            yield u, v
+        if found != m:
+            raise UsageError(f"expected {m} edge lines, found {found}")
+
+    return Graph.from_edges(n, edges())
 
 
 def load_edge_list(path) -> Graph:

@@ -101,7 +101,6 @@ class InequalityDef(NamedTuple):
     flagged in reports.  ``equality_points`` are in-range n values where the
     two sides provably coincide (the compared families are the same graph);
     there the verifier asserts an exact zero margin instead of strictness.
-    ``sides`` is None for a sampled check, whose sides are drawn per point.
     """
 
     id: str
@@ -109,7 +108,7 @@ class InequalityDef(NamedTuple):
     n_min: int
     eval_min: int
     uses_p: bool
-    sides: Callable[[int, int], tuple[int, int]] | None
+    sides: Callable[[int, int], tuple[int, int]]
     extensions: tuple[int, ...] = ()
     equality_points: tuple[int, ...] = ()
 
@@ -195,7 +194,7 @@ _DEFS: dict[str, InequalityDef] = {
         InequalityDef(
             "PROP7_MIX",
             "averages mix below the larger one: seeded random-instance check of the mediant bound",
-            1, 1, False, None,
+            1, 1, False, lambda n, p: _prop7_sides(Random(_point_seed(n, p))),
         ),
     ]
 }
@@ -204,13 +203,14 @@ INEQUALITY_IDS = tuple(_DEFS)
 
 
 class InequalityReport(NamedTuple):
-    """One grid point: the normalized sides and where the point lies.
+    """One grid point: the normalized sides of statement ``id`` at (n, p).
 
-    ``margin`` (``rhs - lhs``) and ``holds_strict`` (``rhs > lhs``) are
-    computed from the sides.  A point with ``expected_equality`` passes iff
-    the margin is exactly zero; every other in-range point passes iff the
-    claim holds strictly.  A report is an immutable tuple of its nine fields
-    and compares as one.
+    Everything else is derived: ``margin`` and ``holds_strict`` from the
+    sides, the range flags from the statement table and ``seed`` from the
+    point.  A point with ``expected_equality`` passes iff the margin is
+    exactly zero; every other in-range point passes iff the claim holds
+    strictly.  A report is an immutable tuple of its five fields and
+    compares as one.
     """
 
     id: str
@@ -218,10 +218,23 @@ class InequalityReport(NamedTuple):
     p: int
     lhs: int
     rhs: int
-    boundary_extension: bool = False
-    in_range: bool = True
-    expected_equality: bool = False
-    seed: int | None = None
+
+    @property
+    def in_range(self) -> bool:
+        return _DEFS[self.id].in_range(self.n)
+
+    @property
+    def boundary_extension(self) -> bool:
+        return self.n in _DEFS[self.id].extensions
+
+    @property
+    def expected_equality(self) -> bool:
+        return self.n in _DEFS[self.id].equality_points
+
+    @property
+    def seed(self) -> int | None:
+        """The instance seed of the sampled statement; None for every other."""
+        return _point_seed(self.n, self.p) if self.id == "PROP7_MIX" else None
 
     @property
     def margin(self) -> int:
@@ -274,28 +287,8 @@ def check(id: str, n: int, p: int = 0) -> InequalityReport:
         raise DomainError("p must be nonnegative")
     if not d.in_range(n):
         raise DomainError(f"{id} holds for n >= {d.n_min}; n={n} is out of range")
-    return _evaluate(d, n, p if d.uses_p else 0)
-
-
-def _evaluate(d: InequalityDef, n: int, p: int) -> InequalityReport:
-    seed = None
-    if d.sides is None:
-        seed = _point_seed(n, p)
-        lhs, rhs = _prop7_sides(Random(seed))
-    else:
-        lhs, rhs = d.sides(n, p)
-    in_range = d.in_range(n)
-    return InequalityReport(
-        id=d.id,
-        n=n,
-        p=p,
-        lhs=lhs,
-        rhs=rhs,
-        boundary_extension=in_range and n < d.n_min,
-        in_range=in_range,
-        expected_equality=n in d.equality_points,
-        seed=seed,
-    )
+    p = p if d.uses_p else 0
+    return InequalityReport(d.id, n, p, *d.sides(n, p))
 
 
 def scan(
@@ -323,7 +316,7 @@ def scan(
         if not explore and not d.in_range(n):
             continue
         for p in range(p_max + 1) if d.uses_p else (0,):
-            reports.append(_evaluate(d, n, p))
+            reports.append(InequalityReport(d.id, n, p, *d.sides(n, p)))
     return reports
 
 

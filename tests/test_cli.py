@@ -207,15 +207,19 @@ def test_seq_stirling_json_peak_memory_matches_text(child_env):
 
 
 def test_edge_list_with_too_many_lines_is_read_only_past_the_header_count(child_env, tmp_path):
-    # A full-size file, header "3 1" and then 4.2M lines "0 1": reading stops
-    # at the second edge line, so the parse costs about the file's text on
-    # top of the interpreter.  Splitting every line first peaked at 365 MB.
-    f = tmp_path / "long.txt"
-    f.write_text("3 1\n" + "0 1\n" * (EDGE_LIST_MAX_CHARS // 4 - 1))
-    assert f.stat().st_size == EDGE_LIST_MAX_CHARS
+    # Full-size files of 4.2M lines "0 1".  Under the header "3 1" reading
+    # stops at the second edge line; under a header that counts every line,
+    # each edge goes into the masks as it is read, and the first duplicate
+    # ends the parse.  Either way the parse costs about the file's text on
+    # top of the interpreter.  Splitting every line first peaked at 365 MB,
+    # and holding every line and edge of the second file at 636 MB.
     text_kb = EDGE_LIST_MAX_CHARS >> 10
     base = peak_kb(child_env, "compute", "--family", "path:8")
-    assert peak_kb(child_env, "compute", "--edges", str(f), code=1) <= base + 4 * text_kb
+    f = tmp_path / "long.txt"
+    for header, m in (("3 1", EDGE_LIST_MAX_CHARS // 4 - 1), ("3 4194301", 4194301)):
+        f.write_text(f"{header}\n" + "0 1\n" * m)
+        assert EDGE_LIST_MAX_CHARS - 4 < f.stat().st_size <= EDGE_LIST_MAX_CHARS
+        assert peak_kb(child_env, "compute", "--edges", str(f), code=1) <= base + 4 * text_kb
 
 
 def test_compute_path_peak_memory_stays_near_a_small_path(child_env):

@@ -257,6 +257,10 @@ def test_record_reprs_are_pinned():
     )
     assert repr(StirlingProfile((0, 1))) == "StirlingProfile(counts=(0, 1))"
     assert StirlingProfile((0, 1)).n == 1
+    assert InequalityReport._fields == ("id", "n", "p", "lhs", "rhs")
+    assert repr(InequalityReport("I1", 5, 0, 1, 2)) == (
+        "InequalityReport(id='I1', n=5, p=0, lhs=1, rhs=2)"
+    )
 
 
 def test_graph_hashes_and_compares_as_its_field_tuple():

@@ -309,6 +309,7 @@ def test_prop7_reports_deterministic_and_seeded():
     assert len(a) == 8
     assert all(r.seed is not None for r in a)
     assert all(r.holds_strict for r in a)
+    assert check("I1", 5).seed is None  # only the sampled statement has one
 
 
 # --- violation accounting (synthetic, since the real grids are all clean) -------------
@@ -319,9 +320,14 @@ def test_summarize_counts_expectation_deviations():
 
     good = InequalityReport("I1", 5, 0, 1, 2)
     bad = InequalityReport("I1", 6, 0, 3, 2)
-    eq_ok = InequalityReport("C14", 3, 0, 4, 4, expected_equality=True)
-    eq_bad = InequalityReport("C14", 3, 1, 4, 5, expected_equality=True)
-    oor = InequalityReport("I3", 2, 0, 2, 0, in_range=False)
-    summary = summarize([good, bad, eq_ok, eq_bad, oor])
+    eq_ok = InequalityReport("C14", 3, 0, 4, 4)
+    eq_bad = InequalityReport("C14", 3, 1, 4, 5)
+    oor = InequalityReport("I3", 2, 0, 2, 0)
+    ext = InequalityReport("I4", 2, 0, 1, 2)
+    # The flags are read from the statement table, not stored.
+    assert eq_ok.expected_equality and eq_bad.expected_equality
+    assert not oor.in_range and not oor.boundary_extension
+    assert ext.boundary_extension and ext.in_range and not good.boundary_extension
+    summary = summarize([good, bad, eq_ok, eq_bad, oor, ext])
     assert summary["violations"] == 2
     assert summary["first_out_of_range_failure"] == (2, 0)
