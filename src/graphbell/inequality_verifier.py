@@ -303,21 +303,31 @@ def scan(
     By default only the documented validity range is covered (extension
     points included, flagged).  With ``explore`` every evaluable n is
     covered and sub-range points are marked not-in-range rather than
-    asserted.
+    asserted.  The Bell column is grown through ``n_max + p_max + 5`` first,
+    so a grid past the Bell cap is refused before any term grows.  While
+    the scan runs, the shared cache serves binomial Bell sums from
+    Pascal-rule columns (``BigSeqCache.open_columns``), one addition per
+    sum; they are dropped when the scan ends, also when it raises.
     """
     d = definition(id)
     if n_max < 0 or p_max < 0:
         raise DomainError("scan bounds must be nonnegative")
-    shared_cache().grow_capacity(n_max + p_max + 6)
+    cache = shared_cache()
+    cache.ensure(n_max + p_max + 5)
 
     lowest = d.eval_min if explore else min(d.extensions + (d.n_min,))
-    reports = []
-    for n in range(lowest, n_max + 1):
-        if not explore and not d.in_range(n):
-            continue
-        for p in range(p_max + 1) if d.uses_p else (0,):
-            reports.append(InequalityReport(d.id, n, p, *d.sides(n, p)))
-    return reports
+    # Every statement reads its sums at indices up to n_max + 1.
+    cache.open_columns(n_max + 2)
+    try:
+        reports = []
+        for n in range(lowest, n_max + 1):
+            if not explore and not d.in_range(n):
+                continue
+            for p in range(p_max + 1) if d.uses_p else (0,):
+                reports.append(InequalityReport(d.id, n, p, *d.sides(n, p)))
+        return reports
+    finally:
+        cache.close_columns()
 
 
 def summarize(reports: list[InequalityReport]) -> dict:

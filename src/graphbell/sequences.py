@@ -10,10 +10,13 @@ every alternating Bell sum is one subtraction (``alt_binomial_sum`` at
 p = 0).  A binomial Bell sum sum_i C(p, i) * bell(m + i), and its
 alternating counterpart, is one dot product of a binomial row with one
 slice of a cached column, so a family with p isolated vertices costs one
-call, not p + 1.  The Stirling triangle is grown only as far as
-``stirling2`` has been asked, so Bell lookups cost memory linear in the
-index.  Each table has one hard cap, checked before it grows:
-``HARD_MAX_TERMS`` Bell terms and ``STIRLING_MAX_ROWS`` triangle rows.
+call, not p + 1.  While a scan runs, both kinds are read instead from
+Pascal-rule columns (``open_columns``): a sum is one addition from the
+previous column, and the columns hold about one sum per scanned point.
+The Stirling triangle is grown only as far as ``stirling2`` has been
+asked, so Bell lookups cost memory linear in the index.  Each table has
+one hard cap, checked before it grows: ``HARD_MAX_TERMS`` Bell terms and
+``STIRLING_MAX_ROWS`` triangle rows.
 Everything is exact integer or Fraction arithmetic; there is no floating
 point anywhere in this module.
 """
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import DomainError, ResourceError
 
@@ -70,6 +73,10 @@ class BigSeqCache:
         self._alt_prefix: list[int] = [1]
         self._bell_triangle_row: list[int] = [1]
         self._stirling: list[list[int]] = [[1]]
+        # Pascal-rule columns of binomial sums, open only while a scan runs.
+        self._sum_cols: list[list[int]] | None = None
+        self._alt_cols: list[list[int]] | None = None
+        self._kept = 0
 
     def grow_capacity(self, terms: int) -> None:
         """Raise ResourceError at once if ``terms`` Bell terms exceed the hard cap.
@@ -134,15 +141,53 @@ class BigSeqCache:
                 self._stirling.append(srow)
         return self._stirling[n][k]
 
+    def open_columns(self, kept: int) -> None:
+        """Serve binomial sums from Pascal-rule columns until ``close_columns``.
+
+        Column p of the Bell sums holds S_p[m] = ``bell_binomial_sum(m, p)``;
+        column p of the alternating sums holds
+        Q_p[j] = sum_i C(p, i) * (-1)**i * P[j + i] over the alternating
+        prefix column P.  Column 0 is the cache's own Bell or prefix column.
+        Column p is built the first time it is read, from column p-1 in one
+        pass: S_p[m] = S_{p-1}[m] + S_{p-1}[m+1] and
+        Q_p[j] = Q_{p-1}[j] - Q_{p-1}[j+1], so a sum costs one addition.
+        Once column p+1 is built, column p (p >= 1) is cut to its first
+        ``kept`` entries, so memory follows the indices read, not a Pascal
+        triangle.  A read past a column's end takes the dot product.
+        """
+        self._sum_cols = [self._bell]
+        self._alt_cols = [self._alt_prefix]
+        self._kept = kept
+
+    def close_columns(self) -> None:
+        """Drop the columns: every binomial sum takes the dot product again."""
+        self._sum_cols = self._alt_cols = None
+
+    def _column(self, p: int, alt: bool) -> list[int] | tuple[()]:
+        """Column p of the open columns, built on first use; () when none is open."""
+        cols = self._alt_cols if alt else self._sum_cols
+        if cols is None or p < 0:
+            return ()
+        while len(cols) <= p:
+            prev = cols[-1]
+            cols.append(list(map(sub if alt else add, prev, prev[1:])))
+            if len(cols) > 2:
+                del prev[self._kept :]
+        return cols[p]
+
     def bell_binomial_sum(self, m: int, p: int) -> int:
         """Sum of C(p, i) * bell(m + i) for i = 0..p.
 
-        One dot product of a binomial row with the slice bell[m : m+p+1].
+        Read from column p while columns are open and it reaches m; else one
+        dot product of a binomial row with the slice bell[m : m+p+1].
         Raises DomainError for a negative m or p, and ResourceError before
         any term grows if m + p >= HARD_MAX_TERMS.
         """
         if m < 0:
             raise DomainError("Bell index must be nonnegative")
+        col = self._column(p, alt=False)
+        if m < len(col):
+            return col[m]
         self.ensure(m + p)
         return sum(map(mul, _binomial_row(p), self._bell[m : m + p + 1]))
 
@@ -153,8 +198,10 @@ class BigSeqCache:
         the alternating Bell sum; p = 0 gives A(n, shift) alone.  With the
         alternating prefix sums P, term i is
         (-1)**(n+shift+1) * (-1)**i * (P[n+shift-1+i] - P[shift+i]), so the
-        sum is two dot products of the signed binomial row with two slices
-        of P.  The sum is 0 for n < 2; otherwise a negative shift raises
+        sum is ±(Q_p[n+shift-1] - Q_p[shift]) with Q_p as in ``open_columns``:
+        one subtraction while column p is open and reaches n+shift-1, else
+        two dot products of the signed binomial row with two slices of P.
+        The sum is 0 for n < 2; otherwise a negative shift raises
         DomainError, and an index past HARD_MAX_TERMS ResourceError, before
         any term grows.
         """
@@ -163,11 +210,15 @@ class BigSeqCache:
         if shift < 0:
             raise DomainError("the alternating Bell sum shift must be nonnegative")
         top = n + shift - 1
-        self.ensure(top + p)
-        row = _binomial_row(p, signed=True)
-        prefix = self._alt_prefix
-        diff = sum(map(mul, row, prefix[top : top + p + 1]))
-        diff -= sum(map(mul, row, prefix[shift : shift + p + 1]))
+        col = self._column(p, alt=True)
+        if top < len(col):
+            diff = col[top] - col[shift]
+        else:
+            self.ensure(top + p)
+            row = _binomial_row(p, signed=True)
+            prefix = self._alt_prefix
+            diff = sum(map(mul, row, prefix[top : top + p + 1]))
+            diff -= sum(map(mul, row, prefix[shift : shift + p + 1]))
         return -diff if (n + shift) % 2 == 0 else diff
 
 

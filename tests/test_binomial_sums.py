@@ -6,7 +6,8 @@ the alternating Bell sum A(n, s) = sum_j (-1)**(j+1) * bell(n - j + s), j = 1..n
 is ``alt_binomial_sum(n, s, 0)``.
 Each is checked against its per-term sum, and the Bell sum also against
 the Stirling triangle, whose recurrence shares nothing with the Bell
-column.  The settings profile registered in ``conftest.py`` derandomizes
+column.  The Pascal-rule columns a scan reads from are checked against
+the same per-term sums.  The settings profile registered in ``conftest.py`` derandomizes
 the search.
 """
 
@@ -60,6 +61,38 @@ def test_alt_binomial_sum_is_its_per_term_sum(n, shift, p):
         for j in range(1, n)
     )
     assert expected == direct
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(0, 110), st.integers(1, 30),
+    st.integers(0, 60), st.integers(0, 5), st.integers(0, P_MAX),
+)
+def test_column_sums_are_their_per_term_sums(grown, kept, m, shift, p):
+    # Columns opened over a Bell column of ``grown + 1`` terms and cut to
+    # ``kept`` entries.  Column p + 1 is read first, so column p (p >= 1)
+    # is already cut: a read past the end of a cut or short column must
+    # fall back to the dot product and give the same sum.
+    cache = BigSeqCache()
+    cache.ensure(grown)
+    cache.open_columns(kept)
+    try:
+        cache.bell_binomial_sum(0, p + 1)
+        cache.alt_binomial_sum(2, 0, p + 1)
+        if p >= 1:
+            assert len(cache._sum_cols[p]) <= kept and len(cache._alt_cols[p]) <= kept
+        for index in (0, m):
+            assert cache.bell_binomial_sum(index, p) == sum(
+                comb(p, i) * bell(index + i) for i in range(p + 1)
+            )
+        for n in (2, m):
+            assert cache.alt_binomial_sum(n, shift, p) == sum(
+                comb(p, i) * (-1) ** (j + 1) * bell(n - j + shift + i)
+                for i in range(p + 1)
+                for j in range(1, n)
+            )
+    finally:
+        cache.close_columns()
 
 
 @pytest.mark.parametrize("m", [0, 1, 7])

@@ -232,6 +232,17 @@ def test_compute_path_peak_memory_stays_near_a_small_path(child_env):
     assert peak(1024) <= 2 * peak(8)
 
 
+def test_verify_many_p_peak_memory_follows_the_points(child_env):
+    # A scan holds its Pascal-rule columns cut to the indices it reads, so
+    # 401 columns cost about what the reports do.  Uncut, the columns form
+    # a whole Pascal triangle over the Bell column (about twice the peak).
+    def peak(p_max):
+        return peak_kb(child_env, "verify", "--id", "C9", "--n-max", "5",
+                       "--p-max", str(p_max), "--csv")
+
+    assert peak(400) <= 1.5 * peak(1)
+
+
 # Installs perfbench's span hooks after the CLI import, as its cli workload
 # does, then runs one request through the counting memo.  In a child
 # interpreter, because uninstalling the hooks leaves SHARED_PROFILE_CACHE in

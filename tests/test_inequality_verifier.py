@@ -6,11 +6,13 @@ from math import comb
 
 import pytest
 
+from graphbell import sequences
 from graphbell.cli import _REPORT_FIELDS, _report_row
 from graphbell.closed_forms import hnr_pk1_aggregates
 from graphbell.coloring_engine import ProfileCache, profile
-from graphbell.errors import DomainError, UsageError
+from graphbell.errors import DomainError, ResourceError, UsageError
 from graphbell.inequality_verifier import (
+    _DEFS,
     INEQUALITY_IDS,
     check,
     definition,
@@ -19,7 +21,7 @@ from graphbell.inequality_verifier import (
     summarize,
 )
 from graphbell.graph_core import FamilyKind, FamilySpec, build
-from graphbell.sequences import alt_binomial_sum, bell, stirling2
+from graphbell.sequences import alt_binomial_sum, bell, shared_cache, stirling2
 
 GRID_IDS = [i for i in INEQUALITY_IDS if i != "PROP7_MIX"]
 PAIRS = [
@@ -143,8 +145,10 @@ def test_coinciding_families_report_exact_equality():
 def test_check_matches_scan_at_every_in_range_point(id):
     # check and scan share one range rule: every explored point scan marks
     # in range is the report check gives there, and check refuses the rest.
+    # The points up to p = 40 compare the scan's Pascal-rule columns with
+    # the dot products check takes.
     d = definition(id)
-    for r in scan(id, 9, 2, explore=True):
+    for r in scan(id, 9, 2, explore=True) + scan(id, 9, 40)[-41::8]:
         assert r.in_range == d.in_range(r.n)
         if r.in_range:
             assert check(id, r.n, r.p) == r
@@ -284,10 +288,47 @@ def test_path_shift_and_cycle_vs_path_sides_match_profiles():
 
 
 def test_scan_capacity_guardrail():
-    from graphbell.errors import ResourceError
-
-    with pytest.raises(ResourceError):
+    # The grid needs Bell terms through n_max + p_max + 5; a grid past the
+    # cap is refused before any term grows.
+    cache = shared_cache()
+    terms = len(cache._bell)
+    with pytest.raises(ResourceError, match=f"requested capacity {10**6 + 6} exceeds"):
         scan("I1", 10**6, 0)
+    with pytest.raises(ResourceError, match="requested capacity 4097 exceeds"):
+        scan("C9", 10, 4081)
+    assert len(cache._bell) == terms
+
+
+def test_scan_holds_no_column_afterwards(monkeypatch):
+    cache = shared_cache()
+    scan("C14", 12, 3)
+    assert cache._sum_cols is None and cache._alt_cols is None
+
+    # A side that reads a sum, so column 1 is built, and then raises.
+    opened = []
+
+    def failing_sides(n, p):
+        cache.bell_binomial_sum(n, p + 1)
+        opened.append(len(cache._sum_cols))
+        raise ArithmeticError("side failed")
+
+    monkeypatch.setitem(_DEFS, "C9", _DEFS["C9"]._replace(sides=failing_sides))
+    with pytest.raises(ArithmeticError):
+        scan("C9", 12, 3)
+    assert opened == [2]
+    assert cache._sum_cols is None and cache._alt_cols is None
+
+
+@pytest.mark.parametrize("id", INEQUALITY_IDS)
+def test_scan_reads_every_sum_from_its_columns(id, monkeypatch):
+    # With the binomial rows refused, a sum that took the dot product would
+    # raise: every sum a scan reads, explored points included, is one
+    # addition from a column.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scan took a binomial sum by dot product")
+
+    monkeypatch.setattr(sequences, "_binomial_row", refuse)
+    assert summarize(scan(id, 40, 6, explore=True))["violations"] == 0
 
 
 # --- sampled mediant check -------------------------------------------------------------
