@@ -304,28 +304,35 @@ def scan(
     points included, flagged).  With ``explore`` every evaluable n is
     covered and sub-range points are marked not-in-range rather than
     asserted.  The Bell column is grown through ``n_max + p_max + 5`` first,
-    so a grid past the Bell cap is refused before any term grows.  While
-    the scan runs, the shared cache serves binomial Bell sums from
-    Pascal-rule columns (``BigSeqCache.open_columns``), one addition per
-    sum; they are dropped when the scan ends, also when it raises.
+    so a grid past the Bell cap is refused before any term grows.  A
+    statement that reads no p is scanned at p = 0 alone, so its ``p_max``
+    is neither grown nor checked: it scans as ``scan(id, n_max, 0)``.
+    While the scan runs, the shared cache serves binomial Bell sums from
+    Pascal-rule columns (``BigSeqCache.open_columns``): a sum is one index
+    into a built column, and a column costs one addition per sum; they are
+    dropped when the scan ends, also when it raises.
     """
     d = definition(id)
     if n_max < 0 or p_max < 0:
         raise DomainError("scan bounds must be nonnegative")
+    if not d.uses_p:
+        p_max = 0
     cache = shared_cache()
     cache.ensure(n_max + p_max + 5)
 
     lowest = d.eval_min if explore else min(d.extensions + (d.n_min,))
+    # A report is built from its five fields in one step, as
+    # ``namedtuple._make`` does, skipping the generated ``__new__``.
+    sides, ps, new = d.sides, range(p_max + 1), tuple.__new__
     # Every statement reads its sums at indices up to n_max + 1.
     cache.open_columns(n_max + 2)
     try:
-        reports = []
-        for n in range(lowest, n_max + 1):
-            if not explore and not d.in_range(n):
-                continue
-            for p in range(p_max + 1) if d.uses_p else (0,):
-                reports.append(InequalityReport(d.id, n, p, *d.sides(n, p)))
-        return reports
+        return [
+            new(InequalityReport, (id, n, p, *sides(n, p)))
+            for n in range(lowest, n_max + 1)
+            if explore or d.in_range(n)
+            for p in ps
+        ]
     finally:
         cache.close_columns()
 

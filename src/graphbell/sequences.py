@@ -10,9 +10,11 @@ every alternating Bell sum is one subtraction (``alt_binomial_sum`` at
 p = 0).  A binomial Bell sum sum_i C(p, i) * bell(m + i), and its
 alternating counterpart, is one dot product of a binomial row with one
 slice of a cached column, so a family with p isolated vertices costs one
-call, not p + 1.  While a scan runs, both kinds are read instead from
-Pascal-rule columns (``open_columns``): a sum is one addition from the
-previous column, and the columns hold about one sum per scanned point.
+call, not p + 1; the binomial row is built per call.  While a scan runs,
+both kinds are read instead from Pascal-rule columns (``open_columns``):
+a column is built from the previous one at one addition per sum, a read
+is one index into a built column, and the columns hold about one sum per
+scanned point.  A Bell term already grown is likewise one index.
 The Stirling triangle is grown only as far as ``stirling2`` has been
 asked, so Bell lookups cost memory linear in the index.  Each table has
 one hard cap, checked before it grows: ``HARD_MAX_TERMS`` Bell terms and
@@ -41,19 +43,9 @@ HARD_MAX_TERMS = 4096
 # near 0.7 and 1.6 GB.
 STIRLING_MAX_ROWS = 512
 
-# Binomial rows C(p, 0..p), plain and with alternating signs, kept for
-# p < BINOMIAL_ROWS_KEPT; a row for a larger p is built per call.
-BINOMIAL_ROWS_KEPT = 32
-_BINOMIAL_ROWS = tuple(tuple(comb(p, i) for i in range(p + 1)) for p in range(BINOMIAL_ROWS_KEPT))
-_SIGNED_BINOMIAL_ROWS = tuple(
-    tuple(-c if i % 2 else c for i, c in enumerate(row)) for row in _BINOMIAL_ROWS
-)
-
 
 def _binomial_row(p: int, signed: bool = False) -> tuple[int, ...]:
-    """C(p, i) for i = 0..p, times (-1)**i when ``signed``."""
-    if 0 <= p < BINOMIAL_ROWS_KEPT:
-        return (_SIGNED_BINOMIAL_ROWS if signed else _BINOMIAL_ROWS)[p]
+    """C(p, i) for i = 0..p, times (-1)**i when ``signed``, built per call."""
     if p < 0:
         raise DomainError("binomial row index must be nonnegative")
     return tuple(-comb(p, i) if signed and i % 2 else comb(p, i) for i in range(p + 1))
@@ -111,6 +103,8 @@ class BigSeqCache:
             self._bell.append(nxt[0])
 
     def bell(self, n: int) -> int:
+        if 0 <= n < len(self._bell):
+            return self._bell[n]
         if n < 0:
             raise DomainError("Bell index must be nonnegative")
         self.ensure(n)
@@ -178,11 +172,15 @@ class BigSeqCache:
     def bell_binomial_sum(self, m: int, p: int) -> int:
         """Sum of C(p, i) * bell(m + i) for i = 0..p.
 
-        Read from column p while columns are open and it reaches m; else one
-        dot product of a binomial row with the slice bell[m : m+p+1].
+        While columns are open, a built column p that reaches m answers with
+        one index; column p is built on its first read.  Otherwise the sum
+        is one dot product of a binomial row with the slice bell[m : m+p+1].
         Raises DomainError for a negative m or p, and ResourceError before
         any term grows if m + p >= HARD_MAX_TERMS.
         """
+        cols = self._sum_cols
+        if cols is not None and 0 <= p < len(cols) and 0 <= m < len(cols[p]):
+            return cols[p][m]
         if m < 0:
             raise DomainError("Bell index must be nonnegative")
         col = self._column(p, alt=False)
@@ -199,12 +197,20 @@ class BigSeqCache:
         alternating prefix sums P, term i is
         (-1)**(n+shift+1) * (-1)**i * (P[n+shift-1+i] - P[shift+i]), so the
         sum is ±(Q_p[n+shift-1] - Q_p[shift]) with Q_p as in ``open_columns``:
-        one subtraction while column p is open and reaches n+shift-1, else
-        two dot products of the signed binomial row with two slices of P.
+        two indices and one subtraction while a built column p reaches
+        n+shift-1 (column p is built on its first read), else two dot
+        products of the signed binomial row with two slices of P.
         The sum is 0 for n < 2; otherwise a negative shift raises
         DomainError, and an index past HARD_MAX_TERMS ResourceError, before
         any term grows.
         """
+        cols = self._alt_cols
+        if cols is not None and 0 <= p < len(cols) and n >= 2 and shift >= 0:
+            col = cols[p]
+            top = n + shift - 1
+            if top < len(col):
+                diff = col[top] - col[shift]
+                return -diff if (n + shift) % 2 == 0 else diff
         if n < 2:
             return 0
         if shift < 0:

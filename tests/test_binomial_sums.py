@@ -21,7 +21,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from graphbell.errors import DomainError, ResourceError  # noqa: E402
 from graphbell.sequences import (  # noqa: E402
-    BINOMIAL_ROWS_KEPT,
     HARD_MAX_TERMS,
     BigSeqCache,
     alt_binomial_sum,
@@ -30,8 +29,8 @@ from graphbell.sequences import (  # noqa: E402
     stirling2,
 )
 
-# p runs past the kept binomial rows, so rows built per call are covered.
-P_MAX = BINOMIAL_ROWS_KEPT + 8
+# p from 0 to 40; every binomial row is built per call.
+P_MAX = 40
 
 
 @settings(max_examples=150)

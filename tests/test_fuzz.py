@@ -79,7 +79,8 @@ _REFUSED = [
     ["seq", "--kind", "avg_blocks", "--n", "4095"],
     ["seq", "--kind", "stirling2", "--n", "512", "--json"],
     ["compute", "--family", "path:1025"],
-    ["verify", "--id", "I1", "--n-max", "4090", "--p-max", "1", "--csv"],
+    ["verify", "--id", "I1", "--n-max", "4091", "--csv"],
+    ["verify", "--id", "C9", "--n-max", "4090", "--p-max", "1", "--csv"],
 ]
 _FAMILIES = st.tuples(
     st.sampled_from(["path", "cycle", "star", "h", "empty", "complete", "wheel"]),

@@ -21,7 +21,7 @@ from graphbell.inequality_verifier import (
     summarize,
 )
 from graphbell.graph_core import FamilyKind, FamilySpec, build
-from graphbell.sequences import alt_binomial_sum, bell, shared_cache, stirling2
+from graphbell.sequences import BigSeqCache, alt_binomial_sum, bell, shared_cache, stirling2
 
 GRID_IDS = [i for i in INEQUALITY_IDS if i != "PROP7_MIX"]
 PAIRS = [
@@ -287,7 +287,7 @@ def test_path_shift_and_cycle_vs_path_sides_match_profiles():
             assert (r.lhs, r.rhs) == sides(r.n, r.p)
 
 
-def test_scan_capacity_guardrail():
+def test_scan_capacity_guardrail(monkeypatch):
     # The grid needs Bell terms through n_max + p_max + 5; a grid past the
     # cap is refused before any term grows.
     cache = shared_cache()
@@ -297,6 +297,18 @@ def test_scan_capacity_guardrail():
     with pytest.raises(ResourceError, match="requested capacity 4097 exceeds"):
         scan("C9", 10, 4081)
     assert len(cache._bell) == terms
+
+    # A statement that reads no p grows and checks only what
+    # scan(id, n_max, 0) does, whatever its p_max.
+    fresh = BigSeqCache()
+    monkeypatch.setattr(sequences, "_SHARED", fresh)
+    reports = scan("I1", 5, 4000)
+    assert len(fresh._bell) == 5 + 5 + 1
+    assert reports == scan("I1", 5, 0)
+    for p_max in (0, 4000):
+        with pytest.raises(ResourceError, match="requested capacity 4097 exceeds"):
+            scan("I1", 4091, p_max)
+    assert len(fresh._bell) == 5 + 5 + 1
 
 
 def test_scan_holds_no_column_afterwards(monkeypatch):
@@ -329,6 +341,33 @@ def test_scan_reads_every_sum_from_its_columns(id, monkeypatch):
 
     monkeypatch.setattr(sequences, "_binomial_row", refuse)
     assert summarize(scan(id, 40, 6, explore=True))["violations"] == 0
+
+
+@pytest.mark.parametrize("id", INEQUALITY_IDS)
+def test_scan_reads_built_columns_in_one_step(id, monkeypatch):
+    # Inside a scan a Bell term or a binomial sum is one index into a built
+    # list: ``ensure`` runs once, the scan's own up-front call, and
+    # ``_column`` is entered only to build a column.
+    ensure, column = BigSeqCache.ensure, BigSeqCache._column
+    ensured, idle = [], []
+
+    def counting_ensure(cache, n):
+        ensured.append(n)
+        return ensure(cache, n)
+
+    def counting_column(cache, p, alt):
+        cols = cache._alt_cols if alt else cache._sum_cols
+        built = len(cols)
+        col = column(cache, p, alt)
+        if len(cols) == built:
+            idle.append((p, alt))
+        return col
+
+    monkeypatch.setattr(BigSeqCache, "ensure", counting_ensure)
+    monkeypatch.setattr(BigSeqCache, "_column", counting_column)
+    scan(id, 40, 4)
+    assert ensured == [40 + (4 if _DEFS[id].uses_p else 0) + 5]
+    assert idle == []
 
 
 # --- sampled mediant check -------------------------------------------------------------
