@@ -323,12 +323,12 @@ def scan(
     lowest = d.eval_min if explore else min(d.extensions + (d.n_min,))
     # A report is built from its five fields in one step, as
     # ``namedtuple._make`` does, skipping the generated ``__new__``.
-    sides, ps, new = d.sides, range(p_max + 1), tuple.__new__
+    ident, sides, ps, new = d.id, d.sides, range(p_max + 1), tuple.__new__
     # Every statement reads its sums at indices up to n_max + 1.
     cache.open_columns(n_max + 2)
     try:
         return [
-            new(InequalityReport, (id, n, p, *sides(n, p)))
+            new(InequalityReport, (ident, n, p, *sides(n, p)))
             for n in range(lowest, n_max + 1)
             if explore or d.in_range(n)
             for p in ps

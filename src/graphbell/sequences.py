@@ -14,7 +14,7 @@ call, not p + 1; the binomial row is built per call.  While a scan runs,
 both kinds are read instead from Pascal-rule columns (``open_columns``):
 a column is built from the previous one at one addition per sum, a read
 is one index into a built column, and the columns hold about one sum per
-scanned point.  A Bell term already grown is likewise one index.
+scanned point.
 The Stirling triangle is grown only as far as ``stirling2`` has been
 asked, so Bell lookups cost memory linear in the index.  Each table has
 one hard cap, checked before it grows: ``HARD_MAX_TERMS`` Bell terms and
@@ -103,8 +103,6 @@ class BigSeqCache:
             self._bell.append(nxt[0])
 
     def bell(self, n: int) -> int:
-        if 0 <= n < len(self._bell):
-            return self._bell[n]
         if n < 0:
             raise DomainError("Bell index must be nonnegative")
         self.ensure(n)
@@ -157,11 +155,9 @@ class BigSeqCache:
         """Drop the columns: every binomial sum takes the dot product again."""
         self._sum_cols = self._alt_cols = None
 
-    def _column(self, p: int, alt: bool) -> list[int] | tuple[()]:
-        """Column p of the open columns, built on first use; () when none is open."""
+    def _column(self, p: int, alt: bool) -> list[int]:
+        """Build the open columns through p (p >= 1, columns open) and return column p."""
         cols = self._alt_cols if alt else self._sum_cols
-        if cols is None or p < 0:
-            return ()
         while len(cols) <= p:
             prev = cols[-1]
             cols.append(list(map(sub if alt else add, prev, prev[1:])))
@@ -178,14 +174,13 @@ class BigSeqCache:
         Raises DomainError for a negative m or p, and ResourceError before
         any term grows if m + p >= HARD_MAX_TERMS.
         """
-        cols = self._sum_cols
-        if cols is not None and 0 <= p < len(cols) and 0 <= m < len(cols[p]):
-            return cols[p][m]
         if m < 0:
             raise DomainError("Bell index must be nonnegative")
-        col = self._column(p, alt=False)
-        if m < len(col):
-            return col[m]
+        cols = self._sum_cols
+        if cols is not None and p >= 0:
+            col = cols[p] if p < len(cols) else self._column(p, alt=False)
+            if m < len(col):
+                return col[m]
         self.ensure(m + p)
         return sum(map(mul, _binomial_row(p), self._bell[m : m + p + 1]))
 
@@ -204,19 +199,15 @@ class BigSeqCache:
         DomainError, and an index past HARD_MAX_TERMS ResourceError, before
         any term grows.
         """
-        cols = self._alt_cols
-        if cols is not None and 0 <= p < len(cols) and n >= 2 and shift >= 0:
-            col = cols[p]
-            top = n + shift - 1
-            if top < len(col):
-                diff = col[top] - col[shift]
-                return -diff if (n + shift) % 2 == 0 else diff
         if n < 2:
             return 0
         if shift < 0:
             raise DomainError("the alternating Bell sum shift must be nonnegative")
         top = n + shift - 1
-        col = self._column(p, alt=True)
+        cols = self._alt_cols
+        col: list[int] | tuple[()] = ()
+        if cols is not None and p >= 0:
+            col = cols[p] if p < len(cols) else self._column(p, alt=True)
         if top < len(col):
             diff = col[top] - col[shift]
         else:

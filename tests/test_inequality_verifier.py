@@ -14,6 +14,7 @@ from graphbell.errors import DomainError, ResourceError, UsageError
 from graphbell.inequality_verifier import (
     _DEFS,
     INEQUALITY_IDS,
+    InequalityReport,
     check,
     definition,
     prop7_sample_check,
@@ -345,14 +346,15 @@ def test_scan_reads_every_sum_from_its_columns(id, monkeypatch):
 
 @pytest.mark.parametrize("id", INEQUALITY_IDS)
 def test_scan_reads_built_columns_in_one_step(id, monkeypatch):
-    # Inside a scan a Bell term or a binomial sum is one index into a built
-    # list: ``ensure`` runs once, the scan's own up-front call, and
-    # ``_column`` is entered only to build a column.
+    # Inside a scan a binomial sum is one index into a built column:
+    # ``_column`` is entered only to build a column.  The Bell column grows
+    # once, in the scan's own up-front ``ensure``; every later call (from
+    # ``bell``) finds it grown.
     ensure, column = BigSeqCache.ensure, BigSeqCache._column
     ensured, idle = [], []
 
     def counting_ensure(cache, n):
-        ensured.append(n)
+        ensured.append((n, len(cache._bell)))
         return ensure(cache, n)
 
     def counting_column(cache, p, alt):
@@ -366,8 +368,20 @@ def test_scan_reads_built_columns_in_one_step(id, monkeypatch):
     monkeypatch.setattr(BigSeqCache, "ensure", counting_ensure)
     monkeypatch.setattr(BigSeqCache, "_column", counting_column)
     scan(id, 40, 4)
-    assert ensured == [40 + (4 if _DEFS[id].uses_p else 0) + 5]
+    assert ensured[0][0] == 40 + (4 if _DEFS[id].uses_p else 0) + 5
+    assert all(n < terms for n, terms in ensured[1:])
     assert idle == []
+
+
+def test_scan_reports_equal_constructed_ones():
+    # scan builds each report with tuple.__new__, as namedtuple._make does,
+    # which skips the generated __new__: that holds only while the report
+    # has no field defaults and no constructor of its own.
+    assert InequalityReport._field_defaults == {}
+    for id in INEQUALITY_IDS:
+        for r in scan(id, 12, 2, explore=True):
+            assert type(r) is InequalityReport
+            assert InequalityReport(*r) == r
 
 
 # --- sampled mediant check -------------------------------------------------------------
