@@ -10,9 +10,12 @@ Exit codes: 0 success, 1 usage error, 2 domain error, 3 resource limit
 (a refused guardrail, or a recursion depth or memory limit hit mid-run),
 4 verification failure.  Codes 1-3 are the ``exit_code`` of the error class
 raised.  A reader that closes stdout early (``| head``) also gives 1, with
-nothing on stderr.  All big integers are emitted as decimal strings, with
-no limit on their length; averages as exact "num/den" fractions (text mode
-adds a tagged decimal approximation, computed without floating point).
+nothing on stderr.  Output that stdout has no room for (a full disk, a file
+size limit) gives 3 with one ``error:`` line on stderr, and Ctrl-C gives
+130, the shell's convention, with nothing on stderr.  All big integers are
+emitted as decimal strings, with no limit on their length; averages as
+exact "num/den" fractions (text mode adds a tagged decimal approximation,
+computed without floating point).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .inequality_verifier import INEQUALITY_IDS, scan, summarize
 from .sequences import avg_blocks, bell, stirling2, two_bell
 
 EXIT_VERIFICATION = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, the shell's code for Ctrl-C
 
 _FAMILY_GRAMMAR = ("path:n[,p] cycle:n[,p] star:n[,p] caterpillar:n[,p] "
                    "h:n,r[,p] empty:n complete:n")
@@ -331,13 +335,20 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # The reader is gone.  Point stdout at devnull so the interpreter's
-        # final flush of what is still buffered cannot fail a second time.
+    except OSError as exc:
+        # Stdout failed: the reader is gone, or the output has no room (a
+        # full disk, a file size limit).  Point stdout at devnull so the
+        # interpreter's final flush of what is still buffered cannot fail a
+        # second time.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return UsageError.exit_code
+        if isinstance(exc, BrokenPipeError):
+            return UsageError.exit_code
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        return ResourceError.exit_code
+    except KeyboardInterrupt:
+        return EXIT_INTERRUPTED
     except GraphBellError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

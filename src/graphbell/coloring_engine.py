@@ -3,9 +3,9 @@
 A profile lists, for each k, how many partitions of the vertex set into
 exactly k stable sets a graph admits.  ``profile`` computes it in exact
 integers by peeling vertices and branching on edges, down to a table of
-the smallest graphs; its docstring states the rules and that base case,
-and ``memo=None`` (the CLI's ``--no-memo``) turns its memo off
-without changing any count.  ``brute_force_profile`` counts the same
+every graph on at most five vertices; its docstring states the rules and
+that base case, and ``memo=None`` (the CLI's ``--no-memo``) turns its memo
+off without changing any count.  ``brute_force_profile`` counts the same
 partitions by a recursion over vertex subsets, memoized per subset, and
 serves as the independent oracle the test suite compares against.  Both
 are exponential in the worst case; the engine is practical to about 24
@@ -18,13 +18,14 @@ stops at ``ORACLE_STEP_BUDGET`` steps.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
-from operator import add, mul
+from operator import add, mul, or_
 from typing import NamedTuple
 
 from .errors import DomainError, ResourceError
 from .graph_core import (
-    PROFILE_MAX_ORDER, Graph, all_graphs, check_order, flipped, merged, without_vertex,
+    PROFILE_MAX_ORDER, Graph, check_order, flipped, merged, without_vertex,
 )
 
 # The oracle's budget.  A block it tries costs one step per entry of the
@@ -185,10 +186,12 @@ def brute_force_profile(g: Graph) -> StirlingProfile:
 def profile(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> StirlingProfile:
     """Exact profile of ``g`` by vertex peeling and edge branching.
 
-    The base case is a table: a graph on at most ``SMALL_ORDER`` (4)
+    The base case is a table: a graph on at most ``SMALL_ORDER`` (5)
     vertices is answered in one lookup, and the memo neither sees nor keeps
-    it.  The table holds all 76 labeled graphs on 0-4 vertices.  These same
-    rules fill it at import, each order from the rows below it, starting
+    it.  The table holds all 1,100 labeled graphs on 0-5 vertices.  The
+    first call builds it, not the import, in about 2.6 ms, with two of the
+    rules below: each row is a smaller row plus a top vertex, which is
+    either dominating or takes one addition-contraction step, starting
     from the null graph's one partition, into no blocks.  A larger graph
     that is not in the memo peels its highest-indexed vertex v that is
     dominating, giving counts(G, k) = counts(G-v, k-1), or
@@ -250,9 +253,9 @@ def _profile_counts(
     adj: tuple[int, ...], memo: ProfileCache | None, small: int
 ) -> tuple[int, ...]:
     # Graphs are bare adjacency tuples, their order len(adj).  Those on at
-    # most ``small`` vertices are read from ``_SMALL``.  ``todo`` holds
-    # graphs still to expand and combine steps, each step pushed as the graph
-    # and then its rule, below the graphs whose counts it needs: rule None
+    # most ``small`` vertices are read from ``_small_table()``.  ``todo``
+    # holds graphs still to expand and combine steps, each step pushed as the
+    # graph and then its rule, below the graphs whose counts it needs: rule None
     # for a dominating peel, r for a simplicial one, add for a fill-in branch
     # and ``_ELIMINATE`` for a degree-2 one (the merged graph's counts end on
     # top of the other side's).  A rule is never a tuple, so the type of a
@@ -266,7 +269,7 @@ def _profile_counts(
         get = put = None
     else:
         get, put = memo.get_labeled, memo.put
-    table = _SMALL
+    table = _small_table()
     todo = [adj]
     done = []
     floor = None
@@ -342,14 +345,45 @@ def _profile_counts(
 
 
 # The base case of ``profile``: the counts of every labeled graph on at most
-# ``SMALL_ORDER`` vertices.  Order n is computed by the engine with only the
-# rows of smaller orders in place, so its rules expand each order-n graph,
-# and the order-n graphs a fill-in branch adds an edge to.  The build takes
-# under 1 ms; order 5 would add 1,024 rows and 8.5 ms to every import of
-# the package, the CLI's included (2-vCPU box, Python 3.11).
-SMALL_ORDER = 4
-_SMALL = {(): (1,)}
-for _n in range(1, SMALL_ORDER + 1):
-    for _g in all_graphs(_n):
-        _SMALL[_g.adj] = _profile_counts(_g.adj, None, _n - 1)
-del _n, _g
+# ``SMALL_ORDER`` vertices, 1,100 rows for orders 0-5.  ``_small_table``
+# builds them on the first ``profile`` call, in about 2.6 ms (median of 25
+# fresh interpreters, 2-vCPU box, Python 3.11).  Built at import, that would
+# be half again the 5.6 ms this module's import takes from bytecode, paid by
+# every process of the CLI; built on first use, ``seq``, ``family`` and a
+# ``verify`` without ``PROP7_MIX`` never pay it.  Order 5 spares the engine
+# over a third of the nodes it expands on the order 4-7 graphs that
+# ``PROP7_MIX`` samples: 873 of 2,369 in ``scan("PROP7_MIX", 170, 4)``.
+SMALL_ORDER = 5
+
+
+@cache
+def _small_table(order: int = SMALL_ORDER) -> dict[tuple[int, ...], tuple[int, ...]]:
+    # Vertex extension: an order-n row is an order-(n-1) row h plus a top
+    # vertex with neighborhood s.  If s holds all of h, the top vertex is
+    # dominating: (0,) + counts(h).  Otherwise, with x the highest vertex
+    # outside s, Zykov's addition-contraction on {x, top} gives
+    # counts(h+s) = counts(h+s|x) + counts((h+s)/{x, top}): a row of this
+    # order with a larger s, built earlier since s runs downward, plus a row
+    # of order n-1, h with x joined to the vertices of s it misses.  Each
+    # graph is h with masks ORed in, ``joins[v][t]`` joining v to the
+    # vertices of t; that takes about two thirds of the time of contracting
+    # with ``merged``, and every process that profiles pays for this build.
+    # ``order`` is bound when the module loads, so a caller that lowers
+    # ``SMALL_ORDER`` still gets, and caches, the full table.
+    table = {(): (1,)}
+    for n in range(1, order + 1):
+        full = (1 << n - 1) - 1
+        bits = [[t >> i & 1 for i in range(n - 1)] for t in range(full + 1)]
+        joins = [[tuple([b << v | (t if i == v else 0) for i, b in enumerate(bits[t])])
+                  for t in range(full + 1)] for v in range(n)]
+        for h in [h for h in table if len(h) == n - 1]:
+            by_s = {}
+            for s in range(full, -1, -1):
+                if s == full:
+                    counts = (0,) + table[h]
+                else:
+                    x = (full ^ s).bit_length() - 1
+                    merged_row = table[tuple(map(or_, h, joins[x][s & ~h[x]]))]
+                    counts = tuple(map(add, by_s[s | 1 << x], merged_row + (0,)))
+                table[tuple(map(or_, h, joins[n - 1][s])) + (s,)] = by_s[s] = counts
+    return table

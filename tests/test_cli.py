@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import os
+import signal
 import subprocess
 import sys
 import time
@@ -559,4 +561,60 @@ def test_closed_output_pipe_exits_usage_without_traceback(argv, child_env):
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 1
     assert b"Traceback" not in err
+    assert err == b""
+
+
+def assert_one_error_line(stderr):
+    assert "Traceback" not in stderr
+    assert stderr.startswith("error: cannot write output: ") and stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ("seq", "--kind", "bell", "--n", "50"),
+    ("seq", "--kind", "stirling2", "--n", "30", "--json"),
+    ("compute", "--family", "path:10", "--json"),
+    ("selftest",),
+])
+def test_full_device_exits_resource_without_traceback(argv, child_env):
+    # Every write to /dev/full fails with ENOSPC.
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "graphbell", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=child_env, timeout=120)
+    assert proc.returncode == 3
+    assert_one_error_line(proc.stderr)
+
+
+def test_file_size_limit_exits_resource_without_traceback(tmp_path, child_env):
+    # The bell terms through 2000 take about 4 MB, past a 100 KiB limit on
+    # the files the child writes, so a write fails with EFBIG.  The
+    # interpreter ignores SIGXFSZ, which would otherwise kill the child.
+    resource = pytest.importorskip("resource")
+
+    def limit_file_size():
+        hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+        resource.setrlimit(resource.RLIMIT_FSIZE, (100 * 1024, hard))
+
+    with open(tmp_path / "out.txt", "w") as out:
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphbell", "seq", "--kind", "bell", "--n", "2000"],
+            stdout=out, stderr=subprocess.PIPE, text=True, env=child_env, timeout=120,
+            preexec_fn=limit_file_size)
+    assert proc.returncode == 3
+    assert_one_error_line(proc.stderr)
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="SIGINT cannot be sent to a child")
+def test_interrupt_exits_130_without_traceback(child_env):
+    # This verify prints about 7.6 MB.  After its first line the test reads
+    # no more, so the child is still writing, held by the full pipe, when
+    # the signal arrives.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "graphbell", "verify", "--id", "C9", "--n-max", "100",
+         "--p-max", "100"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env)
+    assert proc.stdout.readline().startswith(b"C9 ")
+    proc.send_signal(signal.SIGINT)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 130
     assert err == b""

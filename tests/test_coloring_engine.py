@@ -146,14 +146,27 @@ def test_profile_order_cap():
 
 
 def test_engine_matches_oracle_exhaustive_small():
-    # The 76 labeled graphs on 0-4 vertices are the rows of the engine's
-    # base-case table, so the table itself is checked row by row.
-    graphs = [g for n in range(coloring_engine.SMALL_ORDER + 1) for g in all_graphs(n)]
+    # The labeled graphs on at most SMALL_ORDER vertices (1,100 for orders
+    # 0-5) are the rows of the engine's base-case table, so the table itself
+    # is checked row by row.
+    small = coloring_engine.SMALL_ORDER
+    graphs = [g for n in range(small + 1) for g in all_graphs(n)]
     expected = {g.adj: brute_force_profile(g).counts for g in graphs}
-    assert len(expected) == 76 and coloring_engine._SMALL == expected
+    assert len(expected) == sum(2 ** (n * (n - 1) // 2) for n in range(small + 1))
+    assert coloring_engine._small_table() == expected
     memo = ProfileCache()
     for g in graphs:
         assert profile(g, memo).counts == expected[g.adj]
+
+
+def test_small_table_builds_through_its_own_order(monkeypatch):
+    # The table is built on first use.  A caller that has lowered
+    # SMALL_ORDER, as the atlas test does, must still get every row, or the
+    # cached table would be short for the rest of the session.
+    coloring_engine._small_table.cache_clear()
+    monkeypatch.setattr(coloring_engine, "SMALL_ORDER", 0)
+    table = coloring_engine._small_table()
+    assert len(table) == 1100 and max(map(len, table)) == 5
 
 
 def test_engine_matches_oracle_random():
