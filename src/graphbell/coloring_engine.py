@@ -3,8 +3,9 @@
 A profile lists, for each k, how many partitions of the vertex set into
 exactly k stable sets a graph admits.  ``profile`` computes it in exact
 integers by peeling vertices and branching on edges, down to a table of
-every graph on at most five vertices; its docstring states the rules and
-that base case, and ``memo=None`` (the CLI's ``--no-memo``) turns its memo
+every graph on at most six vertices, whose order-6 rows ship packed in the
+package's ``small_table.zlib``; its docstring states the rules and that
+base case, and ``memo=None`` (the CLI's ``--no-memo``) turns its memo
 off without changing any count.  ``brute_force_profile`` counts the same
 partitions by a recursion over vertex subsets, memoized per subset, and
 serves as the independent oracle the test suite compares against.  Both
@@ -17,15 +18,17 @@ stops at ``ORACLE_STEP_BUDGET`` steps.
 
 from __future__ import annotations
 
+import os
+import zlib
 from fractions import Fraction
 from functools import cache
 from math import factorial
 from operator import add, mul, or_
 from typing import NamedTuple
 
-from .errors import DomainError, ResourceError
+from .errors import DataFileError, DomainError, ResourceError
 from .graph_core import (
-    PROFILE_MAX_ORDER, Graph, check_order, flipped, merged, without_vertex,
+    PROFILE_MAX_ORDER, Graph, all_graphs, check_order, flipped, merged, without_vertex,
 )
 
 # The oracle's budget.  A block it tries costs one step per entry of the
@@ -186,13 +189,16 @@ def brute_force_profile(g: Graph) -> StirlingProfile:
 def profile(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> StirlingProfile:
     """Exact profile of ``g`` by vertex peeling and edge branching.
 
-    The base case is a table: a graph on at most ``SMALL_ORDER`` (5)
+    The base case is a table: a graph on at most ``SMALL_ORDER`` (6)
     vertices is answered in one lookup, and the memo neither sees nor keeps
-    it.  The table holds all 1,100 labeled graphs on 0-5 vertices.  The
-    first call builds it, not the import, in about 2.6 ms, with two of the
-    rules below: each row is a smaller row plus a top vertex, which is
-    either dominating or takes one addition-contraction step, starting
-    from the null graph's one partition, into no blocks.  A larger graph
+    it.  The table holds all 33,868 labeled graphs on 0-6 vertices, built
+    with two of the rules below: each row is a smaller row plus a top
+    vertex, which is either dominating or takes one addition-contraction
+    step, starting from the null graph's one partition, into no blocks.
+    The first call, not the import, builds the 1,100 rows of orders 0-5, in
+    about 2.6 ms, and inflates the 32,768 rows of order 6 from the package
+    file ``small_table.zlib``, written by the same build, in about 0.8 ms;
+    a missing or damaged file raises DataFileError.  A larger graph
     that is not in the memo peels its highest-indexed vertex v that is
     dominating, giving counts(G, k) = counts(G-v, k-1), or
     simplicial with r neighbors (r = 0 if isolated), giving
@@ -253,9 +259,10 @@ def _profile_counts(
     adj: tuple[int, ...], memo: ProfileCache | None, small: int
 ) -> tuple[int, ...]:
     # Graphs are bare adjacency tuples, their order len(adj).  Those on at
-    # most ``small`` vertices are read from ``_small_table()``.  ``todo``
-    # holds graphs still to expand and combine steps, each step pushed as the
-    # graph and then its rule, below the graphs whose counts it needs: rule None
+    # most ``small`` vertices are read from the table: ``_small_table()`` to
+    # order 5, ``_table_rows()`` at order 6.  ``todo`` holds graphs still to
+    # expand and combine steps, each step pushed as the graph and then its
+    # rule, below the graphs whose counts it needs: rule None
     # for a dominating peel, r for a simplicial one, add for a fill-in branch
     # and ``_ELIMINATE`` for a degree-2 one (the merged graph's counts end on
     # top of the other side's).  A rule is never a tuple, so the type of a
@@ -270,6 +277,7 @@ def _profile_counts(
     else:
         get, put = memo.get_labeled, memo.put
     table = _small_table()
+    rows = _table_rows()
     todo = [adj]
     done = []
     floor = None
@@ -297,7 +305,13 @@ def _profile_counts(
             continue
         adj = item
         if len(adj) <= small:
-            done.append(table[adj])
+            if len(adj) == 6:
+                # The row's index is the upper triangle of the adjacency matrix.
+                i = (adj[0] >> 1 | adj[1] >> 2 << 5 | adj[2] >> 3 << 9 | adj[3] >> 4 << 12
+                     | adj[4] >> 5 << 14) * 7
+                done.append(tuple(rows[i:i + 7]))
+            else:
+                done.append(table[adj])
             continue
         if get is not None:
             hit = get(adj)
@@ -345,19 +359,57 @@ def _profile_counts(
 
 
 # The base case of ``profile``: the counts of every labeled graph on at most
-# ``SMALL_ORDER`` vertices, 1,100 rows for orders 0-5.  ``_small_table``
-# builds them on the first ``profile`` call, in about 2.6 ms (median of 25
-# fresh interpreters, 2-vCPU box, Python 3.11).  Built at import, that would
-# be half again the 5.6 ms this module's import takes from bytecode, paid by
-# every process of the CLI; built on first use, ``seq``, ``family`` and a
-# ``verify`` without ``PROP7_MIX`` never pay it.  Order 5 spares the engine
-# over a third of the nodes it expands on the order 4-7 graphs that
-# ``PROP7_MIX`` samples: 873 of 2,369 in ``scan("PROP7_MIX", 170, 4)``.
-SMALL_ORDER = 5
+# ``SMALL_ORDER`` vertices, 33,868 rows.  ``_small_table`` is their only
+# source.  Its 1,100 rows of orders 0-5 are built on the first ``profile``
+# call, in about 2.6 ms (median of 25 fresh interpreters, 2-vCPU box, Python
+# 3.11), so ``seq``, ``family`` and a ``verify`` without ``PROP7_MIX`` never
+# pay for them.  Its 32,768 rows of order 6 would take 0.14 s and about 7 MB
+# as tuples, so they ship as ``TABLE_FILE``, which ``write_table_file`` wrote:
+# counts[0..6] in 7 bytes per row (none exceeds 90), in the order of
+# ``all_graphs(6)``, so the row of a graph is indexed by its 15-bit upper
+# triangle; 229,376 bytes, 15,253 packed by zlib.  The first ``profile``
+# call also inflates the file, in about 0.8 ms.  Read the same way, the
+# rows of orders 0-5 (a graph plus 6 - n dominating vertices) were about 9%
+# slower than the dict on ``PROP7_MIX``, whose graphs have 4-7 vertices.
+# Order 6 answers about a quarter of the memo lookups the engine made on the
+# ``random`` workload's G(11-12, q) graphs when the table stopped at 5.
+SMALL_ORDER = 6
+TABLE_FILE = os.path.join(os.path.dirname(__file__), "small_table.zlib")
+_TABLE_BYTES = 7 << 15
 
 
 @cache
-def _small_table(order: int = SMALL_ORDER) -> dict[tuple[int, ...], tuple[int, ...]]:
+def _table_rows() -> bytes:
+    try:
+        with open(TABLE_FILE, "rb") as f:
+            packed = f.read()
+        inflate = zlib.decompressobj()
+        # One byte past the rows at most, whatever the file holds.
+        rows = inflate.decompress(packed, _TABLE_BYTES + 1)
+    except (OSError, zlib.error) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise DataFileError(f"cannot read the engine's table {TABLE_FILE}: {reason}") from None
+    if len(rows) != _TABLE_BYTES or not inflate.eof:
+        raise DataFileError(
+            f"the engine's table {TABLE_FILE} does not hold {_TABLE_BYTES} bytes of rows"
+        )
+    return rows
+
+
+def _table_file_rows() -> bytes:
+    """The order-6 rows of ``_small_table``, packed as ``TABLE_FILE`` holds them inflated."""
+    table = _small_table(6)
+    return bytes([c for g in all_graphs(6) for c in table[g.adj]])
+
+
+def write_table_file() -> None:
+    """Write ``_table_file_rows()``, zlib-packed, to ``TABLE_FILE``."""
+    with open(TABLE_FILE, "wb") as f:
+        f.write(zlib.compress(_table_file_rows(), 9))
+
+
+@cache
+def _small_table(order: int = SMALL_ORDER - 1) -> dict[tuple[int, ...], tuple[int, ...]]:
     # Vertex extension: an order-n row is an order-(n-1) row h plus a top
     # vertex with neighborhood s.  If s holds all of h, the top vertex is
     # dominating: (0,) + counts(h).  Otherwise, with x the highest vertex
@@ -367,9 +419,8 @@ def _small_table(order: int = SMALL_ORDER) -> dict[tuple[int, ...], tuple[int, .
     # of order n-1, h with x joined to the vertices of s it misses.  Each
     # graph is h with masks ORed in, ``joins[v][t]`` joining v to the
     # vertices of t; that takes about two thirds of the time of contracting
-    # with ``merged``, and every process that profiles pays for this build.
-    # ``order`` is bound when the module loads, so a caller that lowers
-    # ``SMALL_ORDER`` still gets, and caches, the full table.
+    # with ``merged``.  ``order`` is bound when the module loads, so a caller
+    # that lowers ``SMALL_ORDER`` still gets, and caches, every row up to 5.
     table = {(): (1,)}
     for n in range(1, order + 1):
         full = (1 << n - 1) - 1

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 Each class carries the exit code the CLI returns for it as ``exit_code``:
-usage 1, domain 2, resource 3; the base class, raised alone, also maps to 2.
+usage 1, domain 2, resource 3, and 3 also for a missing or damaged data
+file; the base class, raised alone, maps to 2.
 """
 
 
@@ -25,5 +26,11 @@ class DomainError(GraphBellError):
 
 class ResourceError(GraphBellError):
     """A guardrail or capacity limit refused the computation."""
+
+    exit_code = 3
+
+
+class DataFileError(GraphBellError):
+    """A data file shipped with the package is missing, short or corrupt."""
 
     exit_code = 3

@@ -9,7 +9,7 @@ from .graph_core import all_graphs, random_graph
 from .inequality_verifier import INEQUALITY_IDS, prop7_sample_check, scan, summarize
 
 # The sweep stays at the 76 graphs on at most 4 vertices, below the engine's
-# base-case table (SMALL_ORDER 5), because the golden tests pin selftest's
+# base-case table (SMALL_ORDER 6), because the golden tests pin selftest's
 # output bytes, its graph count included; the test suite checks every row.
 EXHAUSTIVE_MAX_ORDER = 4
 RANDOM_GRAPHS = 60

@@ -8,14 +8,17 @@ import signal
 import subprocess
 import sys
 import time
+import zlib
 from pathlib import Path
 
 import pytest
 
-from graphbell import cli, sequences
+from graphbell import cli, coloring_engine, sequences
 from graphbell.cli import main, parse_family
 from graphbell.coloring_engine import PROFILE_MAX_ORDER
-from graphbell.errors import DomainError, GraphBellError, ResourceError, UsageError
+from graphbell.errors import (
+    DataFileError, DomainError, GraphBellError, ResourceError, UsageError,
+)
 from graphbell.graph_core import EDGE_LIST_MAX_CHARS, FamilyKind, FamilySpec, Graph
 from graphbell.inequality_verifier import INEQUALITY_IDS, InequalityReport
 from graphbell.sequences import STIRLING_MAX_ROWS, shared_cache, stirling2
@@ -246,9 +249,10 @@ def test_verify_many_p_peak_memory_follows_the_points(child_env):
 
 
 # Installs perfbench's span hooks after the CLI import, as its cli workload
-# does, then runs one request through the counting memo.  In a child
-# interpreter, because uninstalling the hooks leaves SHARED_PROFILE_CACHE in
-# the counting class.
+# does, then runs one request through the counting memo: cycle:8, since the
+# engine's table answers every graph on at most 6 vertices without a lookup.
+# In a child interpreter, because uninstalling the hooks leaves
+# SHARED_PROFILE_CACHE in the counting class.
 _HOOKS = (
     "import json, sys\n"
     "import graphbell.cli\n"
@@ -256,7 +260,7 @@ _HOOKS = (
     "from tracing import LABELED_LOOKUPS, Hooks, Tracer\n"
     "tracer = Tracer()\n"
     "Hooks(tracer).install(cli=True).count_shared_memo()\n"
-    "code = graphbell.cli.main(['compute', '--family', 'cycle:6', '--json'])\n"
+    "code = graphbell.cli.main(['compute', '--family', 'cycle:8', '--json'])\n"
     "print(json.dumps([code, sorted(tracer.missing), tracer.counters[LABELED_LOOKUPS]]))\n"
 )
 
@@ -508,6 +512,7 @@ def test_bad_flags_exit_usage(capsys):
 
 @pytest.mark.parametrize("exc, code", [
     (GraphBellError, 2), (UsageError, 1), (DomainError, 2), (ResourceError, 3),
+    (DataFileError, 3),
 ])
 def test_error_class_sets_exit_code(capsys, monkeypatch, exc, code):
     def fail(args):
@@ -530,6 +535,35 @@ def test_exhaustion_exits_resource(capsys, monkeypatch, exc, reason):
     monkeypatch.setattr(cli, "_cmd_family", fail)
     assert run_cli(capsys, "family", "--family", "cycle:5") == (
         3, "", f"error: input too large: {reason}\n")
+
+
+# Points the engine at another table file, then runs a request that reads
+# it.  In a child interpreter, because the rows are loaded once per process.
+_TABLE = (
+    "import sys\n"
+    "from graphbell import cli, coloring_engine\n"
+    "coloring_engine.TABLE_FILE = sys.argv[1]\n"
+    "sys.exit(cli.main(['compute', '--family', 'cycle:7', '--json']))\n"
+)
+
+
+@pytest.mark.parametrize("damage", ["missing", "truncated", "short", "long"])
+def test_damaged_table_file_exits_resource_naming_it(damage, tmp_path, child_env):
+    with open(coloring_engine.TABLE_FILE, "rb") as f:
+        packed = f.read()
+    path = tmp_path / "small_table.zlib"
+    if damage == "truncated":
+        path.write_bytes(packed[:len(packed) // 2])
+    elif damage == "short":  # intact zlib, one row missing
+        path.write_bytes(zlib.compress(zlib.decompress(packed)[:-7]))
+    elif damage == "long":  # intact zlib, one row too many
+        path.write_bytes(zlib.compress(zlib.decompress(packed) * 2))
+    proc = subprocess.run([sys.executable, "-c", _TABLE, str(path)], capture_output=True,
+                          text=True, env=child_env, timeout=120)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert str(path) in proc.stderr
 
 
 # --- cold start -----------------------------------------------------------------

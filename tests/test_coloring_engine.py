@@ -3,6 +3,7 @@
 import sys
 import time
 import tracemalloc
+import zlib
 from fractions import Fraction
 from itertools import combinations
 from math import perm
@@ -146,17 +147,32 @@ def test_profile_order_cap():
 
 
 def test_engine_matches_oracle_exhaustive_small():
-    # The labeled graphs on at most SMALL_ORDER vertices (1,100 for orders
-    # 0-5) are the rows of the engine's base-case table, so the table itself
-    # is checked row by row.
+    # The labeled graphs on at most SMALL_ORDER vertices (33,868 for orders
+    # 0-6) are the rows of the engine's base-case table: orders 0-5 in the
+    # dict built on first use, order 6 in the shipped file, whose rows follow
+    # the graphs' edge-subset index.  Each row is checked against the oracle,
+    # and each graph through ``profile``, which must answer it from the table
+    # without touching the memo.
     small = coloring_engine.SMALL_ORDER
     graphs = [g for n in range(small + 1) for g in all_graphs(n)]
     expected = {g.adj: brute_force_profile(g).counts for g in graphs}
-    assert len(expected) == sum(2 ** (n * (n - 1) // 2) for n in range(small + 1))
-    assert coloring_engine._small_table() == expected
-    memo = ProfileCache()
+    assert len(expected) == sum(2 ** (n * (n - 1) // 2) for n in range(small + 1)) == 33_868
+    assert coloring_engine._small_table() == {a: c for a, c in expected.items() if len(a) < 6}
+    assert coloring_engine._table_rows() == bytes(
+        [c for g in all_graphs(6) for c in expected[g.adj]])
+    memo = Recording()
     for g in graphs:
         assert profile(g, memo).counts == expected[g.adj]
+    assert not memo.looked_up and not memo.stored
+
+
+def test_table_file_is_its_builders_output():
+    # The shipped rows, inflated, are byte for byte what the engine's own
+    # rules build; ``write_table_file`` regenerates the file from them.
+    # The packed bytes themselves may differ between zlib builds.
+    with open(coloring_engine.TABLE_FILE, "rb") as f:
+        packed = f.read()
+    assert zlib.decompress(packed) == coloring_engine._table_file_rows()
 
 
 def test_small_table_builds_through_its_own_order(monkeypatch):
@@ -499,6 +515,18 @@ def test_memo_length_counts_labeled_entries():
     memo.looked_up.clear()
     assert profile(g, memo) == counts and memo.looked_up == {g.adj}  # one lookup, a hit
     assert profile(g, None) == counts
+
+
+def test_memo_never_sees_a_table_graph():
+    # Graphs on at most SMALL_ORDER (6) vertices are read from the table
+    # before the memo is asked, and a combine step runs only for a graph
+    # the engine expanded, so neither lookups nor stores go below order 7.
+    rng = Random(331)
+    memo = Recording()
+    for q in (0.3, 0.5, 0.7):
+        profile(random_graph(11, rng, edge_prob=q), memo)
+    orders = {len(adj) for adj in memo.looked_up | memo.stored}
+    assert min(orders) == 7
 
 
 def test_memo_stores_from_the_first_branch_down():
