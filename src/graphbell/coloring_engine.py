@@ -4,11 +4,12 @@ A profile lists, for each k, how many partitions of the vertex set into
 exactly k stable sets a graph admits.  ``profile`` computes it in exact
 integers by peeling vertices and branching on edges, down to a table of
 every graph on at most six vertices, whose order-6 rows ship packed in the
-package's ``small_table.zlib``; its docstring states the rules and that
-base case, and ``memo=None`` (the CLI's ``--no-memo``) turns its memo
-off without changing any count.  ``brute_force_profile`` counts the same
-partitions by a recursion over vertex subsets, memoized per subset, and
-serves as the independent oracle the test suite compares against.  Both
+package's ``small_table.zlib``, and one step over those rows for seven;
+its docstring states the rules and that base case, and ``memo=None`` (the
+CLI's ``--no-memo``) turns its memo off without changing any count.
+``brute_force_profile`` counts the same partitions by a recursion over
+vertex subsets, memoized per subset, and serves as the independent oracle
+the test suite compares against.  Both
 are exponential in the worst case; the engine is practical to about 24
 vertices on generic graphs and up to ``PROFILE_MAX_ORDER`` on the
 structured families.  The oracle's cost follows the number of stable sets,
@@ -22,8 +23,10 @@ import os
 import zlib
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from math import factorial
 from operator import add, mul, or_
+from struct import Struct
 from typing import NamedTuple
 
 from .errors import DataFileError, DomainError, ResourceError
@@ -83,11 +86,12 @@ class ProfileCache(dict):
     of a branch often do.  Isomorphic relabelings are not
     collapsed: a canonical fingerprint at every node costs far more in pure
     Python than the extra hits save.  A call stores its root and every graph
-    from its first branch down to the base-case table's order (see
-    :func:`profile`); the graphs peeled before that branch cannot come up
-    again in the call and are only looked up.  The engine reads
-    through ``get_labeled`` and writes through ``put``, so a subclass that
-    overrides them sees every lookup and store.
+    from its first branch down to order 8: graphs on at most 7 vertices come
+    from the base-case table and a step over its rows (see :func:`profile`),
+    and are neither looked up nor stored.  The graphs peeled before that
+    branch cannot come up again in the call and are only looked up.  The
+    engine reads through ``get_labeled`` and writes through ``put``, so a
+    subclass that overrides them sees every lookup and store.
     """
 
     get_labeled = dict.get
@@ -195,13 +199,19 @@ def profile(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> Stirl
     with two of the rules below: each row is a smaller row plus a top
     vertex, which is either dominating or takes one addition-contraction
     step, starting from the null graph's one partition, into no blocks.
+    Unrolled, that step answers a graph on 7 vertices from at most 7 rows,
+    also before the memo is asked: with H its first six vertices and s the
+    neighborhood of vertex 6, counts(G) = (0,) + counts(H) + the sum of
+    counts(H with x joined to s_x), x running over the vertices outside s
+    from the highest down and s_x being s plus every such vertex above x.
     The first call, not the import, builds the 1,100 rows of orders 0-5, in
     about 2.6 ms, and inflates the 32,768 rows of order 6 from the package
-    file ``small_table.zlib``, written by the same build, in about 0.8 ms;
-    a missing or damaged file raises DataFileError.  A larger graph
-    that is not in the memo peels its highest-indexed vertex v that is
-    dominating, giving counts(G, k) = counts(G-v, k-1), or
-    simplicial with r neighbors (r = 0 if isolated), giving
+    file ``small_table.zlib``, written by the same build, and widens them to
+    16 bits a count, in about 1.9 ms; a missing or damaged file raises
+    DataFileError.  A larger graph that is not in the memo peels its
+    highest-indexed vertex v that is dominating, giving
+    counts(G, k) = counts(G-v, k-1), or simplicial with r neighbors (r = 0
+    if isolated), giving
     counts(G, k) = (k-r)*counts(G-v, k) + counts(G-v, k-1), the
     falling-factorial form of P(G) = (x-r)*P(G-v).  A graph with no such
     vertex branches beside v, its highest-indexed vertex of least degree.
@@ -260,13 +270,14 @@ def _profile_counts(
 ) -> tuple[int, ...]:
     # Graphs are bare adjacency tuples, their order len(adj).  Those on at
     # most ``small`` vertices are read from the table: ``_small_table()`` to
-    # order 5, ``_table_rows()`` at order 6.  ``todo`` holds graphs still to
-    # expand and combine steps, each step pushed as the graph and then its
-    # rule, below the graphs whose counts it needs: rule None
-    # for a dominating peel, r for a simplicial one, add for a fill-in branch
-    # and ``_ELIMINATE`` for a degree-2 one (the merged graph's counts end on
-    # top of the other side's).  A rule is never a tuple, so the type of a
-    # popped item tells the two apart.
+    # order 5, ``_wide_rows()`` at order 6; with ``small`` at 6, order 7 is
+    # one step over the order-6 rows.  Neither is looked up or stored.
+    # ``todo`` holds graphs still to expand and combine steps, each step
+    # pushed as the graph and then its rule, below the graphs whose counts
+    # it needs: rule None for a dominating peel, r for a simplicial one, add
+    # for a fill-in branch and ``_ELIMINATE`` for a degree-2 one (the merged
+    # graph's counts end on top of the other side's).  A rule is never a
+    # tuple, so the type of a popped item tells the two apart.
     # ``done`` holds finished counts.  Until the first branch every graph is
     # a peel of the one before, smaller than all earlier ones, and every
     # later graph is smaller still, so none of this chain can be reached
@@ -276,8 +287,12 @@ def _profile_counts(
         get = put = None
     else:
         get, put = memo.get_labeled, memo.put
+    # The step at order 7 reads order-6 rows, so it runs only while the
+    # table reaches order 6.
+    top = small + 1 if small == 6 else small
     table = _small_table()
-    rows = _table_rows()
+    rows, joins = _wide_rows()
+    from_bytes = int.from_bytes
     todo = [adj]
     done = []
     floor = None
@@ -304,14 +319,28 @@ def _profile_counts(
             done.append(counts)
             continue
         adj = item
-        if len(adj) <= small:
-            if len(adj) == 6:
-                # The row's index is the upper triangle of the adjacency matrix.
-                i = (adj[0] >> 1 | adj[1] >> 2 << 5 | adj[2] >> 3 << 9 | adj[3] >> 4 << 12
-                     | adj[4] >> 5 << 14) * 7
-                done.append(tuple(rows[i:i + 7]))
-            else:
+        n = len(adj)
+        if n <= top:
+            if n < 6:
                 done.append(table[adj])
+                continue
+            # The byte offset of the row of the first six vertices: the row's
+            # index is the upper triangle of their adjacency matrix.
+            o = (adj[0] >> 1 & 31 | adj[1] >> 2 << 5 & 0x1E0 | adj[2] >> 3 << 9 & 0xE00
+                 | adj[3] >> 4 << 12 & 0x3000 | adj[4] >> 5 << 14 & 0x4000) << 4
+            if n == 6:
+                done.append(_lanes7(rows, o))
+                continue
+            # Order 7, in one vertex-extension step (see ``profile``): the
+            # rows are summed as integers, 16 bits a count, and no partial
+            # sum carries out of a lane, since each is itself a count vector
+            # and no order-7 count exceeds 350.  The first row moves up one
+            # lane for the leading (0,).
+            total = from_bytes(rows[o:o + 16], "little") << 16
+            for j in joins[adj[6]]:
+                j |= o
+                total += from_bytes(rows[j:j + 16], "little")
+            done.append(_lanes8(total.to_bytes(16, "little")))
             continue
         if get is not None:
             hit = get(adj)
@@ -359,27 +388,37 @@ def _profile_counts(
 
 
 # The base case of ``profile``: the counts of every labeled graph on at most
-# ``SMALL_ORDER`` vertices, 33,868 rows.  ``_small_table`` is their only
-# source.  Its 1,100 rows of orders 0-5 are built on the first ``profile``
-# call, in about 2.6 ms (median of 25 fresh interpreters, 2-vCPU box, Python
-# 3.11), so ``seq``, ``family`` and a ``verify`` without ``PROP7_MIX`` never
-# pay for them.  Its 32,768 rows of order 6 would take 0.14 s and about 7 MB
-# as tuples, so they ship as ``TABLE_FILE``, which ``write_table_file`` wrote:
-# counts[0..6] in 7 bytes per row (none exceeds 90), in the order of
-# ``all_graphs(6)``, so the row of a graph is indexed by its 15-bit upper
-# triangle; 229,376 bytes, 15,253 packed by zlib.  The first ``profile``
-# call also inflates the file, in about 0.8 ms.  Read the same way, the
-# rows of orders 0-5 (a graph plus 6 - n dominating vertices) were about 9%
-# slower than the dict on ``PROP7_MIX``, whose graphs have 4-7 vertices.
-# Order 6 answers about a quarter of the memo lookups the engine made on the
-# ``random`` workload's G(11-12, q) graphs when the table stopped at 5.
+# ``SMALL_ORDER`` vertices, 33,868 rows, and one step above it.
+# ``_small_table`` is the rows' only source.  Its 1,100 rows of orders 0-5
+# are built on the first ``profile`` call, in about 2.6 ms (median of 25
+# fresh interpreters, 2-vCPU box, Python 3.11), so ``seq``, ``family`` and a
+# ``verify`` without ``PROP7_MIX`` never pay for them.  Its 32,768 rows of
+# order 6 would take 0.14 s and about 7 MB as tuples, so they ship as
+# ``TABLE_FILE``, which ``write_table_file`` wrote: counts[0..6] in 7 bytes
+# per row (none exceeds 90), in the order of ``all_graphs(6)``, so the row of
+# a graph is indexed by its 15-bit upper triangle; 229,376 bytes, 15,253
+# packed by zlib.  Read the same way, the rows of orders 0-5 (a graph plus
+# 6 - n dominating vertices) were about 9% slower than the dict on
+# ``PROP7_MIX``, whose graphs have 4-7 vertices.  Order 6 answers about a
+# quarter of the memo lookups the engine made on the ``random`` workload's
+# G(11-12, q) graphs when the table stopped at 5.
+#
+# Order 7 has no table: its 2,097,152 rows would be 16 MB in every profiling
+# process.  Each order-7 graph is instead summed from at most 7 order-6 rows
+# (see ``profile``), which took the engine's memo lookups per ``random`` pass
+# from 19,336 to 13,331.  The same step one order higher, over order-7
+# results, measured even with the engine, so it stops here.
 SMALL_ORDER = 6
 TABLE_FILE = os.path.join(os.path.dirname(__file__), "small_table.zlib")
 _TABLE_BYTES = 7 << 15
+# A row of ``_wide_rows``: counts[0..6], or counts[0..7] of an order-7 sum,
+# one little-endian 16-bit lane each, 16 bytes a row.
+_lanes7 = Struct("<7H").unpack_from
+_lanes8 = Struct("<8H").unpack
 
 
-@cache
 def _table_rows() -> bytes:
+    """The order-6 rows as ``TABLE_FILE`` holds them, inflated and checked."""
     try:
         with open(TABLE_FILE, "rb") as f:
             packed = f.read()
@@ -394,6 +433,32 @@ def _table_rows() -> bytes:
             f"the engine's table {TABLE_FILE} does not hold {_TABLE_BYTES} bytes of rows"
         )
     return rows
+
+
+@cache
+def _wide_rows() -> tuple[bytes, list[tuple[int, ...]]]:
+    # The order-6 rows, inflated on the first ``profile`` call and held only
+    # here, widened to 16 bytes a row: a row's byte offset is its index
+    # shifted by 4, and a sum of rows as one integer cannot carry between
+    # counts.  And ``joins[s]``, for a seventh vertex with neighborhood s, the
+    # byte offsets to OR into the first six vertices' row for the step's
+    # contractions, built by the step itself: with x the highest vertex
+    # outside s, x joined to s, then the offsets of s | x.  All of it takes
+    # about 1.9 ms on the first call, against 0.65 ms to inflate the file
+    # alone (medians of 15 fresh interpreters, 2-vCPU box, Python 3.11).
+    narrow = _table_rows()
+    wide = bytearray(16 << 15)
+    for k in range(7):
+        wide[2 * k::16] = narrow[k::7]
+    # edge[x][y]: the bit of edge xy in a row's index, as a byte offset.
+    edge = [[0] * 6 for _ in range(6)]
+    for bit, (x, y) in enumerate(combinations(range(6), 2), 4):
+        edge[x][y] = edge[y][x] = 1 << bit
+    joins = [()] * 64
+    for s in range(62, -1, -1):
+        x = (63 ^ s).bit_length() - 1
+        joins[s] = (sum(edge[x][y] for y in range(6) if s >> y & 1),) + joins[s | 1 << x]
+    return bytes(wide), joins
 
 
 def _table_file_rows() -> bytes:

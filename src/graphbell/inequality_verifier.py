@@ -101,6 +101,8 @@ class InequalityDef(NamedTuple):
     flagged in reports.  ``equality_points`` are in-range n values where the
     two sides provably coincide (the compared families are the same graph);
     there the verifier asserts an exact zero margin instead of strictness.
+    ``reads_bell`` is False for a statement whose sides read no Bell term,
+    so that a scan of it grows no Bell column.
     """
 
     id: str
@@ -111,6 +113,7 @@ class InequalityDef(NamedTuple):
     sides: Callable[[int, int], tuple[int, int]]
     extensions: tuple[int, ...] = ()
     equality_points: tuple[int, ...] = ()
+    reads_bell: bool = True
 
     def in_range(self, n: int) -> bool:
         """Whether the statement is asserted at ``n``: from ``n_min`` up, or an extension."""
@@ -195,6 +198,7 @@ _DEFS: dict[str, InequalityDef] = {
             "PROP7_MIX",
             "averages mix below the larger one: seeded random-instance check of the mediant bound",
             1, 1, False, lambda n, p: _prop7_sides(Random(_point_seed(n, p))),
+            reads_bell=False,
         ),
     ]
 }
@@ -310,7 +314,9 @@ def scan(
     While the scan runs, the shared cache serves binomial Bell sums from
     Pascal-rule columns (``BigSeqCache.open_columns``): a sum is one index
     into a built column, and a column costs one addition per sum; they are
-    dropped when the scan ends, also when it raises.
+    dropped when the scan ends, also when it raises.  A statement that
+    reads no Bell term (``PROP7_MIX``) is refused past the cap the same
+    way, but grows no term and opens no column.
     """
     d = definition(id)
     if n_max < 0 or p_max < 0:
@@ -318,14 +324,18 @@ def scan(
     if not d.uses_p:
         p_max = 0
     cache = shared_cache()
-    cache.ensure(n_max + p_max + 5)
+    if d.reads_bell:
+        cache.ensure(n_max + p_max + 5)
+    else:
+        cache.grow_capacity(n_max + p_max + 6)
 
     lowest = d.eval_min if explore else min(d.extensions + (d.n_min,))
     # A report is built from its five fields in one step, as
     # ``namedtuple._make`` does, skipping the generated ``__new__``.
     ident, sides, ps, new = d.id, d.sides, range(p_max + 1), tuple.__new__
-    # Every statement reads its sums at indices up to n_max + 1.
-    cache.open_columns(n_max + 2)
+    if d.reads_bell:
+        # Every statement reads its sums at indices up to n_max + 1.
+        cache.open_columns(n_max + 2)
     try:
         return [
             new(InequalityReport, (ident, n, p, *sides(n, p)))

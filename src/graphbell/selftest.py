@@ -9,8 +9,9 @@ from .graph_core import all_graphs, random_graph
 from .inequality_verifier import INEQUALITY_IDS, prop7_sample_check, scan, summarize
 
 # The sweep stays at the 76 graphs on at most 4 vertices, below the engine's
-# base-case table (SMALL_ORDER 6), because the golden tests pin selftest's
-# output bytes, its graph count included; the test suite checks every row.
+# base-case table (SMALL_ORDER 6) and its one step over that table's rows
+# at order 7, because the golden tests pin selftest's output bytes, its
+# graph count included; the test suite checks every row and the step.
 EXHAUSTIVE_MAX_ORDER = 4
 RANDOM_GRAPHS = 60
 PROP7_TRIALS = 20

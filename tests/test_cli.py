@@ -400,10 +400,12 @@ def test_profile_cap_refused_before_build(argv, child_env):
     ("family", "--family", "path:4096"),
     ("seq", "--kind", "two_bell", "--n", "4094"),
     ("seq", "--kind", "avg_blocks", "--n", "4095"),
+    ("verify", "--id", "PROP7_MIX", "--n-max", "4091"),
 ])
 def test_bell_cap_refused_before_growth(argv, child_env):
     # Each asks for one Bell term past the cap: bell(4096), the last term of
-    # two_bell through 4094 and of avg_blocks through 4095.  Reaching
+    # two_bell through 4094 and of avg_blocks through 4095.  PROP7_MIX reads
+    # no Bell term, yet its grid is refused by the same check.  Reaching
     # bell(4095) takes about 10 s, so a quick exit shows the refusal came
     # before any growth.
     start = time.perf_counter()

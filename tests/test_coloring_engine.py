@@ -185,6 +185,23 @@ def test_small_table_builds_through_its_own_order(monkeypatch):
     assert len(table) == 1100 and max(map(len, table)) == 5
 
 
+def test_order_7_is_one_step_over_the_table_rows():
+    # Every graph on 7 vertices is summed from order-6 rows before the memo
+    # is asked: here 512 seeded graphs as its first six vertices, each with
+    # all 64 neighborhoods of vertex 6.
+    rng = Random(37)
+    memo = Recording()
+    for _ in range(512):
+        h = random_graph(6, rng, edge_prob=rng.random()).adj
+        for s in range(64):
+            g = Graph(tuple(a | (s >> i & 1) << 6 for i, a in enumerate(h)) + (s,))
+            assert profile(g, memo) == brute_force_profile(g), g
+    # The edgeless graph has the largest counts, S(7, 3) = 301 and
+    # S(7, 4) = 350, past a byte.
+    assert profile(family(FamilyKind.EMPTY, 7), memo).counts == (0, 1, 63, 301, 350, 140, 21, 1)
+    assert not memo and not memo.looked_up and not memo.stored
+
+
 def test_engine_matches_oracle_random():
     rng = Random(321)
     memo = ProfileCache()
@@ -326,9 +343,14 @@ def test_engine_matches_oracle_on_every_atlas_graph(monkeypatch, small_order):
     # Every graph on at most 7 vertices, one per isomorphism class, under
     # four seeded relabellings each: the engine picks vertices by index, so
     # each relabelling can take another branch path.  With the table cut to
-    # the null graph, the rules alone reach every leaf.
+    # the null graph, the rules alone reach every leaf: no other row is
+    # read, and order 7 takes no step over the rows.
     nx = pytest.importorskip("networkx")
     monkeypatch.setattr(coloring_engine, "SMALL_ORDER", small_order)
+    if small_order == 0:
+        # Only the null graph's row, and no order-6 row, so no step either.
+        monkeypatch.setattr(coloring_engine, "_small_table", lambda: {(): (1,)})
+        monkeypatch.setattr(coloring_engine, "_wide_rows", lambda: (None, None))
     rng = Random(29)
     atlas = nx.graph_atlas_g()
     assert len(atlas) == 1253
@@ -510,23 +532,24 @@ def test_memo_length_counts_labeled_entries():
     g = family(FamilyKind.PATH, 300)
     counts = profile(g, memo)
     assert list(memo) == [g.adj] and memo.stored == {g.adj}
-    # every graph of the chain above the table's order
-    assert len(memo.looked_up) == 300 - coloring_engine.SMALL_ORDER
+    # every graph of the chain above order 7, the step over the table's rows
+    assert len(memo.looked_up) == 300 - 7
     memo.looked_up.clear()
     assert profile(g, memo) == counts and memo.looked_up == {g.adj}  # one lookup, a hit
     assert profile(g, None) == counts
 
 
 def test_memo_never_sees_a_table_graph():
-    # Graphs on at most SMALL_ORDER (6) vertices are read from the table
-    # before the memo is asked, and a combine step runs only for a graph
-    # the engine expanded, so neither lookups nor stores go below order 7.
+    # Graphs on at most SMALL_ORDER (6) vertices are read from the table,
+    # and those on 7 are summed from its rows, before the memo is asked; a
+    # combine step runs only for a graph the engine expanded, so neither
+    # lookups nor stores go below order 8.
     rng = Random(331)
     memo = Recording()
     for q in (0.3, 0.5, 0.7):
         profile(random_graph(11, rng, edge_prob=q), memo)
     orders = {len(adj) for adj in memo.looked_up | memo.stored}
-    assert min(orders) == 7
+    assert min(orders) == 8
 
 
 def test_memo_stores_from_the_first_branch_down():

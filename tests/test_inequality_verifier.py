@@ -311,6 +311,19 @@ def test_scan_capacity_guardrail(monkeypatch):
             scan("I1", 4091, p_max)
     assert len(fresh._bell) == 5 + 5 + 1
 
+    # A statement that reads no Bell term is refused the same way, but grows
+    # no term and opens no column.
+    def refuse(kept):
+        raise AssertionError("a scan that reads no Bell term opened columns")
+
+    fresh = BigSeqCache()
+    monkeypatch.setattr(sequences, "_SHARED", fresh)
+    monkeypatch.setattr(fresh, "open_columns", refuse)
+    assert len(scan("PROP7_MIX", 300)) == 300
+    with pytest.raises(ResourceError, match="requested capacity 4097 exceeds"):
+        scan("PROP7_MIX", 4091)
+    assert len(fresh._bell) == 1
+
 
 def test_scan_holds_no_column_afterwards(monkeypatch):
     cache = shared_cache()
@@ -349,7 +362,8 @@ def test_scan_reads_built_columns_in_one_step(id, monkeypatch):
     # Inside a scan a binomial sum is one index into a built column:
     # ``_column`` is entered only to build a column.  The Bell column grows
     # once, in the scan's own up-front ``ensure``; every later call (from
-    # ``bell``) finds it grown.
+    # ``bell``) finds it grown.  A statement that reads no Bell term grows
+    # none.
     ensure, column = BigSeqCache.ensure, BigSeqCache._column
     ensured, idle = [], []
 
@@ -368,8 +382,11 @@ def test_scan_reads_built_columns_in_one_step(id, monkeypatch):
     monkeypatch.setattr(BigSeqCache, "ensure", counting_ensure)
     monkeypatch.setattr(BigSeqCache, "_column", counting_column)
     scan(id, 40, 4)
-    assert ensured[0][0] == 40 + (4 if _DEFS[id].uses_p else 0) + 5
-    assert all(n < terms for n, terms in ensured[1:])
+    if _DEFS[id].reads_bell:
+        assert ensured[0][0] == 40 + (4 if _DEFS[id].uses_p else 0) + 5
+        assert all(n < terms for n, terms in ensured[1:])
+    else:
+        assert ensured == []
     assert idle == []
 
 
