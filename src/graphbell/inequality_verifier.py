@@ -323,19 +323,17 @@ def scan(
         raise DomainError("scan bounds must be nonnegative")
     if not d.uses_p:
         p_max = 0
-    cache = shared_cache()
-    if d.reads_bell:
-        cache.ensure(n_max + p_max + 5)
-    else:
-        cache.grow_capacity(n_max + p_max + 6)
-
     lowest = d.eval_min if explore else min(d.extensions + (d.n_min,))
     # A report is built from its five fields in one step, as
     # ``namedtuple._make`` does, skipping the generated ``__new__``.
     ident, sides, ps, new = d.id, d.sides, range(p_max + 1), tuple.__new__
+    cache = shared_cache()
     if d.reads_bell:
+        cache.ensure(n_max + p_max + 5)
         # Every statement reads its sums at indices up to n_max + 1.
         cache.open_columns(n_max + 2)
+    else:
+        cache.grow_capacity(n_max + p_max + 6)
     try:
         return [
             new(InequalityReport, (ident, n, p, *sides(n, p)))
