@@ -33,6 +33,12 @@ class FamilyAggregates(NamedTuple):
         return Fraction(self.t, self.b)
 
 
+# The two binomial-sum forms, which the ``T_*`` statements call at every
+# grid point, build their record from its two fields in one step, as
+# ``namedtuple._make`` does, skipping the generated ``__new__``.
+_new = tuple.__new__
+
+
 def tree_pk1_aggregates(n: int, p: int) -> FamilyAggregates:
     """A tree of order n plus p isolated vertices, as binomial Bell sums.
 
@@ -44,7 +50,7 @@ def tree_pk1_aggregates(n: int, p: int) -> FamilyAggregates:
     if p < 0:
         raise DomainError("isolated-vertex count must be nonnegative")
     t = bell_binomial_sum(n, p)
-    return FamilyAggregates(bell_binomial_sum(n - 1, p), t)
+    return _new(FamilyAggregates, (bell_binomial_sum(n - 1, p), t))
 
 
 def hnr_pk1_aggregates(n: int, r: int, p: int) -> FamilyAggregates:
@@ -66,7 +72,7 @@ def hnr_pk1_aggregates(n: int, r: int, p: int) -> FamilyAggregates:
     if r < 0 or p < 0:
         raise DomainError("tail and isolated-vertex counts must be nonnegative")
     t = alt_binomial_sum(n, r + 1, p)
-    return FamilyAggregates(alt_binomial_sum(n, r, p), t)
+    return _new(FamilyAggregates, (alt_binomial_sum(n, r, p), t))
 
 
 def lemma15_identity_check(n: int, p: int) -> bool:

@@ -23,7 +23,7 @@ import os
 import zlib
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, count
 from math import factorial
 from operator import add, mul, or_
 from struct import Struct
@@ -63,7 +63,7 @@ class StirlingProfile(NamedTuple):
     @property
     def total(self) -> int:
         """Total number of blocks over all stable-set partitions."""
-        return sum(map(mul, range(self.n + 1), self.counts))
+        return sum(map(mul, count(), self.counts))
 
     @property
     def average(self) -> Fraction:
@@ -107,6 +107,8 @@ class ProfileCache(dict):
 
 
 SHARED_PROFILE_CACHE = ProfileCache()
+
+_new = tuple.__new__
 
 # The combine rule of a degree-2 branch (see ``_profile_counts``).
 _ELIMINATE = "eliminate"
@@ -233,9 +235,17 @@ def profile(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> Stirl
     per node.  The graphs reached are memoized under their adjacency tuples
     (see :class:`ProfileCache` for which); pass ``memo=None`` to disable
     caching.  Orders above ``PROFILE_MAX_ORDER`` raise ResourceError first.
+    A graph on fewer than ``SMALL_ORDER`` vertices is read from the table
+    before anything else, without the order check or the work stack; the
+    name is read per call, so a caller that sets it to 0 runs every graph
+    through the rules.  The record is built from its one field in one step,
+    as ``namedtuple._make`` does, skipping the generated ``__new__``.
     """
-    check_order(g.n)
-    return StirlingProfile(_profile_counts(g.adj, memo, SMALL_ORDER))
+    adj = g.adj
+    if len(adj) < SMALL_ORDER:
+        return _new(StirlingProfile, (_small_table()[adj],))
+    check_order(len(adj))
+    return _new(StirlingProfile, (_profile_counts(adj, memo, SMALL_ORDER),))
 
 
 def find_peel(adj: tuple[int, ...]):

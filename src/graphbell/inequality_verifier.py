@@ -379,31 +379,39 @@ def _prop7_sides(rng: Random) -> tuple[int, int]:
     Draws a reference graph H and lower-average partners F_i (resampled until
     the strict hypothesis holds), mixes their aggregate pairs with positive
     integer weights, and returns the cross-multiplied claim that the mixture
-    average stays below the reference average.
+    average stays below the reference average.  Each graph is one draw: an
+    order ``rng.randint(4, 7)``, then ``random_graph`` at that order, kept as
+    its (Bell number, total) pair.  The generator is read in this order: H,
+    the partner count ``rng.randint(1, 3)``, then up to 60 draws per partner
+    until one has the lower average; if none does, H is redrawn and all of
+    it repeats.  Last come the weights, one ``rng.randint(1, 5)`` per
+    partner.  The goldens pin every report, so the order stays.
     """
+    randint = rng.randint
+
+    def draw() -> tuple[int, int]:
+        g = profile(random_graph(randint(4, 7), rng))
+        return g.bell, g.total
+
     while True:
-        h = profile(random_graph(rng.randint(4, 7), rng))
-        h_bell, h_total = h.bell, h.total
+        h_bell, h_total = draw()
         partners = []
-        ok = True
-        for _ in range(rng.randint(1, 3)):
-            found = None
+        for _ in range(randint(1, 3)):
             for _ in range(60):
-                f = profile(random_graph(rng.randint(4, 7), rng))
-                if f.total * h_bell < h_total * f.bell:
-                    found = f
+                b, t = draw()
+                if t * h_bell < h_total * b:
+                    partners.append((b, t))
                     break
-            if found is None:
-                ok = False
+            else:
+                # reference average too small to dominate anything; redraw H
                 break
-            partners.append(found)
-        if not ok:
-            # reference average too small to dominate anything; redraw H
-            continue
-        weights = [rng.randint(1, 5) for _ in partners]
-        mix_b = h_bell + sum(w * f.bell for w, f in zip(weights, partners))
-        mix_t = h_total + sum(w * f.total for w, f in zip(weights, partners))
-        return mix_t * h_bell, mix_b * h_total
+        else:
+            mix_b, mix_t = h_bell, h_total
+            for b, t in partners:
+                w = randint(1, 5)
+                mix_b += w * b
+                mix_t += w * t
+            return mix_t * h_bell, mix_b * h_total
 
 
 def prop7_sample_check(trials: int, seed: int) -> bool:

@@ -46,8 +46,6 @@ STIRLING_MAX_ROWS = 512
 
 def _binomial_row(p: int, signed: bool = False) -> tuple[int, ...]:
     """C(p, i) for i = 0..p, times (-1)**i when ``signed``, built per call."""
-    if p < 0:
-        raise DomainError("binomial row index must be nonnegative")
     return tuple(-comb(p, i) if signed and i % 2 else comb(p, i) for i in range(p + 1))
 
 
@@ -171,13 +169,15 @@ class BigSeqCache:
         While columns are open, a built column p that reaches m answers with
         one index; column p is built on its first read.  Otherwise the sum
         is one dot product of a binomial row with the slice bell[m : m+p+1].
-        Raises DomainError for a negative m or p, and ResourceError before
-        any term grows if m + p >= HARD_MAX_TERMS.
+        Raises DomainError for a negative m or p, and ResourceError if
+        m + p >= HARD_MAX_TERMS, both before any term grows.
         """
         if m < 0:
             raise DomainError("Bell index must be nonnegative")
+        if p < 0:
+            raise DomainError(f"the binomial order p must be nonnegative, not {p}")
         cols = self._sum_cols
-        if cols is not None and p >= 0:
+        if cols is not None:
             col = cols[p] if p < len(cols) else self._column(p, alt=False)
             if m < len(col):
                 return col[m]
@@ -195,7 +195,7 @@ class BigSeqCache:
         two indices and one subtraction while a built column p reaches
         n+shift-1 (column p is built on its first read), else two dot
         products of the signed binomial row with two slices of P.
-        The sum is 0 for n < 2; otherwise a negative shift raises
+        The sum is 0 for n < 2; otherwise a negative shift or p raises
         DomainError, and an index past HARD_MAX_TERMS ResourceError, before
         any term grows.
         """
@@ -203,10 +203,12 @@ class BigSeqCache:
             return 0
         if shift < 0:
             raise DomainError("the alternating Bell sum shift must be nonnegative")
+        if p < 0:
+            raise DomainError(f"the binomial order p must be nonnegative, not {p}")
         top = n + shift - 1
         cols = self._alt_cols
         col: list[int] | tuple[()] = ()
-        if cols is not None and p >= 0:
+        if cols is not None:
             col = cols[p] if p < len(cols) else self._column(p, alt=True)
         if top < len(col):
             diff = col[top] - col[shift]

@@ -122,6 +122,16 @@ def test_negative_indices_are_domain_errors():
         alt_binomial_sum(5, 0, -1)
 
 
+def test_negative_p_refused_before_any_term_grows():
+    cache = BigSeqCache()
+    with pytest.raises(DomainError, match="p must be nonnegative"):
+        cache.bell_binomial_sum(1500, -1)
+    with pytest.raises(DomainError, match="p must be nonnegative"):
+        cache.alt_binomial_sum(1500, 0, -1)
+    assert len(cache._bell) == 1
+    assert cache.alt_binomial_sum(1, 0, -1) == 0  # n < 2 is empty for every p
+
+
 def test_cap_refused_before_any_term_grows():
     cache = BigSeqCache()
     with pytest.raises(ResourceError):

@@ -273,3 +273,10 @@ def test_aggregate_invariants():
     for agg in samples:
         assert agg.b >= 1
         assert agg.a == Fraction(agg.t, agg.b)
+
+
+def test_binomial_forms_build_family_aggregates():
+    # Both forms build their record without the generated ``__new__``.
+    for agg in (tree_pk1_aggregates(5, 2), hnr_pk1_aggregates(5, 1, 2), hnr_pk1_aggregates(4, 0, 0)):
+        assert type(agg) is FamilyAggregates
+        assert FamilyAggregates(*agg) == agg

@@ -16,6 +16,7 @@ from graphbell import coloring_engine, graph_core
 from graphbell.coloring_engine import (
     PROFILE_MAX_ORDER,
     ProfileCache,
+    StirlingProfile,
     brute_force_profile,
     check_order,
     profile,
@@ -183,6 +184,29 @@ def test_small_table_builds_through_its_own_order(monkeypatch):
     monkeypatch.setattr(coloring_engine, "SMALL_ORDER", 0)
     table = coloring_engine._small_table()
     assert len(table) == 1100 and max(map(len, table)) == 5
+
+
+def test_profile_record_is_a_stirling_profile():
+    # ``profile`` builds its record without the generated ``__new__``, from
+    # the table and from the work stack alike.
+    rng = Random(43)
+    for n in range(9):
+        for _ in range(6):
+            p = profile(random_graph(n, rng), ProfileCache())
+            assert type(p) is StirlingProfile
+            assert StirlingProfile(*p) == p and p.n == n
+
+
+def test_table_answers_below_order_6_without_the_work_stack(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the work stack ran")
+
+    monkeypatch.setattr(coloring_engine, "_profile_counts", refuse)
+    for n in range(6):
+        for g in all_graphs(n):
+            assert profile(g) == brute_force_profile(g), g
+    with pytest.raises(AssertionError, match="work stack"):
+        profile(random_graph(6, Random(1)))
 
 
 def test_order_7_is_one_step_over_the_table_rows():

@@ -3,6 +3,7 @@
 import csv
 import io
 from math import comb
+from random import Random
 
 import pytest
 
@@ -15,13 +16,15 @@ from graphbell.inequality_verifier import (
     _DEFS,
     INEQUALITY_IDS,
     InequalityReport,
+    _point_seed,
+    _prop7_sides,
     check,
     definition,
     prop7_sample_check,
     scan,
     summarize,
 )
-from graphbell.graph_core import FamilyKind, FamilySpec, build
+from graphbell.graph_core import FamilyKind, FamilySpec, build, random_graph
 from graphbell.sequences import BigSeqCache, alt_binomial_sum, bell, shared_cache, stirling2
 
 GRID_IDS = [i for i in INEQUALITY_IDS if i != "PROP7_MIX"]
@@ -411,6 +414,47 @@ def test_prop7_sample_check_runs_clean():
 def test_prop7_requires_trials():
     with pytest.raises(DomainError):
         prop7_sample_check(0, seed=1)
+
+
+def _flagged_prop7_sides(rng):
+    # The sampling loop as it was written with ``ok`` and ``found`` flags,
+    # reading every partner's Bell number and total again in the sums.
+    while True:
+        h = profile(random_graph(rng.randint(4, 7), rng))
+        h_bell, h_total = h.bell, h.total
+        partners = []
+        ok = True
+        for _ in range(rng.randint(1, 3)):
+            found = None
+            for _ in range(60):
+                f = profile(random_graph(rng.randint(4, 7), rng))
+                if f.total * h_bell < h_total * f.bell:
+                    found = f
+                    break
+            if found is None:
+                ok = False
+                break
+            partners.append(found)
+        if not ok:
+            continue
+        weights = [rng.randint(1, 5) for _ in partners]
+        mix_b = h_bell + sum(w * f.bell for w, f in zip(weights, partners))
+        mix_t = h_total + sum(w * f.total for w, f in zip(weights, partners))
+        return mix_t * h_bell, mix_b * h_total
+
+
+def test_prop7_sides_match_the_flagged_loop():
+    # Same sides and the same generator state after each instance, on every
+    # point seed through n = 90 (the first redraws of the reference graph are
+    # at n = 42, 55, 75, 76 and 82) and on the sample check's seeds.
+    rngs = [Random(_point_seed(n, 0)) for n in range(1, 91)]
+    for seed in (42, 7, 12345):
+        rngs += [Random(seed)] * 100
+    for rng in rngs:
+        old = Random()
+        old.setstate(rng.getstate())
+        assert _prop7_sides(rng) == _flagged_prop7_sides(old)
+        assert rng.getstate() == old.getstate()
 
 
 def test_prop7_reports_deterministic_and_seeded():
