@@ -353,6 +353,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except (RecursionError, MemoryError) as exc:
+        # The memo can hold most of the heap.  Kept alive, it left so little
+        # room under a memory limit that further MemoryError lines followed
+        # this one, so it is freed first.
+        SHARED_PROFILE_CACHE.clear()
         reason = ("the recursion depth limit was reached"
                   if isinstance(exc, RecursionError) else "out of memory")
         print(f"error: input too large: {reason}", file=sys.stderr)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, count
 from math import factorial
-from operator import add, mul, or_
+from operator import add, mul
 from struct import Struct
 from typing import NamedTuple
 
@@ -195,22 +195,21 @@ def brute_force_profile(g: Graph) -> StirlingProfile:
 def profile(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> StirlingProfile:
     """Exact profile of ``g`` by vertex peeling and edge branching.
 
-    The base case is a table: a graph on at most ``SMALL_ORDER`` (6)
-    vertices is answered in one lookup, and the memo neither sees nor keeps
-    it.  The table holds all 33,868 labeled graphs on 0-6 vertices, built
-    with two of the rules below: each row is a smaller row plus a top
-    vertex, which is either dominating or takes one addition-contraction
-    step, starting from the null graph's one partition, into no blocks.
-    Unrolled, that step answers a graph on 7 vertices from at most 7 rows,
-    also before the memo is asked: with H its first six vertices and s the
-    neighborhood of vertex 6, counts(G) = (0,) + counts(H) + the sum of
-    counts(H with x joined to s_x), x running over the vertices outside s
-    from the highest down and s_x being s plus every such vertex above x.
-    The first call, not the import, builds the 1,100 rows of orders 0-5, in
-    about 2.6 ms, and inflates the 32,768 rows of order 6 from the package
-    file ``small_table.zlib``, written by the same build, and widens them to
-    16 bits a count, in about 1.9 ms; a missing or damaged file raises
-    DataFileError.  A larger graph that is not in the memo peels its
+    The base case is one table, the counts of all 32,768 labeled graphs on
+    ``SMALL_ORDER`` (6) vertices, shipped in the package file
+    ``small_table.zlib`` and built by the rules below.  A graph on at most
+    7 vertices is answered from it before the memo is asked, and the memo
+    neither sees nor keeps it.  Below order 6 the graph is read with 6 - n
+    dominating vertices added, each of which shifts the counts up one
+    block, so its counts are that row without its 6 - n leading zeros.  On
+    7 vertices, one addition-contraction step on the top vertex sums at
+    most 7 rows: with H its first six vertices and s the neighborhood of
+    vertex 6, counts(G) = (0,) + counts(H) + the sum of counts(H with x
+    joined to s_x), x running over the vertices outside s from the highest
+    down and s_x being s plus every such vertex above x.  The first call,
+    not the import, inflates the rows and widens them to 16 bits a count,
+    in about 2 ms; a missing or damaged file raises DataFileError.  A
+    larger graph that is not in the memo peels its
     highest-indexed vertex v that is dominating, giving
     counts(G, k) = counts(G-v, k-1), or simplicial with r neighbors (r = 0
     if isolated), giving
@@ -235,15 +234,16 @@ def profile(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> Stirl
     per node.  The graphs reached are memoized under their adjacency tuples
     (see :class:`ProfileCache` for which); pass ``memo=None`` to disable
     caching.  Orders above ``PROFILE_MAX_ORDER`` raise ResourceError first.
-    A graph on fewer than ``SMALL_ORDER`` vertices is read from the table
-    before anything else, without the order check or the work stack; the
-    name is read per call, so a caller that sets it to 0 runs every graph
-    through the rules.  The record is built from its one field in one step,
-    as ``namedtuple._make`` does, skipping the generated ``__new__``.
+    A graph on at most 7 vertices is answered before anything else, without
+    the order check or the work stack; ``SMALL_ORDER`` is read per call, so
+    a caller that sets it to 0 cuts the table to the null graph and runs
+    every graph through the rules.  The record is built from its one field
+    in one step, as ``namedtuple._make`` does, skipping the generated
+    ``__new__``.
     """
     adj = g.adj
-    if len(adj) < SMALL_ORDER:
-        return _new(StirlingProfile, (_small_table()[adj],))
+    if len(adj) <= SMALL_ORDER + 1 and SMALL_ORDER:
+        return _new(StirlingProfile, (_base_counts(adj),))
     check_order(len(adj))
     return _new(StirlingProfile, (_profile_counts(adj, memo, SMALL_ORDER),))
 
@@ -278,16 +278,17 @@ def find_peel(adj: tuple[int, ...]):
 def _profile_counts(
     adj: tuple[int, ...], memo: ProfileCache | None, small: int
 ) -> tuple[int, ...]:
-    # Graphs are bare adjacency tuples, their order len(adj).  Those on at
-    # most ``small`` vertices are read from the table: ``_small_table()`` to
-    # order 5, ``_wide_rows()`` at order 6; with ``small`` at 6, order 7 is
-    # one step over the order-6 rows.  Neither is looked up or stored.
-    # ``todo`` holds graphs still to expand and combine steps, each step
-    # pushed as the graph and then its rule, below the graphs whose counts
-    # it needs: rule None for a dominating peel, r for a simplicial one, add
-    # for a fill-in branch and ``_ELIMINATE`` for a degree-2 one (the merged
-    # graph's counts end on top of the other side's).  A rule is never a
-    # tuple, so the type of a popped item tells the two apart.
+    # Graphs are bare adjacency tuples, their order len(adj).  With
+    # ``small`` at 6, those on at most 7 vertices are leaves, answered by
+    # ``_base_counts`` from the order-6 rows; with ``small`` at 0 the only
+    # leaf is the null graph, with its one partition into no blocks, and no
+    # row is read.  No leaf is looked up or stored.  ``todo`` holds graphs
+    # still to expand and combine steps, each step pushed as the graph and
+    # then its rule, below the graphs whose counts it needs: rule None for a
+    # dominating peel, r for a simplicial one, add for a fill-in branch and
+    # ``_ELIMINATE`` for a degree-2 one (the merged graph's counts end on top
+    # of the other side's).  A rule is never a tuple, so the type of a
+    # popped item tells the two apart.
     # ``done`` holds finished counts.  Until the first branch every graph is
     # a peel of the one before, smaller than all earlier ones, and every
     # later graph is smaller still, so none of this chain can be reached
@@ -297,12 +298,7 @@ def _profile_counts(
         get = put = None
     else:
         get, put = memo.get_labeled, memo.put
-    # The step at order 7 reads order-6 rows, so it runs only while the
-    # table reaches order 6.
-    top = small + 1 if small == 6 else small
-    table = _small_table()
-    rows, joins = _wide_rows()
-    from_bytes = int.from_bytes
+    top = small and small + 1
     todo = [adj]
     done = []
     floor = None
@@ -329,28 +325,8 @@ def _profile_counts(
             done.append(counts)
             continue
         adj = item
-        n = len(adj)
-        if n <= top:
-            if n < 6:
-                done.append(table[adj])
-                continue
-            # The byte offset of the row of the first six vertices: the row's
-            # index is the upper triangle of their adjacency matrix.
-            o = (adj[0] >> 1 & 31 | adj[1] >> 2 << 5 & 0x1E0 | adj[2] >> 3 << 9 & 0xE00
-                 | adj[3] >> 4 << 12 & 0x3000 | adj[4] >> 5 << 14 & 0x4000) << 4
-            if n == 6:
-                done.append(_lanes7(rows, o))
-                continue
-            # Order 7, in one vertex-extension step (see ``profile``): the
-            # rows are summed as integers, 16 bits a count, and no partial
-            # sum carries out of a lane, since each is itself a count vector
-            # and no order-7 count exceeds 350.  The first row moves up one
-            # lane for the leading (0,).
-            total = from_bytes(rows[o:o + 16], "little") << 16
-            for j in joins[adj[6]]:
-                j |= o
-                total += from_bytes(rows[j:j + 16], "little")
-            done.append(_lanes8(total.to_bytes(16, "little")))
+        if len(adj) <= top:
+            done.append(_base_counts(adj) if top else (1,))
             continue
         if get is not None:
             hit = get(adj)
@@ -397,21 +373,19 @@ def _profile_counts(
     return done.pop()
 
 
-# The base case of ``profile``: the counts of every labeled graph on at most
-# ``SMALL_ORDER`` vertices, 33,868 rows, and one step above it.
-# ``_small_table`` is the rows' only source.  Its 1,100 rows of orders 0-5
-# are built on the first ``profile`` call, in about 2.6 ms (median of 25
-# fresh interpreters, 2-vCPU box, Python 3.11), so ``seq``, ``family`` and a
-# ``verify`` without ``PROP7_MIX`` never pay for them.  Its 32,768 rows of
-# order 6 would take 0.14 s and about 7 MB as tuples, so they ship as
-# ``TABLE_FILE``, which ``write_table_file`` wrote: counts[0..6] in 7 bytes
-# per row (none exceeds 90), in the order of ``all_graphs(6)``, so the row of
-# a graph is indexed by its 15-bit upper triangle; 229,376 bytes, 15,253
-# packed by zlib.  Read the same way, the rows of orders 0-5 (a graph plus
-# 6 - n dominating vertices) were about 9% slower than the dict on
-# ``PROP7_MIX``, whose graphs have 4-7 vertices.  Order 6 answers about a
+# The base case of ``profile``: the counts of the 32,768 labeled graphs on
+# ``SMALL_ORDER`` vertices, from which ``_base_counts`` answers every graph on
+# at most 7.  Built by the rules at run time they would take about 0.6 s
+# (2-vCPU box, Python 3.11), and about 7 MB held as tuples, so they ship as
+# ``TABLE_FILE``, which ``write_table_file`` wrote from the rules alone:
+# counts[0..6] in 7 bytes per row (none exceeds 90), in the order of
+# ``all_graphs(6)``, so the row of a graph is indexed by its 15-bit upper
+# triangle; 229,376 bytes, 15,253 packed by zlib.  Order 6 answers about a
 # quarter of the memo lookups the engine made on the ``random`` workload's
-# G(11-12, q) graphs when the table stopped at 5.
+# G(11-12, q) graphs when the table stopped at 5.  Only root graphs have
+# fewer than 6 vertices, since the work stack expands graphs on 8 or more,
+# whose children have at least 6: they are read as a row with dominating
+# vertices added, not from rows of their own.
 #
 # Order 7 has no table: its 2,097,152 rows would be 16 MB in every profiling
 # process.  Each order-7 graph is instead summed from at most 7 order-6 rows
@@ -425,6 +399,33 @@ _TABLE_BYTES = 7 << 15
 # one little-endian 16-bit lane each, 16 bytes a row.
 _lanes7 = Struct("<7H").unpack_from
 _lanes8 = Struct("<8H").unpack
+_from_bytes = int.from_bytes
+
+
+def _base_counts(adj: tuple[int, ...]) -> tuple[int, ...]:
+    # The counts of a graph on at most 7 vertices (see ``profile``).  The
+    # byte offset of the row of its first six vertices: the row's index is
+    # the upper triangle of their adjacency matrix.  A graph on n < 6
+    # vertices reads its masks as if padded with edgeless vertices, and
+    # ``pads[n]`` makes those dominating; each shifts the counts up one
+    # block, so the row starts with 6 - n zeros that are dropped.
+    rows, joins, pads = _wide_rows()
+    n = len(adj)
+    if n < 5:
+        adj += (0, 0, 0, 0, 0)
+    o = (adj[0] >> 1 & 31 | adj[1] >> 2 << 5 & 0x1E0 | adj[2] >> 3 << 9 & 0xE00
+         | adj[3] >> 4 << 12 & 0x3000 | adj[4] >> 5 << 14 & 0x4000) << 4 | pads[n]
+    if n < 7:
+        return _lanes7(rows, o)[6 - n:]
+    # Order 7, in one vertex-extension step: the rows are summed as
+    # integers, 16 bits a count, and no partial sum carries out of a lane,
+    # since each is itself a count vector and no order-7 count exceeds 350.
+    # The first row moves up one lane for the leading (0,).
+    total = _from_bytes(rows[o:o + 16], "little") << 16
+    for j in joins[adj[6]]:
+        j |= o
+        total += _from_bytes(rows[j:j + 16], "little")
+    return _lanes8(total.to_bytes(16, "little"))
 
 
 def _table_rows() -> bytes:
@@ -446,16 +447,18 @@ def _table_rows() -> bytes:
 
 
 @cache
-def _wide_rows() -> tuple[bytes, list[tuple[int, ...]]]:
+def _wide_rows() -> tuple[bytes, list[tuple[int, ...]], list[int]]:
     # The order-6 rows, inflated on the first ``profile`` call and held only
     # here, widened to 16 bytes a row: a row's byte offset is its index
     # shifted by 4, and a sum of rows as one integer cannot carry between
     # counts.  And ``joins[s]``, for a seventh vertex with neighborhood s, the
     # byte offsets to OR into the first six vertices' row for the step's
     # contractions, built by the step itself: with x the highest vertex
-    # outside s, x joined to s, then the offsets of s | x.  All of it takes
-    # about 1.9 ms on the first call, against 0.65 ms to inflate the file
-    # alone (medians of 15 fresh interpreters, 2-vCPU box, Python 3.11).
+    # outside s, x joined to s, then the offsets of s | x.  And ``pads[n]``,
+    # for orders 0-7, the offset of every edge with an end at or above n.
+    # All of it takes about 1.9 ms on the first call, against 0.65 ms to
+    # inflate the file alone (medians of 15 fresh interpreters, 2-vCPU box,
+    # Python 3.11).
     narrow = _table_rows()
     wide = bytearray(16 << 15)
     for k in range(7):
@@ -468,48 +471,20 @@ def _wide_rows() -> tuple[bytes, list[tuple[int, ...]]]:
     for s in range(62, -1, -1):
         x = (63 ^ s).bit_length() - 1
         joins[s] = (sum(edge[x][y] for y in range(6) if s >> y & 1),) + joins[s | 1 << x]
-    return bytes(wide), joins
+    pads = [sum(edge[x][y] for y in range(n, 6) for x in range(y)) for n in range(8)]
+    return bytes(wide), joins, pads
 
 
 def _table_file_rows() -> bytes:
-    """The order-6 rows of ``_small_table``, packed as ``TABLE_FILE`` holds them inflated."""
-    table = _small_table(6)
-    return bytes([c for g in all_graphs(6) for c in table[g.adj]])
+    """The order-6 rows, packed as ``TABLE_FILE`` holds them inflated.
+
+    Each row is built by the engine's rules alone, with the table cut to the
+    null graph, so no row of the file it replaces is read.
+    """
+    return bytes([c for g in all_graphs(6) for c in _profile_counts(g.adj, None, 0)])
 
 
 def write_table_file() -> None:
     """Write ``_table_file_rows()``, zlib-packed, to ``TABLE_FILE``."""
     with open(TABLE_FILE, "wb") as f:
         f.write(zlib.compress(_table_file_rows(), 9))
-
-
-@cache
-def _small_table(order: int = SMALL_ORDER - 1) -> dict[tuple[int, ...], tuple[int, ...]]:
-    # Vertex extension: an order-n row is an order-(n-1) row h plus a top
-    # vertex with neighborhood s.  If s holds all of h, the top vertex is
-    # dominating: (0,) + counts(h).  Otherwise, with x the highest vertex
-    # outside s, Zykov's addition-contraction on {x, top} gives
-    # counts(h+s) = counts(h+s|x) + counts((h+s)/{x, top}): a row of this
-    # order with a larger s, built earlier since s runs downward, plus a row
-    # of order n-1, h with x joined to the vertices of s it misses.  Each
-    # graph is h with masks ORed in, ``joins[v][t]`` joining v to the
-    # vertices of t; that takes about two thirds of the time of contracting
-    # with ``merged``.  ``order`` is bound when the module loads, so a caller
-    # that lowers ``SMALL_ORDER`` still gets, and caches, every row up to 5.
-    table = {(): (1,)}
-    for n in range(1, order + 1):
-        full = (1 << n - 1) - 1
-        bits = [[t >> i & 1 for i in range(n - 1)] for t in range(full + 1)]
-        joins = [[tuple([b << v | (t if i == v else 0) for i, b in enumerate(bits[t])])
-                  for t in range(full + 1)] for v in range(n)]
-        for h in [h for h in table if len(h) == n - 1]:
-            by_s = {}
-            for s in range(full, -1, -1):
-                if s == full:
-                    counts = (0,) + table[h]
-                else:
-                    x = (full ^ s).bit_length() - 1
-                    merged_row = table[tuple(map(or_, h, joins[x][s & ~h[x]]))]
-                    counts = tuple(map(add, by_s[s | 1 << x], merged_row + (0,)))
-                table[tuple(map(or_, h, joins[n - 1][s])) + (s,)] = by_s[s] = counts
-    return table

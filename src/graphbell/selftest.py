@@ -8,10 +8,10 @@ from .coloring_engine import ProfileCache, brute_force_profile, profile
 from .graph_core import all_graphs, random_graph
 from .inequality_verifier import INEQUALITY_IDS, prop7_sample_check, scan, summarize
 
-# The sweep stays at the 76 graphs on at most 4 vertices, below the engine's
-# base-case table (SMALL_ORDER 6) and its one step over that table's rows
-# at order 7, because the golden tests pin selftest's output bytes, its
-# graph count included; the test suite checks every row and the step.
+# The sweep stays at the 76 graphs on at most 4 vertices, because the golden
+# tests pin selftest's output bytes, its graph count included.  The engine
+# answers each from its order-6 rows (SMALL_ORDER 6), as it does every graph
+# on at most 7 vertices; the test suite checks every row and every read.
 EXHAUSTIVE_MAX_ORDER = 4
 RANDOM_GRAPHS = 60
 PROP7_TRIALS = 20

@@ -539,18 +539,37 @@ def test_exhaustion_exits_resource(capsys, monkeypatch, exc, reason):
         3, "", f"error: input too large: {reason}\n")
 
 
+def test_out_of_memory_frees_the_memo_before_it_prints(capsys, monkeypatch):
+    # The shared memo can hold most of the heap when an allocation fails, so
+    # the handler empties it before printing its one line.
+    def fill_and_fail(g, memo):
+        memo.update({(i,): (i,) for i in range(1000)})
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "profile", fill_and_fail)
+    assert run_cli(capsys, "compute", "--family", "cycle:9") == (
+        3, "", "error: input too large: out of memory\n")
+    assert len(cli.SHARED_PROFILE_CACHE) == 0
+
+
 # Points the engine at another table file, then runs a request that reads
 # it.  In a child interpreter, because the rows are loaded once per process.
+# cycle:7 takes the order-7 step over the rows, cycle:5 a row with two
+# dominating vertices added.
 _TABLE = (
     "import sys\n"
     "from graphbell import cli, coloring_engine\n"
     "coloring_engine.TABLE_FILE = sys.argv[1]\n"
-    "sys.exit(cli.main(['compute', '--family', 'cycle:7', '--json']))\n"
+    "sys.exit(cli.main(['compute', '--family', sys.argv[2], '--json']))\n"
 )
+_DAMAGES = ["missing", "truncated", "short", "long"]
 
 
-@pytest.mark.parametrize("damage", ["missing", "truncated", "short", "long"])
-def test_damaged_table_file_exits_resource_naming_it(damage, tmp_path, child_env):
+@pytest.mark.parametrize("damage, family", [
+    *[pytest.param(d, "cycle:7", id=d) for d in _DAMAGES],
+    *[pytest.param(d, "cycle:5", id=f"{d}-cycle:5") for d in _DAMAGES],
+])
+def test_damaged_table_file_exits_resource_naming_it(damage, family, tmp_path, child_env):
     with open(coloring_engine.TABLE_FILE, "rb") as f:
         packed = f.read()
     path = tmp_path / "small_table.zlib"
@@ -560,7 +579,7 @@ def test_damaged_table_file_exits_resource_naming_it(damage, tmp_path, child_env
         path.write_bytes(zlib.compress(zlib.decompress(packed)[:-7]))
     elif damage == "long":  # intact zlib, one row too many
         path.write_bytes(zlib.compress(zlib.decompress(packed) * 2))
-    proc = subprocess.run([sys.executable, "-c", _TABLE, str(path)], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", _TABLE, str(path), family], capture_output=True,
                           text=True, env=child_env, timeout=120)
     assert proc.returncode == 3 and proc.stdout == ""
     assert "Traceback" not in proc.stderr

@@ -149,16 +149,15 @@ def test_profile_order_cap():
 
 def test_engine_matches_oracle_exhaustive_small():
     # The labeled graphs on at most SMALL_ORDER vertices (33,868 for orders
-    # 0-6) are the rows of the engine's base-case table: orders 0-5 in the
-    # dict built on first use, order 6 in the shipped file, whose rows follow
-    # the graphs' edge-subset index.  Each row is checked against the oracle,
-    # and each graph through ``profile``, which must answer it from the table
-    # without touching the memo.
+    # 0-6).  Those on 6 are the rows of the shipped file, which follow the
+    # graphs' edge-subset index; the smaller ones are read from those rows
+    # with dominating vertices added.  Each row is checked against the
+    # oracle, and each graph through ``profile``, which must answer it from
+    # the rows without touching the memo.
     small = coloring_engine.SMALL_ORDER
     graphs = [g for n in range(small + 1) for g in all_graphs(n)]
     expected = {g.adj: brute_force_profile(g).counts for g in graphs}
     assert len(expected) == sum(2 ** (n * (n - 1) // 2) for n in range(small + 1)) == 33_868
-    assert coloring_engine._small_table() == {a: c for a, c in expected.items() if len(a) < 6}
     assert coloring_engine._table_rows() == bytes(
         [c for g in all_graphs(6) for c in expected[g.adj]])
     memo = Recording()
@@ -167,23 +166,19 @@ def test_engine_matches_oracle_exhaustive_small():
     assert not memo.looked_up and not memo.stored
 
 
-def test_table_file_is_its_builders_output():
+def test_table_file_is_its_builders_output(monkeypatch):
     # The shipped rows, inflated, are byte for byte what the engine's own
     # rules build; ``write_table_file`` regenerates the file from them.
+    # They are built with the table cut to the null graph, so no row is
+    # read and regenerating the file never reads the file it replaces.
     # The packed bytes themselves may differ between zlib builds.
+    def refuse():
+        raise AssertionError("a row was read")
+
     with open(coloring_engine.TABLE_FILE, "rb") as f:
         packed = f.read()
+    monkeypatch.setattr(coloring_engine, "_wide_rows", refuse)
     assert zlib.decompress(packed) == coloring_engine._table_file_rows()
-
-
-def test_small_table_builds_through_its_own_order(monkeypatch):
-    # The table is built on first use.  A caller that has lowered
-    # SMALL_ORDER, as the atlas test does, must still get every row, or the
-    # cached table would be short for the rest of the session.
-    coloring_engine._small_table.cache_clear()
-    monkeypatch.setattr(coloring_engine, "SMALL_ORDER", 0)
-    table = coloring_engine._small_table()
-    assert len(table) == 1100 and max(map(len, table)) == 5
 
 
 def test_profile_record_is_a_stirling_profile():
@@ -197,7 +192,7 @@ def test_profile_record_is_a_stirling_profile():
             assert StirlingProfile(*p) == p and p.n == n
 
 
-def test_table_answers_below_order_6_without_the_work_stack(monkeypatch):
+def test_table_answers_through_order_7_without_the_work_stack(monkeypatch):
     def refuse(*args):
         raise AssertionError("the work stack ran")
 
@@ -205,8 +200,13 @@ def test_table_answers_below_order_6_without_the_work_stack(monkeypatch):
     for n in range(6):
         for g in all_graphs(n):
             assert profile(g) == brute_force_profile(g), g
+    rng = Random(1)
+    for n in (6, 7):
+        for _ in range(50):
+            g = random_graph(n, rng, edge_prob=rng.random())
+            assert profile(g) == brute_force_profile(g), g
     with pytest.raises(AssertionError, match="work stack"):
-        profile(random_graph(6, Random(1)))
+        profile(random_graph(8, Random(1)))
 
 
 def test_order_7_is_one_step_over_the_table_rows():
@@ -371,10 +371,6 @@ def test_engine_matches_oracle_on_every_atlas_graph(monkeypatch, small_order):
     # read, and order 7 takes no step over the rows.
     nx = pytest.importorskip("networkx")
     monkeypatch.setattr(coloring_engine, "SMALL_ORDER", small_order)
-    if small_order == 0:
-        # Only the null graph's row, and no order-6 row, so no step either.
-        monkeypatch.setattr(coloring_engine, "_small_table", lambda: {(): (1,)})
-        monkeypatch.setattr(coloring_engine, "_wide_rows", lambda: (None, None))
     rng = Random(29)
     atlas = nx.graph_atlas_g()
     assert len(atlas) == 1253
