@@ -33,28 +33,29 @@ class FamilyAggregates(NamedTuple):
         return Fraction(self.t, self.b)
 
 
-# The two binomial-sum forms, which the ``T_*`` statements call at every
-# grid point, build their record from its two fields in one step, as
-# ``namedtuple._make`` does, skipping the generated ``__new__``.
-_new = tuple.__new__
+def tree_form(sums, n: int, p: int):
+    """(b, t) of a tree of order n plus p isolated vertices, read through ``sums``.
+
+    b = sum_i C(p, i) * bell(n+i-1) and t = sum_i C(p, i) * bell(n+i), t read
+    first.  At p = 0 that is b = bell(n-1) and t = bell(n), whatever the
+    tree's shape.  ``sums`` is ``bell_binomial_sum`` for one point, or a
+    run's ``sums`` (n an offset) for one value per point of the run.
+    """
+    t = sums(n, p)
+    return sums(n - 1, p), t
 
 
 def tree_pk1_aggregates(n: int, p: int) -> FamilyAggregates:
-    """A tree of order n plus p isolated vertices, as binomial Bell sums.
-
-    b = sum_i C(p, i) * bell(n+i-1) and t = sum_i C(p, i) * bell(n+i).
-    At p = 0 that is b = bell(n-1) and t = bell(n), whatever the tree's shape.
-    """
+    """A tree of order n plus p isolated vertices: ``tree_form`` by dot products."""
     if n < 1:
         raise DomainError("a tree has at least one vertex")
     if p < 0:
         raise DomainError("isolated-vertex count must be nonnegative")
-    t = bell_binomial_sum(n, p)
-    return _new(FamilyAggregates, (bell_binomial_sum(n - 1, p), t))
+    return FamilyAggregates._make(tree_form(bell_binomial_sum, n, p))
 
 
-def hnr_pk1_aggregates(n: int, r: int, p: int) -> FamilyAggregates:
-    """A cycle of order n with an r-vertex tail, plus p isolated vertices.
+def hnr_form(alt, n: int, r: int, p: int):
+    """(b, t) of a cycle of order n with an r-vertex tail plus p isolated vertices.
 
     The one closed form for every cycle-type family: a plain cycle is r = 0,
     and the tailed triangle n = 3, whose aggregates are the order-(r+3)
@@ -62,17 +63,22 @@ def hnr_pk1_aggregates(n: int, r: int, p: int) -> FamilyAggregates:
     isolated vertices has b = sum_i C(p, i) * alt(n, i) and t shifts each
     alternating Bell sum alt up by one (Duncan & Peele, J. Integer Seq. 12,
     2009).  A tail of r vertices shifts every Bell index by r:
-    b = sum_i C(p, i) * alt(n, r+i) and t = sum_i C(p, i) * alt(n, r+i+1).
-    This is the two-step recursion (order n = triangle with the whole tail
-    + order n-2 with the same tail) summed in closed form, so a point costs
-    two dot products over slices of the alternating prefix column.
+    b = sum_i C(p, i) * alt(n, r+i) and t = sum_i C(p, i) * alt(n, r+i+1), t
+    read first: the two-step recursion (order n = triangle with the whole
+    tail + order n-2 with the same tail) summed in closed form.  ``alt`` is
+    ``alt_binomial_sum``, or a run's ``alt`` (n an offset) or ``alt_shift``.
     """
+    t = alt(n, r + 1, p)
+    return alt(n, r, p), t
+
+
+def hnr_pk1_aggregates(n: int, r: int, p: int) -> FamilyAggregates:
+    """A cycle of order n with an r-vertex tail, plus p isolated vertices: ``hnr_form``."""
     if n < 3:
         raise DomainError("the tailed-cycle family requires n >= 3")
     if r < 0 or p < 0:
         raise DomainError("tail and isolated-vertex counts must be nonnegative")
-    t = alt_binomial_sum(n, r + 1, p)
-    return _new(FamilyAggregates, (alt_binomial_sum(n, r, p), t))
+    return FamilyAggregates._make(hnr_form(alt_binomial_sum, n, r, p))
 
 
 def lemma15_identity_check(n: int, p: int) -> bool:

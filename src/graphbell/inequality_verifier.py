@@ -9,100 +9,108 @@ can be explored without being asserted.  Reports carry the margin
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add, mul, sub
 from random import Random
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import closed_forms as cf
 from .coloring_engine import profile
 from .errors import DomainError, UsageError
 from .graph_core import random_graph
-from .sequences import alt_binomial_sum, bell, bell_binomial_sum, shared_cache
+from .sequences import PointSums, SumColumns, shared_cache
 
 
-def _cross(lo: cf.FamilyAggregates, hi: cf.FamilyAggregates) -> tuple[int, int]:
-    """Cross-multiplied form of the claim ``lo.a < hi.a``."""
-    return lo.t * hi.b, hi.t * lo.b
+def _cross(lo, hi):
+    """The claim ``lo.a < hi.a`` cross-multiplied, t1*b2 < t2*b1, for (b, t) runs."""
+    return map(mul, lo[1], hi[0]), map(mul, hi[1], lo[0])
 
 
-def _t_path_shift(n, p):
-    return _cross(cf.tree_pk1_aggregates(n, p + 1), cf.tree_pk1_aggregates(n + 1, p))
+# Each statement's sides at every n of v's run (a scan's ``SumColumns`` or
+# check's ``PointSums``), read once.  v.sums(d, p) is S_p(n + d), bell(n + d)
+# at p = 0; a cycle of order n + d is cf.hnr_form(v.alt, d, 0, p), and the
+# tailed triangle of order n cf.hnr_form(v.alt_shift, 3, -3, p): tail n - 3.
+def _t_path_shift(v, p):
+    return _cross(cf.tree_form(v.sums, 0, p + 1), cf.tree_form(v.sums, 1, p))
 
 
-def _c9(n, p):
-    lhs = bell_binomial_sum(n, p + 1) * bell_binomial_sum(n, p)
-    return lhs, bell_binomial_sum(n - 1, p + 1) * bell_binomial_sum(n + 1, p)
+def _c9(v, p):
+    return map(mul, v.sums(0, p + 1), v.sums(0, p)), map(mul, v.sums(-1, p + 1), v.sums(1, p))
 
 
-def _t_h3_vs_path(n, p):
-    return _cross(cf.hnr_pk1_aggregates(3, n - 3, p), cf.tree_pk1_aggregates(n + 1, p))
+def _t_h3_vs_path(v, p):
+    return _cross(cf.hnr_form(v.alt_shift, 3, -3, p), cf.tree_form(v.sums, 1, p))
 
 
-def _c11(n, p):
-    s0, s_1 = bell_binomial_sum(n, p), bell_binomial_sum(n - 1, p)
-    return s0 * (s0 - s_1), bell_binomial_sum(n + 1, p) * (s_1 - bell_binomial_sum(n - 2, p))
+def _c11(v, p):
+    s_2, s_1, s0, s1 = (v.sums(d, p) for d in (-2, -1, 0, 1))
+    return map(mul, s0, map(sub, s0, s_1)), map(mul, s1, map(sub, s_1, s_2))
 
 
-def _t_cycle_vs_h3(n, p):
-    return _cross(cf.hnr_pk1_aggregates(n, 0, p), cf.hnr_pk1_aggregates(3, n - 3, p))
+def _t_cycle_vs_h3(v, p):
+    return _cross(cf.hnr_form(v.alt, 0, 0, p), cf.hnr_form(v.alt_shift, 3, -3, p))
 
 
-def _c14(n, p):
-    s_1 = bell_binomial_sum(n - 1, p)
-    lhs = alt_binomial_sum(n, 1, p) * (s_1 - bell_binomial_sum(n - 2, p))
-    rhs = alt_binomial_sum(n, 0, p) * (bell_binomial_sum(n, p) - s_1)
-    return lhs, rhs
+def _c14(v, p):
+    s_2, s_1, s0 = (v.sums(d, p) for d in (-2, -1, 0))
+    lhs = map(mul, v.alt(0, 1, p), map(sub, s_1, s_2))
+    return lhs, map(mul, v.alt(0, 0, p), map(sub, s0, s_1))
 
 
-def _t_cycle_vs_path(n, p):
-    return _cross(cf.tree_pk1_aggregates(n, p), cf.hnr_pk1_aggregates(n, 0, p))
+def _t_cycle_vs_path(v, p):
+    return _cross(cf.tree_form(v.sums, 0, p), cf.hnr_form(v.alt, 0, 0, p))
 
 
-def _c17(n, p):
-    lhs = bell_binomial_sum(n, p) * alt_binomial_sum(n, 0, p)
-    return lhs, bell_binomial_sum(n - 1, p) * alt_binomial_sum(n, 1, p)
+def _c17(v, p):
+    return map(mul, v.sums(0, p), v.alt(0, 0, p)), map(mul, v.sums(-1, p), v.alt(0, 1, p))
 
 
-def _t_cycle_drop2(n, p):
-    return _cross(cf.hnr_pk1_aggregates(n - 2, 0, p + 2), cf.hnr_pk1_aggregates(n, 0, p))
+def _t_cycle_drop2(v, p):
+    return _cross(cf.hnr_form(v.alt, -2, 0, p + 2), cf.hnr_form(v.alt, 0, 0, p))
 
 
-def _i1(n, _p):
-    return bell(n) ** 2, bell(n - 1) * bell(n + 1)
+def _i1(v, _p):
+    b_1, b0, b1 = (v.sums(d, 0) for d in (-1, 0, 1))
+    return map(mul, b0, b0), map(mul, b_1, b1)
 
 
-def _i2(n, _p):
-    return bell(n) * (bell(n) + bell(n + 1)), bell(n - 1) * (bell(n + 1) + bell(n + 2))
+def _i2(v, _p):
+    b_1, b0, b1, b2 = (v.sums(d, 0) for d in (-1, 0, 1, 2))
+    return map(mul, b0, map(add, b0, b1)), map(mul, b_1, map(add, b1, b2))
 
 
-def _i3(n, _p):
-    return bell(n) * (bell(n) - bell(n - 1)), bell(n + 1) * (bell(n - 1) - bell(n - 2))
+def _i3(v, _p):
+    b_2, b_1, b0, b1 = (v.sums(d, 0) for d in (-2, -1, 0, 1))
+    return map(mul, b0, map(sub, b0, b_1)), map(mul, b1, map(sub, b_1, b_2))
 
 
-def _i4(n, _p):
-    lhs = (bell(n - 1) - bell(n - 2)) * alt_binomial_sum(n, 1, 0)
-    return lhs, (bell(n) - bell(n - 1)) * alt_binomial_sum(n, 0, 0)
+def _i4(v, _p):
+    b_2, b_1, b0 = (v.sums(d, 0) for d in (-2, -1, 0))
+    lhs = map(mul, map(sub, b_1, b_2), v.alt(0, 1, 0))
+    return lhs, map(mul, map(sub, b0, b_1), v.alt(0, 0, 0))
 
 
-def _i5(n, _p):
-    return bell(n) * alt_binomial_sum(n, 0, 0), bell(n - 1) * alt_binomial_sum(n, 1, 0)
+def _i5(v, _p):
+    return map(mul, v.sums(0, 0), v.alt(0, 0, 0)), map(mul, v.sums(-1, 0), v.alt(0, 1, 0))
 
 
-def _i6(n, _p):
-    s = -1 if n % 2 else 1
-    lhs = (bell(n) + bell(n - 1) + 7 * s) * alt_binomial_sum(n, 0, 0)
-    rhs = (bell(n - 1) + bell(n - 2) + 3 * s) * alt_binomial_sum(n, 1, 0)
-    return lhs, rhs
+def _i6(v, _p):
+    b_2, b_1, b0 = (v.sums(d, 0) for d in (-2, -1, 0))
+    s = [-1 if n % 2 else 1 for n in v.ns]
+    lhs = map(mul, [x + y + 7 * e for x, y, e in zip(b0, b_1, s)], v.alt(0, 0, 0))
+    return lhs, map(mul, [x + y + 3 * e for x, y, e in zip(b_1, b_2, s)], v.alt(0, 1, 0))
 
 
 class InequalityDef(NamedTuple):
     """One named statement: normalized sides plus its documented validity data.
 
     ``extensions`` are points below ``n_min`` verified to hold strictly and
-    flagged in reports.  ``equality_points`` are in-range n values where the
-    two sides provably coincide (the compared families are the same graph);
-    there the verifier asserts an exact zero margin instead of strictness.
-    ``reads_bell`` is False for a statement whose sides read no Bell term,
-    so that a scan of it grows no Bell column.
+    flagged in reports; they lie directly below ``n_min``, so the points a
+    scan asserts are one run of n.  ``equality_points`` are in-range n
+    values where the two sides provably coincide (the compared families are
+    the same graph); there the verifier asserts an exact zero margin instead
+    of strictness.  ``reads_bell`` is False for a statement whose sides
+    read no Bell term, so that a scan of it grows no Bell column.
     """
 
     id: str
@@ -110,7 +118,7 @@ class InequalityDef(NamedTuple):
     n_min: int
     eval_min: int
     uses_p: bool
-    sides: Callable[[int, int], tuple[int, int]]
+    sides: Callable[[object, int], tuple[Iterable[int], Iterable[int]]]
     extensions: tuple[int, ...] = ()
     equality_points: tuple[int, ...] = ()
     reads_bell: bool = True
@@ -197,7 +205,8 @@ _DEFS: dict[str, InequalityDef] = {
         InequalityDef(
             "PROP7_MIX",
             "averages mix below the larger one: seeded random-instance check of the mediant bound",
-            1, 1, False, lambda n, p: _prop7_sides(Random(_point_seed(n, p))),
+            1, 1, False,
+            lambda v, p: zip(*[_prop7_sides(Random(_point_seed(n, p))) for n in v.ns]),
             reads_bell=False,
         ),
     ]
@@ -292,7 +301,8 @@ def check(id: str, n: int, p: int = 0) -> InequalityReport:
     if not d.in_range(n):
         raise DomainError(f"{id} holds for n >= {d.n_min}; n={n} is out of range")
     p = p if d.uses_p else 0
-    return InequalityReport(d.id, n, p, *d.sides(n, p))
+    (lhs,), (rhs,) = d.sides(PointSums(n), p)
+    return InequalityReport(d.id, n, p, lhs, rhs)
 
 
 def scan(
@@ -311,12 +321,12 @@ def scan(
     so a grid past the Bell cap is refused before any term grows.  A
     statement that reads no p is scanned at p = 0 alone, so its ``p_max``
     is neither grown nor checked: it scans as ``scan(id, n_max, 0)``.
-    While the scan runs, the shared cache serves binomial Bell sums from
-    Pascal-rule columns (``BigSeqCache.open_columns``): a sum is one index
-    into a built column, and a column costs one addition per sum; they are
-    dropped when the scan ends, also when it raises.  A statement that
-    reads no Bell term (``PROP7_MIX``) is refused past the cap the same
-    way, but grows no term and opens no column.
+    The sides are evaluated at each p over the whole run of n at once, from
+    one ``SumColumns`` that the scan creates and drops: each sum is a slice
+    of a Pascal-rule column, a column costs one big-integer operation per
+    sum, and the shared cache keeps only its Bell column.  A statement that
+    reads no Bell term (``PROP7_MIX``) is refused past the cap the same way,
+    but grows no term and builds no column.
     """
     d = definition(id)
     if n_max < 0 or p_max < 0:
@@ -324,25 +334,24 @@ def scan(
     if not d.uses_p:
         p_max = 0
     lowest = d.eval_min if explore else min(d.extensions + (d.n_min,))
-    # A report is built from its five fields in one step, as
-    # ``namedtuple._make`` does, skipping the generated ``__new__``.
-    ident, sides, ps, new = d.id, d.sides, range(p_max + 1), tuple.__new__
-    cache = shared_cache()
+    top, cache = n_max + p_max + 5, shared_cache()
     if d.reads_bell:
-        cache.ensure(n_max + p_max + 5)
-        # Every statement reads its sums at indices up to n_max + 1.
-        cache.open_columns(n_max + 2)
+        cache.ensure(top)
     else:
-        cache.grow_capacity(n_max + p_max + 6)
-    try:
-        return [
-            new(InequalityReport, (ident, n, p, *sides(n, p)))
-            for n in range(lowest, n_max + 1)
-            if explore or d.in_range(n)
-            for p in ps
-        ]
-    finally:
-        cache.close_columns()
+        cache.grow_capacity(top + 1)
+    run, width = range(lowest, n_max + 1), p_max + 1
+    if not run:
+        return []
+    view = SumColumns(cache, run, top)
+    # The reports in (n, p) order: those at p fill every width-th slot.  A
+    # report is built from its five fields in one step, as
+    # ``namedtuple._make`` does, skipping the generated ``__new__``.
+    reports: list = [None] * (len(run) * width)
+    ident, new, cls = d.id, tuple.__new__, repeat(InequalityReport)
+    for p in range(width):
+        lhs, rhs = d.sides(view, p)
+        reports[p::width] = map(new, cls, zip(repeat(ident), run, repeat(p), lhs, rhs))
+    return reports
 
 
 def summarize(reports: list[InequalityReport]) -> dict:

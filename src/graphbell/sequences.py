@@ -10,11 +10,10 @@ every alternating Bell sum is one subtraction (``alt_binomial_sum`` at
 p = 0).  A binomial Bell sum sum_i C(p, i) * bell(m + i), and its
 alternating counterpart, is one dot product of a binomial row with one
 slice of a cached column, so a family with p isolated vertices costs one
-call, not p + 1; the binomial row is built per call.  While a scan runs,
-both kinds are read instead from Pascal-rule columns (``open_columns``):
-a column is built from the previous one at one addition per sum, a read
-is one index into a built column, and the columns hold about one sum per
-scanned point.
+call, not p + 1; the binomial row is built per call.  A scan reads both
+kinds over a whole run of n from the Pascal-rule columns of its own
+``SumColumns``, one slice per read; ``PointSums`` gives the same reads for
+one n by dot product.
 The Stirling triangle is grown only as far as ``stirling2`` has been
 asked, so Bell lookups cost memory linear in the index.  Each table has
 one hard cap, checked before it grows: ``HARD_MAX_TERMS`` Bell terms and
@@ -28,6 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 from operator import add, mul, sub
+from typing import Iterator
 
 from .errors import DomainError, ResourceError
 
@@ -63,10 +63,6 @@ class BigSeqCache:
         self._alt_prefix: list[int] = [1]
         self._bell_triangle_row: list[int] = [1]
         self._stirling: list[list[int]] = [[1]]
-        # Pascal-rule columns of binomial sums, open only while a scan runs.
-        self._sum_cols: list[list[int]] | None = None
-        self._alt_cols: list[list[int]] | None = None
-        self._kept = 0
 
     def grow_capacity(self, terms: int) -> None:
         """Raise ResourceError at once if ``terms`` Bell terms exceed the hard cap.
@@ -131,56 +127,18 @@ class BigSeqCache:
                 self._stirling.append(srow)
         return self._stirling[n][k]
 
-    def open_columns(self, kept: int) -> None:
-        """Serve binomial sums from Pascal-rule columns until ``close_columns``.
-
-        Column p of the Bell sums holds S_p[m] = ``bell_binomial_sum(m, p)``;
-        column p of the alternating sums holds
-        Q_p[j] = sum_i C(p, i) * (-1)**i * P[j + i] over the alternating
-        prefix column P.  Column 0 is the cache's own Bell or prefix column.
-        Column p is built the first time it is read, from column p-1 in one
-        pass: S_p[m] = S_{p-1}[m] + S_{p-1}[m+1] and
-        Q_p[j] = Q_{p-1}[j] - Q_{p-1}[j+1], so a sum costs one addition.
-        Once column p+1 is built, column p (p >= 1) is cut to its first
-        ``kept`` entries, so memory follows the indices read, not a Pascal
-        triangle.  A read past a column's end takes the dot product.
-        """
-        self._sum_cols = [self._bell]
-        self._alt_cols = [self._alt_prefix]
-        self._kept = kept
-
-    def close_columns(self) -> None:
-        """Drop the columns: every binomial sum takes the dot product again."""
-        self._sum_cols = self._alt_cols = None
-
-    def _column(self, p: int, alt: bool) -> list[int]:
-        """Build the open columns through p (p >= 1, columns open) and return column p."""
-        cols = self._alt_cols if alt else self._sum_cols
-        while len(cols) <= p:
-            prev = cols[-1]
-            cols.append(list(map(sub if alt else add, prev, prev[1:])))
-            if len(cols) > 2:
-                del prev[self._kept :]
-        return cols[p]
-
     def bell_binomial_sum(self, m: int, p: int) -> int:
         """Sum of C(p, i) * bell(m + i) for i = 0..p.
 
-        While columns are open, a built column p that reaches m answers with
-        one index; column p is built on its first read.  Otherwise the sum
-        is one dot product of a binomial row with the slice bell[m : m+p+1].
-        Raises DomainError for a negative m or p, and ResourceError if
+        One dot product of a binomial row with the slice bell[m : m+p+1];
+        ``SumColumns`` reads the same sum over a run of m.  Raises
+        DomainError for a negative m or p, and ResourceError if
         m + p >= HARD_MAX_TERMS, both before any term grows.
         """
         if m < 0:
             raise DomainError("Bell index must be nonnegative")
         if p < 0:
             raise DomainError(f"the binomial order p must be nonnegative, not {p}")
-        cols = self._sum_cols
-        if cols is not None:
-            col = cols[p] if p < len(cols) else self._column(p, alt=False)
-            if m < len(col):
-                return col[m]
         self.ensure(m + p)
         return sum(map(mul, _binomial_row(p), self._bell[m : m + p + 1]))
 
@@ -191,10 +149,8 @@ class BigSeqCache:
         the alternating Bell sum; p = 0 gives A(n, shift) alone.  With the
         alternating prefix sums P, term i is
         (-1)**(n+shift+1) * (-1)**i * (P[n+shift-1+i] - P[shift+i]), so the
-        sum is ±(Q_p[n+shift-1] - Q_p[shift]) with Q_p as in ``open_columns``:
-        two indices and one subtraction while a built column p reaches
-        n+shift-1 (column p is built on its first read), else two dot
-        products of the signed binomial row with two slices of P.
+        sum is two dot products of the signed binomial row with two slices
+        of P; ``SumColumns`` reads the same sum over a run.
         The sum is 0 for n < 2; otherwise a negative shift or p raises
         DomainError, and an index past HARD_MAX_TERMS ResourceError, before
         any term grows.
@@ -206,19 +162,89 @@ class BigSeqCache:
         if p < 0:
             raise DomainError(f"the binomial order p must be nonnegative, not {p}")
         top = n + shift - 1
-        cols = self._alt_cols
-        col: list[int] | tuple[()] = ()
-        if cols is not None:
-            col = cols[p] if p < len(cols) else self._column(p, alt=True)
-        if top < len(col):
-            diff = col[top] - col[shift]
-        else:
-            self.ensure(top + p)
-            row = _binomial_row(p, signed=True)
-            prefix = self._alt_prefix
-            diff = sum(map(mul, row, prefix[top : top + p + 1]))
-            diff -= sum(map(mul, row, prefix[shift : shift + p + 1]))
+        self.ensure(top + p)
+        row = _binomial_row(p, signed=True)
+        prefix = self._alt_prefix
+        diff = sum(map(mul, row, prefix[top : top + p + 1]))
+        diff -= sum(map(mul, row, prefix[shift : shift + p + 1]))
         return -diff if (n + shift) % 2 == 0 else diff
+
+
+class SumColumns:
+    """Binomial Bell sums over one run ``ns`` of consecutive n, from Pascal-rule columns.
+
+    A scan creates one once the Bell column reaches ``top``, and drops it.
+    Column p holds S_p[m] = ``bell_binomial_sum(m, p)``, or
+    Q_p[j] = sum_i C(p, i) * (-1)**i * P[j + i] over the alternating prefix
+    column P; column 0 is the cache's, through ``top``.  Column p is built
+    on first read from column p-1, one big-integer operation per sum:
+    S_p[m] = S_{p-1}[m] + S_{p-1}[m+1], Q_p[j] = Q_{p-1}[j] - Q_{p-1}[j+1].
+    Once column p+1 is built, column p (p >= 1) is cut to the indices a run
+    reads, 0..ns[-1]+1, so memory follows the points.  A read gives one
+    value per n; one outside a column raises DomainError, as a negative
+    slice start would wrap.
+    """
+
+    def __init__(self, cache: BigSeqCache, ns: range, top: int):
+        self.ns = ns
+        self._sums = [cache._bell[: top + 1]]
+        self._alts = [cache._alt_prefix[: top + 1]]
+
+    def _column(self, cols: list[list[int]], p: int, op) -> list[int]:
+        while len(cols) <= p:
+            prev = cols[-1]
+            cols.append(list(map(op, prev, prev[1:])))
+            if len(cols) > 2:
+                del prev[self.ns.stop + 1 :]
+        return cols[p]
+
+    def _run(self, col: list[int], start: int) -> list[int]:
+        stop = start + len(self.ns)
+        if start < 0 or stop > len(col):
+            raise DomainError(f"a run reads indices {start}..{stop - 1} of a column of {len(col)}")
+        return col[start:stop]
+
+    def sums(self, d: int, p: int) -> list[int]:
+        """``bell_binomial_sum(n + d, p)`` for each n of the run (p = 0: bell(n + d))."""
+        cols = self._sums
+        return self._run(cols[p] if p < len(cols) else self._column(cols, p, add), self.ns.start + d)
+
+    def alt(self, d: int, s: int, p: int) -> Iterator[int]:
+        """``alt_binomial_sum(n + d, s, p)`` for each n of the run (n + d >= 1), read once."""
+        return self._alt(self.ns.start + d, s, False, p)
+
+    def alt_shift(self, k: int, d: int, p: int) -> Iterator[int]:
+        """``alt_binomial_sum(k, n + d, p)`` for each n of the run (k >= 1), read once."""
+        return self._alt(k, self.ns.start + d, True, p)
+
+    def _alt(self, order: int, shift: int, shift_runs: bool, p: int) -> Iterator[int]:
+        # ±(Q_p[order + shift - 1] - Q_p[shift]), operands swapped where
+        # order + shift is even; along the run the order or the shift steps.
+        if order < 1 or shift < 0:
+            raise DomainError(f"a run reads alternating sums from order {order}, shift {shift}")
+        cols = self._alts
+        q = cols[p] if p < len(cols) else self._column(cols, p, sub)
+        top = self._run(q, order + shift - 1)
+        base = self._run(q, shift) if shift_runs else [q[shift]] * len(top)
+        even = (order + shift) % 2
+        top[even::2], base[even::2] = base[even::2], top[even::2]
+        return map(sub, top, base)
+
+
+class PointSums:
+    """The reads of ``SumColumns`` for the run of one n, each one dot product."""
+
+    def __init__(self, n: int):
+        self.ns = range(n, n + 1)
+
+    def sums(self, d: int, p: int) -> tuple[int]:
+        return (bell_binomial_sum(self.ns.start + d, p),)
+
+    def alt(self, d: int, s: int, p: int) -> tuple[int]:
+        return (alt_binomial_sum(self.ns.start + d, s, p),)
+
+    def alt_shift(self, k: int, d: int, p: int) -> tuple[int]:
+        return (alt_binomial_sum(k, self.ns.start + d, p),)
 
 
 _SHARED = BigSeqCache()

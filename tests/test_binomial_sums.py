@@ -6,8 +6,8 @@ the alternating Bell sum A(n, s) = sum_j (-1)**(j+1) * bell(n - j + s), j = 1..n
 is ``alt_binomial_sum(n, s, 0)``.
 Each is checked against its per-term sum, and the Bell sum also against
 the Stirling triangle, whose recurrence shares nothing with the Bell
-column.  The Pascal-rule columns a scan reads from are checked against
-the same per-term sums.  The settings profile registered in ``conftest.py`` derandomizes
+column.  The Pascal-rule columns a scan reads from (``SumColumns``) are
+checked against the same per-term sums.  The settings profile registered in ``conftest.py`` derandomizes
 the search.
 """
 
@@ -23,9 +23,11 @@ from graphbell.errors import DomainError, ResourceError  # noqa: E402
 from graphbell.sequences import (  # noqa: E402
     HARD_MAX_TERMS,
     BigSeqCache,
+    SumColumns,
     alt_binomial_sum,
     bell,
     bell_binomial_sum,
+    shared_cache,
     stirling2,
 )
 
@@ -62,36 +64,49 @@ def test_alt_binomial_sum_is_its_per_term_sum(n, shift, p):
     assert expected == direct
 
 
-@settings(max_examples=150)
+@settings(max_examples=100)
 @given(
-    st.integers(0, 110), st.integers(1, 30),
-    st.integers(0, 60), st.integers(0, 5), st.integers(0, P_MAX),
+    st.integers(2, 40), st.integers(1, 8), st.integers(0, 1), st.integers(0, 16),
 )
-def test_column_sums_are_their_per_term_sums(grown, kept, m, shift, p):
-    # Columns opened over a Bell column of ``grown + 1`` terms and cut to
-    # ``kept`` entries.  Column p + 1 is read first, so column p (p >= 1)
-    # is already cut: a read past the end of a cut or short column must
-    # fall back to the dot product and give the same sum.
-    cache = BigSeqCache()
-    cache.ensure(grown)
-    cache.open_columns(kept)
-    try:
-        cache.bell_binomial_sum(0, p + 1)
-        cache.alt_binomial_sum(2, 0, p + 1)
-        if p >= 1:
-            assert len(cache._sum_cols[p]) <= kept and len(cache._alt_cols[p]) <= kept
-        for index in (0, m):
-            assert cache.bell_binomial_sum(index, p) == sum(
-                comb(p, i) * bell(index + i) for i in range(p + 1)
-            )
-        for n in (2, m):
-            assert cache.alt_binomial_sum(n, shift, p) == sum(
-                comb(p, i) * (-1) ** (j + 1) * bell(n - j + shift + i)
-                for i in range(p + 1)
-                for j in range(1, n)
-            )
-    finally:
-        cache.close_columns()
+def test_column_sums_are_their_per_term_sums(lo, length, shift, p):
+    # A scan's columns over the run n = lo..lo+length-1, read at every
+    # offset a statement reads.  Column p + 1 is read first, so column p
+    # (p >= 1) is already cut to the indices the run reads: every read must
+    # still give the per-term sums, and a read that would start below index
+    # 0 (or at order 0) is refused, not wrapped.
+    run = range(lo, lo + length)
+    bell(run.stop + p + 4)
+    view = SumColumns(shared_cache(), run, run.stop + p + 4)
+    view.sums(0, p + 1)
+    view.alt(0, 0, p + 1)
+    if p >= 1:
+        assert len(view._sums[p]) == len(view._alts[p]) == run.stop + 1
+
+    def alt(n, s):
+        return sum(
+            comb(p, i) * (-1) ** (j + 1) * bell(n - j + s + i)
+            for i in range(p + 1)
+            for j in range(1, n)
+        )
+
+    for d in (-2, -1, 0, 1):
+        assert view.sums(d, p) == [
+            sum(comb(p, i) * bell(n + d + i) for i in range(p + 1)) for n in run
+        ]
+    for d in (-2, 0):
+        if lo + d < 1:
+            with pytest.raises(DomainError):
+                view.alt(d, shift, p)
+        else:
+            assert list(view.alt(d, shift, p)) == [alt(n + d, shift) for n in run]
+    for d in (-3, -2):
+        if lo + d < 0:
+            with pytest.raises(DomainError):
+                view.alt_shift(3, d, p)
+        else:
+            assert list(view.alt_shift(3, d, p)) == [alt(3, n + d) for n in run]
+    with pytest.raises(DomainError):
+        view.sums(-lo - 1, p)
 
 
 @pytest.mark.parametrize("m", [0, 1, 7])

@@ -25,7 +25,9 @@ from graphbell.inequality_verifier import (
     summarize,
 )
 from graphbell.graph_core import FamilyKind, FamilySpec, build, random_graph
-from graphbell.sequences import BigSeqCache, alt_binomial_sum, bell, shared_cache, stirling2
+from graphbell.sequences import (
+    BigSeqCache, PointSums, SumColumns, alt_binomial_sum, bell, shared_cache, stirling2,
+)
 
 GRID_IDS = [i for i in INEQUALITY_IDS if i != "PROP7_MIX"]
 PAIRS = [
@@ -159,6 +161,35 @@ def test_check_matches_scan_at_every_in_range_point(id):
         else:
             with pytest.raises(DomainError):
                 check(id, r.n, r.p)
+
+
+@pytest.mark.parametrize("id", INEQUALITY_IDS)
+def test_scan_is_its_points_at_every_run_length(id):
+    # Every run a small scan can start: for n_max 0-9 and p_max 0-3, explored
+    # or not, the scan holds exactly its grid points in (n, p) order, each
+    # the report of a run of that one point (check's, where check asserts
+    # the point), and is [] when no n qualifies.  A slice off by one, or
+    # one that starts below index 0, shows up at the low end of a run.
+    d = definition(id)
+
+    def point(n, p):
+        if d.in_range(n):
+            return check(id, n, p)
+        (lhs,), (rhs,) = d.sides(PointSums(n), p)
+        return InequalityReport(id, n, p, lhs, rhs)
+
+    points = {(n, p): point(n, p) for n in range(d.eval_min, 10) for p in range(4)}
+    for explore in (False, True):
+        for n_max in range(10):
+            for p_max in range(4):
+                ps = range(p_max + 1) if d.uses_p else (0,)
+                expected = [
+                    points[n, p]
+                    for n in range(d.eval_min, n_max + 1)
+                    if explore or d.in_range(n)
+                    for p in ps
+                ]
+                assert scan(id, n_max, p_max, explore=explore) == expected
 
 
 def test_i_series_ignore_p():
@@ -315,13 +346,13 @@ def test_scan_capacity_guardrail(monkeypatch):
     assert len(fresh._bell) == 5 + 5 + 1
 
     # A statement that reads no Bell term is refused the same way, but grows
-    # no term and opens no column.
-    def refuse(kept):
-        raise AssertionError("a scan that reads no Bell term opened columns")
+    # no term and builds no column.
+    def refuse(*args):
+        raise AssertionError("a scan that reads no Bell term built a column")
 
     fresh = BigSeqCache()
     monkeypatch.setattr(sequences, "_SHARED", fresh)
-    monkeypatch.setattr(fresh, "open_columns", refuse)
+    monkeypatch.setattr(SumColumns, "_column", refuse)
     assert len(scan("PROP7_MIX", 300)) == 300
     with pytest.raises(ResourceError, match="requested capacity 4097 exceeds"):
         scan("PROP7_MIX", 4091)
@@ -329,23 +360,26 @@ def test_scan_capacity_guardrail(monkeypatch):
 
 
 def test_scan_holds_no_column_afterwards(monkeypatch):
+    # The columns belong to the scan's own SumColumns: the shared cache
+    # keeps its Bell column, uncut, and no column of sums, also when the
+    # sides raise after a column is built.
     cache = shared_cache()
+    fields = {"_bell", "_alt_prefix", "_bell_triangle_row", "_stirling"}
     scan("C14", 12, 3)
-    assert cache._sum_cols is None and cache._alt_cols is None
+    assert set(vars(cache)) == fields
+    built = []
 
-    # A side that reads a sum, so column 1 is built, and then raises.
-    opened = []
-
-    def failing_sides(n, p):
-        cache.bell_binomial_sum(n, p + 1)
-        opened.append(len(cache._sum_cols))
+    def failing_sides(v, p):
+        v.sums(0, p + 1)
+        built.append(len(v._sums))
         raise ArithmeticError("side failed")
 
     monkeypatch.setitem(_DEFS, "C9", _DEFS["C9"]._replace(sides=failing_sides))
     with pytest.raises(ArithmeticError):
         scan("C9", 12, 3)
-    assert opened == [2]
-    assert cache._sum_cols is None and cache._alt_cols is None
+    assert built == [2]
+    assert set(vars(cache)) == fields
+    assert len(cache._alt_prefix) == len(cache._bell) >= 12 + 3 + 6
 
 
 @pytest.mark.parametrize("id", INEQUALITY_IDS)
@@ -362,35 +396,36 @@ def test_scan_reads_every_sum_from_its_columns(id, monkeypatch):
 
 @pytest.mark.parametrize("id", INEQUALITY_IDS)
 def test_scan_reads_built_columns_in_one_step(id, monkeypatch):
-    # Inside a scan a binomial sum is one index into a built column:
-    # ``_column`` is entered only to build a column.  The Bell column grows
-    # once, in the scan's own up-front ``ensure``; every later call (from
-    # ``bell``) finds it grown.  A statement that reads no Bell term grows
-    # none.
-    ensure, column = BigSeqCache.ensure, BigSeqCache._column
-    ensured, idle = [], []
+    # Inside a scan a run's sums are one slice of a built column:
+    # ``_column`` is entered only to build a column, and each column is
+    # built once.  The Bell column grows once, in the scan's own up-front
+    # ``ensure``; every later call finds it grown.  A statement that reads
+    # no Bell term grows none and builds no column.
+    ensure, column = BigSeqCache.ensure, SumColumns._column
+    ensured, built, idle = [], [], []
 
     def counting_ensure(cache, n):
         ensured.append((n, len(cache._bell)))
         return ensure(cache, n)
 
-    def counting_column(cache, p, alt):
-        cols = cache._alt_cols if alt else cache._sum_cols
-        built = len(cols)
-        col = column(cache, p, alt)
-        if len(cols) == built:
-            idle.append((p, alt))
+    def counting_column(view, cols, p, op):
+        have = len(cols)
+        col = column(view, cols, p, op)
+        built.extend((op, q) for q in range(have, len(cols)))
+        if len(cols) == have:
+            idle.append((p, op))
         return col
 
     monkeypatch.setattr(BigSeqCache, "ensure", counting_ensure)
-    monkeypatch.setattr(BigSeqCache, "_column", counting_column)
+    monkeypatch.setattr(SumColumns, "_column", counting_column)
     scan(id, 40, 4)
     if _DEFS[id].reads_bell:
         assert ensured[0][0] == 40 + (4 if _DEFS[id].uses_p else 0) + 5
         assert all(n < terms for n, terms in ensured[1:])
     else:
-        assert ensured == []
+        assert ensured == [] and built == []
     assert idle == []
+    assert len(built) == len(set(built))
 
 
 def test_scan_reports_equal_constructed_ones():
