@@ -2,9 +2,9 @@
 
 Each subcommand computes its result once; JSON (--json), CSV (--csv) and
 text (the default) are three renderings of that one result, printed by a
-single emitter.  The one exception is the Stirling table as JSON, which is
-streamed row by row.  With JSON or CSV, verify also prints its one-line summary
-on stderr; in text mode the summary is part of stdout and stderr stays empty.
+single emitter, which writes each of them as it is produced.  With JSON or
+CSV, verify also prints its one-line summary on stderr; in text mode the
+summary is part of stdout and stderr stays empty.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 resource limit
 (a refused guardrail, or a recursion depth or memory limit hit mid-run)
@@ -25,13 +25,14 @@ import csv
 import json
 import os
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 
 from . import closed_forms, selftest
 from .coloring_engine import SHARED_PROFILE_CACHE, profile
 from .errors import DomainError, GraphBellError, ResourceError, UsageError
 from .graph_core import FamilyKind, FamilySpec, build, check_order, load_edge_list
-from .inequality_verifier import INEQUALITY_IDS, scan, summarize
+from .inequality_verifier import INEQUALITY_IDS, InequalityReport, scan, summarize
 from .sequences import avg_blocks, bell, stirling2, two_bell
 
 EXIT_VERIFICATION = 4
@@ -78,19 +79,38 @@ def _approx_str(fr: Fraction) -> str:
     return f"{'-' if fr < 0 else ''}{whole}.{frac:04d}"
 
 
-def _emit(args, obj, header, rows, text) -> None:
-    """Print one result in the format ``args`` asks for.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
-    Every output goes through here except the Stirling table as JSON, which
-    ``_cmd_seq`` streams.
+
+def _json_pieces(obj):
+    """The text of ``json.dumps(obj, separators=(",", ":"))``, in pieces; keys
+    must be strings.  An iterator in ``obj`` is an array, one item at a time."""
+    if isinstance(obj, dict):
+        yield "{"
+        for i, (key, value) in enumerate(obj.items()):
+            yield ("," if i else "") + _encode(key) + ":"
+            yield from _json_pieces(value)
+        yield "}"
+    elif isinstance(obj, Iterator):
+        yield "["
+        for i, item in enumerate(obj):
+            yield ("," if i else "") + _encode(item)
+        yield "]"
+    else:
+        yield _encode(obj)
+
+
+def _emit(args, obj, header, rows, text) -> None:
+    """Print one result in the format ``args`` asks for, as it is produced.
 
     ``obj`` is the JSON value, ``header`` and ``rows`` the CSV table and
     ``text`` the text lines.  Only the requested form is consumed, so ``rows``
-    and ``text`` may be lazy iterables, and an ``obj`` that costs work to
-    build may be None when JSON was not asked for.
+    and ``text`` may be lazy iterables; an iterator in ``obj`` is a JSON
+    array, written item by item.
     """
     if args.json:
-        print(json.dumps(obj, separators=(",", ":")))
+        sys.stdout.writelines(_json_pieces(obj))
+        sys.stdout.write("\n")
     elif args.csv:
         w = csv.writer(sys.stdout, lineterminator="\n")
         w.writerow(header)
@@ -112,19 +132,9 @@ def _cmd_seq(args) -> int:
         stirling2(n, n)  # grows the whole triangle, or refuses before any row
         # One generator feeds whichever format is rendered, one row at a time.
         rows = ([str(stirling2(r, k)) for k in range(r + 1)] for r in range(n + 1))
-        if args.json:
-            # The same bytes as _emit's json.dumps of the whole object, which
-            # would hold every row and the whole text at once: 208 MB peak
-            # RSS at --n 511, against 43 MB for text.
-            encode = json.JSONEncoder(separators=(",", ":")).encode
-            out = sys.stdout
-            out.write(f'{{"kind":"stirling2","n_max":{n},"rows":[{encode(next(rows))}')
-            out.writelines("," + encode(row) for row in rows)
-            out.write("]}\n")
-            return 0
         _emit(
             args,
-            None,
+            {"kind": "stirling2", "n_max": n, "rows": rows},
             ["n", "k", "value"],
             ([r, k, val] for r, row in enumerate(rows) for k, val in enumerate(row)),
             (",".join(row) for row in rows),
@@ -246,7 +256,7 @@ def _cmd_verify(args) -> int:
 
     _emit(
         args,
-        [r.as_dict() for r in reports] if args.json else None,
+        map(InequalityReport.as_dict, reports),
         _REPORT_FIELDS,
         map(_report_row, reports),
         text(),

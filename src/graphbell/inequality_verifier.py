@@ -294,13 +294,18 @@ def definition(id: str) -> InequalityDef:
 
 
 def check(id: str, n: int, p: int = 0) -> InequalityReport:
-    """Evaluate one named inequality at (n, p) exactly and report the margin."""
+    """Evaluate one named inequality at (n, p) exactly and report the margin.
+
+    A point is refused past the Bell cap exactly when ``scan(id, n, p)`` is,
+    and before any term grows.
+    """
     d = definition(id)
     if p < 0:
         raise DomainError("p must be nonnegative")
     if not d.in_range(n):
         raise DomainError(f"{id} holds for n >= {d.n_min}; n={n} is out of range")
     p = p if d.uses_p else 0
+    shared_cache().grow_capacity(n + p + 6)  # scan's reach, n + p + 5
     (lhs,), (rhs,) = d.sides(PointSums(n), p)
     return InequalityReport(d.id, n, p, lhs, rhs)
 

@@ -211,6 +211,14 @@ def test_seq_stirling_json_peak_memory_matches_text(child_env):
     assert peak_kb(child_env, *argv, "--json") <= 1.25 * peak_kb(child_env, *argv)
 
 
+def test_verify_json_peak_memory_matches_csv(child_env):
+    # Each report's JSON is encoded and written on its own, as its CSV row
+    # is.  Holding every report's dict and then the whole text peaked at
+    # 88 MB, against 24 MB for CSV.
+    argv = ("verify", "--id", "C9", "--n-max", "300", "--p-max", "40")
+    assert peak_kb(child_env, *argv, "--json") <= 1.25 * peak_kb(child_env, *argv, "--csv")
+
+
 def test_edge_list_with_too_many_lines_is_read_only_past_the_header_count(child_env, tmp_path):
     # Full-size files of 4.2M lines "0 1".  Under the header "3 1" reading
     # stops at the second edge line; under a header that counts every line,
@@ -657,6 +665,33 @@ def test_file_size_limit_exits_resource_without_traceback(tmp_path, child_env):
             preexec_fn=limit_file_size)
     assert proc.returncode == 3
     assert_one_error_line(proc.stderr)
+
+
+_GRID_6X6 = "36 60\n" + "".join(  # the 6x6 grid graph, vertices numbered row by row
+    f"{u} {v}\n" for u, v in sorted([(v, v + 1) for v in range(36) if v % 6 < 5]
+                                    + [(v, v + 6) for v in range(30)]))
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    (("compute", "--edges", "grid.txt"), 3, "error: input too large: out of memory\n"),
+    (("verify", "--id", "C9", "--n-max", "400", "--p-max", "80", "--json"), 0,
+     "C9: 32400 reports, 0 in-range violations\n"),
+], ids=["compute-grid-6x6", "verify-C9-400-80-json"])
+def test_address_space_limit_of_150_mb(argv, code, err, tmp_path, child_env):
+    # A real memory limit, set in the child only.  The grid's memo outgrows
+    # it, and the run ends in one line.  The C9 grid's JSON is written a
+    # report at a time; encoded whole, it needed more and exited 3.
+    resource = pytest.importorskip("resource")
+
+    def limit_address_space():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (150 << 20, hard))
+
+    (tmp_path / "grid.txt").write_text(_GRID_6X6)
+    proc = subprocess.run([sys.executable, "-m", "graphbell", *argv], cwd=tmp_path,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                          env=child_env, timeout=120, preexec_fn=limit_address_space)
+    assert (proc.returncode, proc.stderr) == (code, err)
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="SIGINT cannot be sent to a child")

@@ -359,6 +359,34 @@ def test_scan_capacity_guardrail(monkeypatch):
     assert len(fresh._bell) == 1
 
 
+@pytest.mark.parametrize("id", INEQUALITY_IDS)
+def test_check_refuses_what_scan_refuses_before_any_term_grows(monkeypatch, id):
+    # Under a cap of 40 terms both reach n + p + 5 (p as 0 for a statement
+    # that reads no p): (20, 14) and (34, 0) are the last accepted points,
+    # (20, 15) and (35, 0) the first refused.  check grew every term up to
+    # the cap before it refused, where scan refused at once.
+    monkeypatch.setattr(sequences, "HARD_MAX_TERMS", 40)
+
+    def outcome(evaluate, n, p):
+        fresh = BigSeqCache()
+        monkeypatch.setattr(sequences, "_SHARED", fresh)
+        try:
+            evaluate(id, n, p)
+        except ResourceError as exc:
+            assert len(fresh._bell) == 1
+            return str(exc)
+        return None
+
+    points = [(20, 14), (20, 15), (20, 19), (33, 1), (34, 0), (34, 1), (35, 0)]
+    outcomes = [outcome(check, n, p) for n, p in points]
+    assert outcomes == [outcome(scan, n, p) for n, p in points]
+    assert outcomes[4] is None
+    assert outcomes[6] == "requested capacity 41 exceeds the hard cap of 40 terms"
+    if definition(id).uses_p:
+        assert outcomes[0] is None
+        assert outcomes[2] == "requested capacity 45 exceeds the hard cap of 40 terms"
+
+
 def test_scan_holds_no_column_afterwards(monkeypatch):
     # The columns belong to the scan's own SumColumns: the shared cache
     # keeps its Bell column, uncut, and no column of sums, also when the
