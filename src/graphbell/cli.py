@@ -21,19 +21,19 @@ computed without floating point).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from collections.abc import Iterator
 from fractions import Fraction
+from itertools import chain
 
 from . import closed_forms, selftest
 from .coloring_engine import SHARED_PROFILE_CACHE, profile
 from .errors import DomainError, GraphBellError, ResourceError, UsageError
 from .graph_core import FamilyKind, FamilySpec, build, check_order, load_edge_list
 from .inequality_verifier import INEQUALITY_IDS, InequalityReport, scan, summarize
-from .sequences import avg_blocks, bell, stirling2, two_bell
+from .sequences import avg_blocks, bell, stirling_rows, two_bell
 
 EXIT_VERIFICATION = 4
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, the shell's code for Ctrl-C
@@ -112,9 +112,9 @@ def _emit(args, obj, header, rows, text) -> None:
         sys.stdout.writelines(_json_pieces(obj))
         sys.stdout.write("\n")
     elif args.csv:
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+        # No field needs quoting: each is an id, an integer, a num/den
+        # fraction, true/false or ;-joined counts.
+        sys.stdout.writelines(",".join(map(str, row)) + "\n" for row in chain((header,), rows))
     else:
         for line in text:
             print(line)
@@ -129,9 +129,9 @@ def _cmd_seq(args) -> int:
         raise DomainError("--n must be nonnegative")
     kind = args.kind
     if kind == "stirling2":
-        stirling2(n, n)  # grows the whole triangle, or refuses before any row
-        # One generator feeds whichever format is rendered, one row at a time.
-        rows = ([str(stirling2(r, k)) for k in range(r + 1)] for r in range(n + 1))
+        # Refused before any row; then one generator feeds whichever format
+        # is rendered, one row at a time.
+        rows = (list(map(str, row)) for row in stirling_rows(n))
         _emit(
             args,
             {"kind": "stirling2", "n_max": n, "rows": rows},
@@ -147,13 +147,13 @@ def _cmd_seq(args) -> int:
     term = {"bell": bell, "avg_blocks": avg_blocks, "two_bell": two_bell}[kind]
     term(n)  # grows the column as far as any term reads, or refuses before any term
     fmt = _frac_str if kind == "avg_blocks" else str
-    values = [fmt(term(i)) for i in range(first, n + 1)]
+    values = (fmt(term(i)) for i in range(first, n + 1))
     _emit(
         args,
         {"kind": kind, "n_max": n, "values": values},
         ["n", "value"],
         enumerate(values, start=first),
-        [",".join(values)],
+        map(",".join, (values,)),
     )
     return 0
 

@@ -1,22 +1,22 @@
 """Exact arbitrary-precision tables for set-partition counts.
 
-``bell(n)`` counts the set partitions of an n-element set, ``stirling2(n, k)``
-those with exactly k blocks, and ``two_bell(n)`` the total number of blocks
-over all partitions of an (n+1)-element set.  The Bell column and the
-Stirling triangle are grown by *independent* recurrences (Bell triangle vs.
-the two-term triangle rule) so the test suite can cross-check one pipeline
-against the other.  The Bell column carries its alternating prefix sums, so
-every alternating Bell sum is one subtraction (``alt_binomial_sum`` at
-p = 0).  A binomial Bell sum sum_i C(p, i) * bell(m + i), and its
-alternating counterpart, is one dot product of a binomial row with one
-slice of a cached column, so a family with p isolated vertices costs one
-call, not p + 1; the binomial row is built per call.  A scan reads both
-kinds over a whole run of n from the Pascal-rule columns of its own
-``SumColumns``, one slice per read; ``PointSums`` gives the same reads for
-one n by dot product.
-The Stirling triangle is grown only as far as ``stirling2`` has been
-asked, so Bell lookups cost memory linear in the index.  Each table has
-one hard cap, checked before it grows: ``HARD_MAX_TERMS`` Bell terms and
+``bell(n)`` counts the set partitions of an n-element set, row n of
+``stirling_rows`` those with exactly k blocks for each k, and
+``two_bell(n)`` the total number of blocks over all partitions of an
+(n+1)-element set.  The Bell column and the Stirling rows are built by
+*independent* recurrences (Bell triangle vs. the two-term triangle rule)
+so the test suite can cross-check one pipeline against the other.  The
+Bell column carries its alternating prefix sums, so every alternating Bell
+sum is one subtraction (``alt_binomial_sum`` at p = 0).  A binomial Bell
+sum sum_i C(p, i) * bell(m + i), and its alternating counterpart, is one
+dot product of a binomial row with one slice of a cached column, so a
+family with p isolated vertices costs one call, not p + 1; the binomial
+row is built per call.  A scan reads both kinds over a whole run of n from
+the Pascal-rule columns of its own ``SumColumns``, one slice per read;
+``PointSums`` gives the same reads for one n by dot product.
+Only the Bell column is cached.  The Stirling rows are streamed, one row
+alive at a time, and kept by no one.  Each has one hard cap, checked
+before anything grows: ``HARD_MAX_TERMS`` Bell terms and
 ``STIRLING_MAX_ROWS`` triangle rows.
 Everything is exact integer or Fraction arithmetic; there is no floating
 point anywhere in this module.
@@ -25,6 +25,7 @@ point anywhere in this module.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, islice
 from math import comb
 from operator import add, mul, sub
 from typing import Iterator
@@ -34,13 +35,12 @@ from .errors import DomainError, ResourceError
 # Bell indices 0..HARD_MAX_TERMS-1 may be grown; bell(4095) has about 10k
 # digits and takes about 10 s to reach on a 2-vCPU box.
 HARD_MAX_TERMS = 4096
-# Rows 0..STIRLING_MAX_ROWS-1 of the Stirling triangle may be grown.  The
-# triangle holds about n**2/2 big integers and its decimal form grows like
-# n**3.  Measured on a 2-vCPU box: growing 512 rows takes 0.06 s and 41 MB,
-# 768 rows 0.2 s and 103 MB.  ``seq --kind stirling2 --n 511`` prints 48 MB
-# in 0.8-2.1 s at 43 MB peak RSS (208 MB with --json, which holds every
-# row); at n = 767 and 1023 the output is 177 and 440 MB, and --json peaked
-# near 0.7 and 1.6 GB.
+# Rows 0..STIRLING_MAX_ROWS-1 of the Stirling triangle may be streamed.
+# One row alive costs little; the cap bounds the output, whose decimal form
+# grows like n**3.  Measured on a 2-vCPU box: ``seq --kind stirling2 --n
+# 511`` prints 48 MB in about 0.7 s at 17 MB peak RSS, in text, CSV or
+# JSON alike, about a bare ``seq --kind bell --n 1``; at n = 767 and 1023
+# the output would be 177 and 440 MB.
 STIRLING_MAX_ROWS = 512
 
 
@@ -49,20 +49,39 @@ def _binomial_row(p: int, signed: bool = False) -> tuple[int, ...]:
     return tuple(-comb(p, i) if signed and i % 2 else comb(p, i) for i in range(p + 1))
 
 
-class BigSeqCache:
-    """Append-only cache of Bell numbers and the k-block partition triangle.
+def stirling_rows(n_max: int) -> Iterator[list[int]]:
+    """Rows 0..n_max of the k-block partition triangle; row m is S(m, k), k = 0..m.
 
-    Rows are never mutated after being appended.  Next to the Bell column
+    Raises DomainError for a negative n_max, and ResourceError if
+    n_max >= STIRLING_MAX_ROWS, when called, before any row is built; the
+    generator it returns keeps one row alive.
+    """
+    if n_max < 0:
+        raise DomainError("Stirling row index must be nonnegative")
+    if n_max >= STIRLING_MAX_ROWS:
+        raise ResourceError(
+            f"Stirling row {n_max} exceeds the cap of {STIRLING_MAX_ROWS} triangle rows"
+        )
+    return accumulate(range(1, n_max + 1), _next_stirling_row, initial=[1])
+
+
+def _next_stirling_row(row: list[int], m: int) -> list[int]:
+    # Triangle rule: S(m, k) = k*S(m-1, k) + S(m-1, k-1), and S(m, m) = S(m-1, m-1).
+    return [0, *[k * row[k] + row[k - 1] for k in range(1, m)], row[-1]]
+
+
+class BigSeqCache:
+    """Append-only cache of the Bell numbers.
+
+    Terms are never mutated after being appended.  Next to the Bell column
     sits ``_alt_prefix[m] = sum_{i<=m} (-1)**i * bell(i)``, grown in the same
-    step; the Stirling triangle is grown on its own, by ``stirling2``.  Each
-    table refuses, with ResourceError, to grow past its one hard cap.
+    step.  The column refuses, with ResourceError, to grow past its hard cap.
     """
 
     def __init__(self):
         self._bell: list[int] = [1]
         self._alt_prefix: list[int] = [1]
         self._bell_triangle_row: list[int] = [1]
-        self._stirling: list[list[int]] = [[1]]
 
     def grow_capacity(self, terms: int) -> None:
         """Raise ResourceError at once if ``terms`` Bell terms exceed the hard cap.
@@ -102,30 +121,12 @@ class BigSeqCache:
         self.ensure(n)
         return self._bell[n]
 
+    # perfbench/tracing.py wraps this method by name, so it stays until that
+    # tracer drops it.  No code in the package calls it.
     def stirling2(self, n: int, k: int) -> int:
-        """Partitions of an n-set into exactly k nonempty blocks (0 when k is out of range).
-
-        Growing the triangle to row ``STIRLING_MAX_ROWS`` or beyond raises
-        ResourceError before any row is added.
-        """
-        if n < 0:
-            raise DomainError("Stirling row index must be nonnegative")
-        if k < 0 or k > n:
-            return 0
-        if n >= len(self._stirling):
-            if n >= STIRLING_MAX_ROWS:
-                raise ResourceError(
-                    f"Stirling row {n} exceeds the cap of {STIRLING_MAX_ROWS} triangle rows"
-                )
-            # Triangle rule: count(n, k) = k*count(n-1, k) + count(n-1, k-1).
-            while len(self._stirling) <= n:
-                prev = self._stirling[-1]
-                m = len(self._stirling)
-                srow = [0] * (m + 1)
-                for j in range(1, m + 1):
-                    srow[j] = j * (prev[j] if j < m else 0) + prev[j - 1]
-                self._stirling.append(srow)
-        return self._stirling[n][k]
+        """Entry k of row n of ``stirling_rows`` (0 for k out of range); nothing is kept."""
+        row = next(islice(stirling_rows(n), n, None))
+        return row[k] if 0 <= k <= n else 0
 
     def bell_binomial_sum(self, m: int, p: int) -> int:
         """Sum of C(p, i) * bell(m + i) for i = 0..p.
@@ -256,10 +257,6 @@ def shared_cache() -> BigSeqCache:
 
 def bell(n: int) -> int:
     return _SHARED.bell(n)
-
-
-def stirling2(n: int, k: int) -> int:
-    return _SHARED.stirling2(n, k)
 
 
 def two_bell(n: int) -> int:

@@ -21,7 +21,7 @@ from graphbell.errors import (
 )
 from graphbell.graph_core import EDGE_LIST_MAX_CHARS, FamilyKind, FamilySpec, Graph
 from graphbell.inequality_verifier import INEQUALITY_IDS, InequalityReport
-from graphbell.sequences import STIRLING_MAX_ROWS, shared_cache, stirling2
+from graphbell.sequences import STIRLING_MAX_ROWS, stirling_rows
 
 
 def run_cli(capsys, *argv):
@@ -178,7 +178,7 @@ def test_seq_stirling_csv(capsys):
 @pytest.mark.parametrize("n", [0, 1, 40])
 def test_seq_stirling_json_stream_matches_whole_object(capsys, n):
     code, out, _ = run_cli(capsys, "seq", "--kind", "stirling2", "--n", str(n), "--json")
-    rows = [[str(stirling2(r, k)) for k in range(r + 1)] for r in range(n + 1)]
+    rows = [list(map(str, row)) for row in stirling_rows(n)]
     whole = {"kind": "stirling2", "n_max": n, "rows": rows}
     assert code == 0
     assert out == json.dumps(whole, separators=(",", ":")) + "\n"
@@ -206,9 +206,20 @@ def peak_kb(env, *args, code=0):
     return kb
 
 
-def test_seq_stirling_json_peak_memory_matches_text(child_env):
-    argv = ("seq", "--kind", "stirling2", "--n", "300")
-    assert peak_kb(child_env, *argv, "--json") <= 1.25 * peak_kb(child_env, *argv)
+def test_seq_stirling_peak_memory_stays_near_a_bare_request(child_env):
+    # One row alive, in text as in JSON.  Keeping the whole triangle peaked
+    # at 43 MB, against 15.7 MB for the bare request.
+    bare = peak_kb(child_env, "seq", "--kind", "bell", "--n", "1")
+    argv = ("seq", "--kind", "stirling2", "--n", str(STIRLING_MAX_ROWS - 1))
+    assert peak_kb(child_env, *argv) <= bare + 4096
+    assert peak_kb(child_env, *argv, "--json") <= bare + 4096
+
+
+def test_seq_bell_json_peak_memory_matches_csv(child_env):
+    # The values are streamed in either format.  Held as one list and then
+    # encoded whole, JSON peaked at 33.7 MB against 29.5 MB for CSV.
+    argv = ("seq", "--kind", "bell", "--n", "1500")
+    assert peak_kb(child_env, *argv, "--json") <= 1.05 * peak_kb(child_env, *argv, "--csv")
 
 
 def test_verify_json_peak_memory_matches_csv(child_env):
@@ -301,16 +312,16 @@ def test_seq_bell_cap_boundary_per_kind(capsys, monkeypatch, kind, reach):
 
 
 def test_seq_stirling_over_row_cap_exits_resource_at_once(capsys):
-    rows_before = len(shared_cache()._stirling)
-    code, out, err = run_cli(capsys, "seq", "--kind", "stirling2", "--n", "4000")
-    assert code == 3
-    assert out == ""
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    assert len(shared_cache()._stirling) == rows_before  # refused before any row grew
+    # The call to stirling_rows refuses, before a generator exists; a refusal
+    # on the first row would follow JSON's opening bytes and CSV's header.
+    for fmt in ((), ("--json",), ("--csv",)):
+        code, out, err = run_cli(capsys, "seq", "--kind", "stirling2", "--n", "4000", *fmt)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_seq_stirling_just_under_row_cap(child_env):
-    # In a child interpreter, so the suite does not keep the grown triangle.
     n = STIRLING_MAX_ROWS - 1
     proc = subprocess.run(
         [sys.executable, "-m", "graphbell", "seq", "--kind", "stirling2", "--n", str(n)],

@@ -33,7 +33,7 @@ from graphbell.graph_core import (
     random_graph,
     without_vertex,
 )
-from graphbell.sequences import STIRLING_MAX_ROWS, BigSeqCache, bell, stirling2
+from graphbell.sequences import STIRLING_MAX_ROWS, bell, stirling_rows
 
 
 def family(kind, n, r=0, p=0):
@@ -62,12 +62,12 @@ def test_empty_graph_profile_is_stirling_row():
     assert pr.counts == (0, 1, 7, 6, 1)
     assert pr.bell == bell(4) == 15
     assert pr.counts == brute_force_profile(family(FamilyKind.EMPTY, 4)).counts
-    # The engine peels isolated vertices; the triangle is grown by its own
-    # recurrence.  Fresh caches, so the suite does not keep the large rows.
-    triangle = BigSeqCache()
-    for n in (0, 1, 100, STIRLING_MAX_ROWS - 1):
-        counts = profile(family(FamilyKind.EMPTY, n), ProfileCache()).counts
-        assert counts == tuple(triangle.stirling2(n, k) for k in range(n + 1))
+    # The engine peels isolated vertices; the triangle is built by its own
+    # recurrence.  A fresh memo, so the suite does not keep the large rows.
+    checked = (0, 1, 100, STIRLING_MAX_ROWS - 1)
+    for n, row in enumerate(stirling_rows(checked[-1])):
+        if n in checked:
+            assert profile(family(FamilyKind.EMPTY, n), ProfileCache()).counts == tuple(row)
 
 
 def test_triangle_profile():
@@ -90,9 +90,9 @@ def test_edgeless_oracle_counts_every_partition():
     # must be the whole Stirling row, found without the Bell or Stirling
     # recurrences.  Edgeless graphs are the oracle's costliest per vertex,
     # and order 14 is still inside its budget.
-    for n in range(15):
+    for n, row in enumerate(stirling_rows(14)):
         counts = brute_force_profile(Graph.from_edges(n)).counts
-        assert counts == tuple(stirling2(n, k) for k in range(n + 1))
+        assert counts == tuple(row)
         assert sum(counts) == bell(n)
 
 

@@ -5,9 +5,14 @@ each command, and for the later entries (every subcommand in every format)
 also the exact stderr text.  The digests are fixed; a change to any printed
 byte fails here, so speed work on the tables, closed forms and verifier, and
 any rework of the CLI's output code, must keep outputs byte-identical.
+The CLI writes CSV by joining fields with commas, so each CSV output must
+also read back through ``csv.reader`` as its plain comma split: no field may
+need quoting.
 """
 
+import csv
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -39,3 +44,6 @@ def test_cli_output_matches_golden_digest(entry, capsys, tmp_path):
     assert hashlib.sha256(out).hexdigest() == entry["sha256"]
     if "stderr" in entry:
         assert captured.err == entry["stderr"]
+    if "--csv" in argv:
+        lines = captured.out.splitlines()
+        assert list(csv.reader(io.StringIO(captured.out))) == [line.split(",") for line in lines]

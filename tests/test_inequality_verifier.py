@@ -26,7 +26,7 @@ from graphbell.inequality_verifier import (
 )
 from graphbell.graph_core import FamilyKind, FamilySpec, build, random_graph
 from graphbell.sequences import (
-    BigSeqCache, PointSums, SumColumns, alt_binomial_sum, bell, shared_cache, stirling2,
+    BigSeqCache, PointSums, SumColumns, alt_binomial_sum, bell, shared_cache, stirling_rows,
 )
 
 GRID_IDS = [i for i in INEQUALITY_IDS if i != "PROP7_MIX"]
@@ -272,7 +272,7 @@ def test_c9_and_c17_sides_from_stirling_rows():
     # test_average_form_and_cross_multiplied_form_agree checks nothing.  Here
     # both sides are rebuilt from Bell numbers taken as Stirling row sums,
     # with the sums written out.
-    bells = [sum(stirling2(m, k) for k in range(m + 1)) for m in range(36)]
+    bells = [sum(row) for row in stirling_rows(35)]
 
     def binomial_sum(m, p):  # sum_i C(p, i) * bell(m + i)
         return sum(comb(p, i) * bells[m + i] for i in range(p + 1))
@@ -389,10 +389,10 @@ def test_check_refuses_what_scan_refuses_before_any_term_grows(monkeypatch, id):
 
 def test_scan_holds_no_column_afterwards(monkeypatch):
     # The columns belong to the scan's own SumColumns: the shared cache
-    # keeps its Bell column, uncut, and no column of sums, also when the
-    # sides raise after a column is built.
+    # keeps only its Bell state, the column uncut, and no column of sums,
+    # also when the sides raise after a column is built.
     cache = shared_cache()
-    fields = {"_bell", "_alt_prefix", "_bell_triangle_row", "_stirling"}
+    fields = {"_bell", "_alt_prefix", "_bell_triangle_row"}
     scan("C14", 12, 3)
     assert set(vars(cache)) == fields
     built = []

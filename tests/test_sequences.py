@@ -1,6 +1,7 @@
 """Integer-sequence tables: frozen prefixes, identities, and brute-force oracles."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -15,7 +16,7 @@ from graphbell.sequences import (
     avg_blocks,
     bell,
     shared_cache,
-    stirling2,
+    stirling_rows,
     two_bell,
 )
 
@@ -48,9 +49,10 @@ def test_bell_matches_partition_enumeration():
 
 
 def test_stirling_matches_partition_enumeration():
-    assert stirling2(4, 2) == partitions_by_block_count(4)[2] == 7
-    for n in range(9):
-        assert partitions_by_block_count(n) == tuple(stirling2(n, k) for k in range(n + 1))
+    rows = list(stirling_rows(8))
+    assert rows[4][2] == partitions_by_block_count(4)[2] == 7
+    for n, row in enumerate(rows):
+        assert partitions_by_block_count(n) == tuple(row)
 
 
 @pytest.mark.parametrize(
@@ -58,22 +60,22 @@ def test_stirling_matches_partition_enumeration():
     [(0, 0, 1), (1, 1, 1), (5, 1, 1), (9, 1, 1), (6, 6, 1), (3, 0, 0), (2, 5, 0)],
 )
 def test_stirling_edge_cases(n, k, value):
-    assert stirling2(n, k) == value
+    assert BigSeqCache().stirling2(n, k) == value
 
 
 def test_stirling_negative_k_is_zero():
-    assert stirling2(4, -1) == 0
+    assert BigSeqCache().stirling2(4, -1) == 0
 
 
 def test_row_sum_identity():
     # Bell column grows by its own triangle; row sums are the cross-check.
-    for n in range(0, 61):
-        assert bell(n) == sum(stirling2(n, k) for k in range(n + 1))
+    for n, row in enumerate(stirling_rows(60)):
+        assert bell(n) == sum(row)
 
 
 def test_two_bell_both_closed_forms():
-    for n in range(0, 101):
-        weighted = sum(k * stirling2(n + 1, k) for k in range(n + 2))
+    for n, row in enumerate(islice(stirling_rows(101), 1, None)):  # row n + 1
+        weighted = sum(k * c for k, c in enumerate(row))
         assert two_bell(n) == weighted == bell(n + 2) - bell(n + 1)
 
 
@@ -121,12 +123,13 @@ def test_alternating_sums_match_direct_j_sum():
 
 
 def test_growth_order_does_not_change_values():
+    # Stirling rows, then Bell terms from a fresh cache; and Bell terms from
+    # another fresh cache, then the rows again.
     stirling_first, bell_first = BigSeqCache(), BigSeqCache()
-    rows = [[stirling_first.stirling2(n, k) for k in range(n + 1)] for n in range(81)]
-    bells = [bell_first.bell(n) for n in range(81)]
-    assert len(bell_first._stirling) == 1  # Bell growth leaves the triangle alone
-    assert rows == [[bell_first.stirling2(n, k) for k in range(n + 1)] for n in range(81)]
-    assert bells == [stirling_first.bell(n) for n in range(81)] == [sum(r) for r in rows]
+    rows = list(stirling_rows(80))
+    bells = [stirling_first.bell(n) for n in range(81)]
+    assert [bell_first.bell(n) for n in range(81)] == bells == [sum(r) for r in rows]
+    assert list(stirling_rows(80)) == rows
     assert [stirling_first.alt_binomial_sum(n, 1, 0) for n in range(80)] == [
         bell_first.alt_binomial_sum(n, 1, 0) for n in range(80)
     ]
@@ -136,11 +139,9 @@ def test_bell_and_stirling_match_sympy():
     sympy = pytest.importorskip("sympy")
     from sympy.functions.combinatorial.numbers import stirling
 
-    for n in range(61):
+    for n, row in enumerate(stirling_rows(60)):
         assert bell(n) == int(sympy.bell(n))
-        assert [stirling2(n, k) for k in range(n + 1)] == [
-            int(stirling(n, k)) for k in range(n + 1)
-        ]
+        assert row == [int(stirling(n, k)) for k in range(n + 1)]
 
 
 def test_strict_log_convexity():
@@ -173,12 +174,13 @@ def test_capacity_guardrail():
 
 
 def test_stirling_row_cap():
-    cache = BigSeqCache()
     with pytest.raises(ResourceError):
-        cache.stirling2(STIRLING_MAX_ROWS, 1)
-    assert len(cache._stirling) == 1  # refused before any row grew
+        stirling_rows(STIRLING_MAX_ROWS)  # the call refuses, before a generator exists
+    with pytest.raises(ResourceError):
+        BigSeqCache().stirling2(STIRLING_MAX_ROWS, 1)
     n = STIRLING_MAX_ROWS - 1
-    assert cache.stirling2(n, 1) == 1
-    assert cache.stirling2(n, 2) == 2 ** (n - 1) - 1
-    assert cache.stirling2(n, n - 1) == n * (n - 1) // 2
-    assert sum(cache.stirling2(n, k) for k in range(n + 1)) == cache.bell(n)
+    row = next(islice(stirling_rows(n), n, None))
+    assert row[1] == 1
+    assert row[2] == 2 ** (n - 1) - 1
+    assert row[n - 1] == n * (n - 1) // 2
+    assert sum(row) == BigSeqCache().bell(n)
