@@ -104,9 +104,9 @@ def _emit(args, obj, header, rows, text) -> None:
     """Print one result in the format ``args`` asks for, as it is produced.
 
     ``obj`` is the JSON value, ``header`` and ``rows`` the CSV table and
-    ``text`` the text lines.  Only the requested form is consumed, so ``rows``
-    and ``text`` may be lazy iterables; an iterator in ``obj`` is a JSON
-    array, written item by item.
+    ``text`` the text, in pieces that carry their own line breaks.  Only the
+    requested form is consumed, so ``rows`` and ``text`` may be lazy
+    iterables; an iterator in ``obj`` is a JSON array, written item by item.
     """
     if args.json:
         sys.stdout.writelines(_json_pieces(obj))
@@ -116,8 +116,7 @@ def _emit(args, obj, header, rows, text) -> None:
         # fraction, true/false or ;-joined counts.
         sys.stdout.writelines(",".join(map(str, row)) + "\n" for row in chain((header,), rows))
     else:
-        for line in text:
-            print(line)
+        sys.stdout.writelines(text)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -137,7 +136,7 @@ def _cmd_seq(args) -> int:
             {"kind": "stirling2", "n_max": n, "rows": rows},
             ["n", "k", "value"],
             ([r, k, val] for r, row in enumerate(rows) for k, val in enumerate(row)),
-            (",".join(row) for row in rows),
+            (",".join(row) + "\n" for row in rows),
         )
         return 0
 
@@ -153,7 +152,7 @@ def _cmd_seq(args) -> int:
         {"kind": kind, "n_max": n, "values": values},
         ["n", "value"],
         enumerate(values, start=first),
-        map(",".join, (values,)),
+        chain((("," if i else "") + v for i, v in enumerate(values)), ("\n",)),
     )
     return 0
 
@@ -180,7 +179,7 @@ def _emit_aggregates(args, payload: dict) -> None:
         payload,
         ["key", "value"],
         fields(";", lambda a: "" if a is None else a),
-        (f"{key}: {value}" for key, value in fields(",", _text_average)),
+        (f"{key}: {value}\n" for key, value in fields(",", _text_average)),
     )
 
 
@@ -238,7 +237,7 @@ def _report_line(r) -> str:
     verdict = ("EQUALITY" if r.expected_equality else "OK") if r.as_expected else "VIOLATION"
     return (
         f"{r.id} n={r.n} p={r.p} lhs={r.lhs} rhs={r.rhs} "
-        f"margin={r.margin} {verdict}{flags}"
+        f"margin={r.margin} {verdict}{flags}\n"
     )
 
 
@@ -249,10 +248,10 @@ def _cmd_verify(args) -> int:
 
     def text():
         yield from map(_report_line, reports)
-        yield f"summary: {tally}"
+        yield f"summary: {tally}\n"
         if args.explore and summary["first_out_of_range_failure"]:
             n, p = summary["first_out_of_range_failure"]
-            yield f"first failure outside the documented range: n={n} p={p}"
+            yield f"first failure outside the documented range: n={n} p={p}\n"
 
     _emit(
         args,
@@ -273,13 +272,13 @@ def _cmd_selftest(args) -> int:
         oracle = report["oracle"]
         yield (
             f"oracle equivalence: {oracle['exhaustive_graphs']} exhaustive + "
-            f"{oracle['random_graphs']} random graphs, {oracle['mismatches']} mismatches"
+            f"{oracle['random_graphs']} random graphs, {oracle['mismatches']} mismatches\n"
         )
         for s in report["scans"]:
-            yield f"scan {s['id']}: {s['reports']} reports, {s['violations']} violations"
+            yield f"scan {s['id']}: {s['reports']} reports, {s['violations']} violations\n"
         mt = report["mediant_trials"]
-        yield f"mediant trials: {mt['trials']}, all strict: {mt['all_strict']}"
-        yield f"pass: {report['pass']}  fail: {report['fail']}"
+        yield f"mediant trials: {mt['trials']}, all strict: {mt['all_strict']}\n"
+        yield f"pass: {report['pass']}  fail: {report['fail']}\n"
 
     _emit(args, report, None, None, text())
     return EXIT_VERIFICATION if report["fail"] else 0

@@ -31,7 +31,8 @@ from typing import NamedTuple
 
 from .errors import DataFileError, DomainError, ResourceError
 from .graph_core import (
-    PROFILE_MAX_ORDER, Graph, all_graphs, check_order, flipped, merged, without_vertex,
+    PROFILE_MAX_ORDER, Graph, all_graphs, check_order, flipped, merged, pop_last,
+    without_vertex,
 )
 
 # The oracle's budget.  A block it tries costs one step per entry of the
@@ -85,13 +86,16 @@ class ProfileCache(dict):
     work stack to reach an identical labeled subproblem, as the two children
     of a branch often do.  Isomorphic relabelings are not
     collapsed: a canonical fingerprint at every node costs far more in pure
-    Python than the extra hits save.  A call stores its root and every graph
-    from its first branch down to order 8: graphs on at most 7 vertices come
-    from the base-case table and a step over its rows (see :func:`profile`),
-    and are neither looked up nor stored.  The graphs peeled before that
-    branch cannot come up again in the call and are only looked up.  The
-    engine reads through ``get_labeled`` and writes through ``put``, so a
-    subclass that overrides them sees every lookup and store.
+    Python than the extra hits save.  A call looks up its root, and every
+    graph the work stack reaches below the first one; it stores its root and
+    every graph the stack combines.  The graphs of the root's peel chain,
+    the stack's first graph included, cannot come up again in the call and
+    are neither looked up nor stored (see :func:`profile`).  So a later call
+    whose chain passes through a graph an earlier call stored in the same
+    memo gets no hit there.  Graphs on at most 7 vertices come from the
+    base-case table and a step over its rows, and are neither looked up nor
+    stored.  The engine reads through ``get_labeled`` and writes through
+    ``put``, so a subclass that overrides them sees every lookup and store.
     """
 
     get_labeled = dict.get
@@ -208,11 +212,15 @@ def profile(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> Stirl
     joined to s_x), x running over the vertices outside s from the highest
     down and s_x being s plus every such vertex above x.  The first call,
     not the import, inflates the rows and widens them to 16 bits a count,
-    in about 2 ms; a missing or damaged file raises DataFileError.  A
-    larger graph that is not in the memo peels its
-    highest-indexed vertex v that is dominating, giving
-    counts(G, k) = counts(G-v, k-1), or simplicial with r neighbors (r = 0
-    if isolated), giving
+    in about 2 ms; a missing or damaged file raises DataFileError.
+
+    A larger graph that is not in the memo is tested at its last vertex
+    first.  Of degree at most 2 it needs no scan: isolated, a leaf, or with
+    its two neighbors adjacent it is simplicial and is peeled; with its two
+    neighbors not adjacent it is eliminated by the degree-2 step below.
+    Otherwise the graph peels its highest-indexed vertex v that is
+    dominating, giving counts(G, k) = counts(G-v, k-1), or simplicial with r
+    neighbors (r = 0 if isolated), giving
     counts(G, k) = (k-r)*counts(G-v, k) + counts(G-v, k-1), the
     falling-factorial form of P(G) = (x-r)*P(G-v).  A graph with no such
     vertex branches beside v, its highest-indexed vertex of least degree.
@@ -229,12 +237,19 @@ def profile(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> Stirl
     takes the highest index because the families keep their leaves at the
     top, and removing or merging away the last vertex shifts no index.
 
-    One loop over one explicit stack does all the work, without recursion,
-    on bare adjacency tuples: no ``Graph`` is built and no vertex is checked
-    per node.  The graphs reached are memoized under their adjacency tuples
-    (see :class:`ProfileCache` for which); pass ``memo=None`` to disable
-    caching.  Orders above ``PROFILE_MAX_ORDER`` raise ResourceError first.
-    A graph on at most 7 vertices is answered before anything else, without
+    The root's chain, the peels before its first branch, runs in place on
+    one list of masks: each peel drops the last vertex with ``pop_last`` or
+    rebuilds the list, and only the rules are kept.  Then one loop over one
+    explicit stack does the rest, without recursion, on bare adjacency
+    tuples, from the first graph that does not peel; its counts are lifted
+    through the chain's rules, last first.  No ``Graph`` is built and no
+    vertex is checked per node.  The graphs reached are memoized under their
+    adjacency tuples (see :class:`ProfileCache` for which); pass
+    ``memo=None`` to disable caching.  The chain is never looked up, so a
+    memo shared by several calls answers a later call at its root and below
+    its chain, not at a graph of its chain that an earlier call stored.
+    Orders above ``PROFILE_MAX_ORDER`` raise ResourceError first.  A graph
+    on at most 7 vertices is answered before anything else, without
     the order check or the work stack; ``SMALL_ORDER`` is read per call, so
     a caller that sets it to 0 cuts the table to the null graph and runs
     every graph through the rules.  The record is built from its one field
@@ -248,7 +263,7 @@ def profile(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> Stirl
     return _new(StirlingProfile, (_profile_counts(adj, memo, SMALL_ORDER),))
 
 
-def find_peel(adj: tuple[int, ...]):
+def find_peel(adj):
     """Last vertex the profile engine can peel, with its rule, or None.
 
     With closed neighborhoods N[v] = adj[v] | 1 << v, vertex v is dominating
@@ -256,7 +271,10 @@ def find_peel(adj: tuple[int, ...]):
     adjacent) when N[v] & ~N[u] == 0 for each neighbor u.  Scans v downward
     from the highest index (see :func:`profile`) and returns ``(v, None)``
     for a dominating v, else ``(v, r)`` for a simplicial v with r neighbors
-    (r = 0 if isolated).  The order is ``len(adj)``.
+    (r = 0 if isolated).  ``adj`` is any sequence of masks, a tuple or a
+    list; the order is ``len(adj)``.  The engine passes tuples only: Python
+    3.11 specializes the indexing here to one type, and one call in ten on
+    a list made calls on random graphs about 7% slower (2-vCPU box).
     """
     full = (1 << len(adj)) - 1
     for v in range(len(adj) - 1, -1, -1):
@@ -278,49 +296,68 @@ def find_peel(adj: tuple[int, ...]):
 def _profile_counts(
     adj: tuple[int, ...], memo: ProfileCache | None, small: int
 ) -> tuple[int, ...]:
-    # Graphs are bare adjacency tuples, their order len(adj).  With
+    # Graphs are adjacency masks, their order the number of masks.  With
     # ``small`` at 6, those on at most 7 vertices are leaves, answered by
     # ``_base_counts`` from the order-6 rows; with ``small`` at 0 the only
     # leaf is the null graph, with its one partition into no blocks, and no
-    # row is read.  No leaf is looked up or stored.  ``todo`` holds graphs
-    # still to expand and combine steps, each step pushed as the graph and
-    # then its rule, below the graphs whose counts it needs: rule None for a
-    # dominating peel, r for a simplicial one, add for a fill-in branch and
-    # ``_ELIMINATE`` for a degree-2 one (the merged graph's counts end on top
-    # of the other side's).  A rule is never a tuple, so the type of a
-    # popped item tells the two apart.
-    # ``done`` holds finished counts.  Until the first branch every graph is
-    # a peel of the one before, smaller than all earlier ones, and every
-    # later graph is smaller still, so none of this chain can be reached
-    # again: its steps, below ``floor`` on ``todo``, are not stored, but for
-    # the root, which a later call may ask for.
-    if memo is None:
-        get = put = None
-    else:
-        get, put = memo.get_labeled, memo.put
+    # row is read.  No leaf is looked up or stored.
     top = small and small + 1
-    todo = [adj]
+    get = put = None
+    if memo is not None and len(adj) > top:
+        counts = memo.get_labeled(adj)
+        if counts is not None:
+            return counts
+        get, put = memo.get_labeled, memo.put
+    # The root's chain: while the graph peels, it is peeled in place, on one
+    # list, and each rule is recorded.  The last vertex is tested first, as
+    # on the stack below; a scan gets a tuple copy (see ``find_peel``).
+    # Every graph of the chain is smaller than all earlier ones, and every
+    # later graph smaller still, so none can come up again in the call: none
+    # is looked up or stored.
+    root, masks, rules = adj, list(adj), []
+    while len(masks) > top:
+        v = len(masks) - 1
+        a = masks[v]
+        rule = a.bit_count()
+        if rule > 2:
+            peel = find_peel(tuple(masks))
+            if peel is None:
+                break
+            v, rule = peel
+        elif rule == 2 and not masks[(a & -a).bit_length() - 1] & a:
+            break
+        rules.append(rule)
+        if v == len(masks) - 1:
+            pop_last(masks)
+        else:
+            masks = list(without_vertex(masks, v))
+    # The work stack starts at the first graph that does not peel, or at a
+    # leaf.  ``todo`` holds graphs still to expand and combine steps, each
+    # step pushed as the graph and then its rule, below the graphs whose
+    # counts it needs: rule None for a dominating peel, r for a simplicial
+    # one, add for a fill-in branch and ``_ELIMINATE`` for a degree-2 one
+    # (the merged graph's counts end on top of the other side's).  A rule is
+    # never a tuple, so the type of a popped item tells the two apart.
+    # ``done`` holds finished counts.  Every graph combined is stored.  Only
+    # the first graph leaves ``todo`` empty when it is popped, and it is the
+    # root, looked up above, or a graph of its chain, so it is not looked up.
+    todo = [tuple(masks) if rules else root]
     done = []
-    floor = None
     while todo:
         item = todo.pop()
         if type(item) is not tuple:
             rule, adj = item, todo.pop()
             counts = done.pop()
-            if rule is None:
-                counts = (0,) + counts
-            elif type(rule) is int:
-                # (k - r) * counts[k] + counts[k-1] for k = 0..len(counts)
-                counts = tuple(map(add, map(mul, range(-rule, len(counts) + 1 - rule),
-                                            counts + (0,)), (0,) + counts))
-            elif rule is add:
+            if rule is add:
                 counts = tuple(map(add, done.pop(), counts + (0,)))
-            else:
+            elif rule is _ELIMINATE:
                 # (k - 2) * counts(G-v)[k] + counts(G-v)[k-1] + counts((G-v)/ab)[k]
                 rest = done.pop()
                 counts = tuple(map(add, map(mul, range(-2, len(rest) - 1), rest + (0,)),
                                    map(add, (0,) + rest, counts + (0, 0))))
-            if put is not None and (not todo or floor is not None and len(todo) >= floor):
+            else:
+                counts = _peeled(counts, rule)
+            if put is not None:
                 put(adj, counts)
             done.append(counts)
             continue
@@ -328,49 +365,73 @@ def _profile_counts(
         if len(adj) <= top:
             done.append(_base_counts(adj) if top else (1,))
             continue
-        if get is not None:
+        if todo and get is not None:
             hit = get(adj)
             if hit is not None:
                 done.append(hit)
                 continue
-        peel = find_peel(adj)
-        if peel is not None:
-            v, rule = peel
-            todo += (adj, rule, without_vertex(adj, v))
-            continue
-        # Nothing peeled, so every degree is at least 2 and no neighborhood
-        # is a clique: branch as ``profile`` states.  The last vertex at
-        # degree 2 is the v it names, so cycles skip the degree scan.  At
-        # degree 2 the children have orders n-1 and n-2, so without a memo a
-        # cycle costs T(C_n) = T(P_n-1) + T(C_n-2) steps, quadratic in n;
-        # filling in there would make it Fibonacci.
-        if floor is None:
-            floor = len(todo)
+        # The last vertex first: at degree 2 or less it needs no scan (see
+        # ``profile``).  Only at degree 3 or more is a peel looked for, which
+        # on a cycle would scan every vertex and find none.  The first graph
+        # does not peel, as its chain found.
         v = len(adj) - 1
         a = adj[v]
-        if a.bit_count() != 2:
+        rule = a.bit_count()
+        if rule > 2:
+            peel = find_peel(adj) if todo else None
+            if peel is not None:
+                v, rule = peel
+                todo += (adj, rule, without_vertex(adj, v))
+                continue
+            # Nothing peeled, so every degree is at least 2 and no
+            # neighborhood is a clique: branch beside the least-degree
+            # vertex, as ``profile`` states.
             degrees = list(map(int.bit_count, adj))
             v -= degrees[::-1].index(min(degrees))
             a = adj[v]
-        if a.bit_count() == 2:
-            # v's two neighbors, as a mask renumbered past v for G-v.
-            rest = without_vertex(adj, v)
-            a = a & (1 << v) - 1 | a >> v + 1 << v
-            drop = a.bit_length() - 1
-            keep = (a ^ 1 << drop).bit_length() - 1
-            todo += (adj, _ELIMINATE, merged(rest, keep, drop), rest)
+            if a.bit_count() != 2:
+                rest = a
+                while True:
+                    drop = rest.bit_length() - 1
+                    high = 1 << drop
+                    missing = a & ~(adj[drop] | high)
+                    if missing:
+                        break
+                    rest ^= high
+                keep = missing.bit_length() - 1
+                todo += (adj, add, merged(adj, keep, drop), flipped(adj, keep, drop))
+                continue
+        elif rule < 2 or adj[(a & -a).bit_length() - 1] & a:
+            todo += (adj, rule, without_vertex(adj, v))
             continue
-        rest = a
-        while True:
-            drop = rest.bit_length() - 1
-            high = 1 << drop
-            missing = a & ~(adj[drop] | high)
-            if missing:
-                break
-            rest ^= high
-        keep = missing.bit_length() - 1
-        todo += (adj, add, merged(adj, keep, drop), flipped(adj, keep, drop))
-    return done.pop()
+        # v has degree 2 and its neighbors are not adjacent.  The children
+        # have orders n-1 and n-2, so without a memo a cycle costs
+        # T(C_n) = T(P_n-1) + T(C_n-2) steps, quadratic in n; filling in
+        # there would make it Fibonacci.  v's two neighbors, as a mask
+        # renumbered past v for G-v:
+        rest = without_vertex(adj, v)
+        a = a & (1 << v) - 1 | a >> v + 1 << v
+        drop = a.bit_length() - 1
+        keep = (a ^ 1 << drop).bit_length() - 1
+        todo += (adj, _ELIMINATE, merged(rest, keep, drop), rest)
+    # Lift the stack's counts through the chain's peels, from its last up to
+    # the root.
+    counts = done.pop()
+    for rule in reversed(rules):
+        counts = _peeled(counts, rule)
+    if rules and put is not None:
+        put(root, counts)
+    return counts
+
+
+def _peeled(counts: tuple[int, ...], rule) -> tuple[int, ...]:
+    # The counts of G from those of G-v, v peeled by ``rule``: None for a
+    # dominating v, shifting every count up one block; r for a simplicial v
+    # with r neighbors, (k - r) * counts[k] + counts[k-1] for k = 0..len(counts).
+    if rule is None:
+        return (0,) + counts
+    return tuple(map(add, map(mul, range(-rule, len(counts) + 1 - rule), counts + (0,)),
+                     (0,) + counts))
 
 
 # The base case of ``profile``: the counts of the 32,768 labeled graphs on

@@ -7,9 +7,11 @@ by one, so indices stay contiguous and the result is deterministic.
 Vertex removal, merging and the edge flip each have one implementation, an
 unchecked function on a bare adjacency tuple (``without_vertex``,
 ``merged``, ``flipped``), and only ``without_vertex`` renumbers: a merge
-joins the two neighborhoods, then removes the dropped vertex.  The profile
-engine calls them directly; the ``Graph`` methods validate their arguments,
-then delegate.
+joins the two neighborhoods, then removes the dropped vertex.  Removing
+the last vertex, which shifts no index, is ``pop_last``, in place on a
+list; ``without_vertex`` uses it, and so does the profile engine's peel
+chain.  The profile engine calls them directly; the ``Graph`` methods
+validate their arguments, then delegate.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ from .errors import DomainError, ResourceError, UsageError
 # graph below it costs depends on how the engine peels and branches on it
 # (see ``coloring_engine.profile``).  Measured on a 2-vCPU box (Python 3.11)
 # with `compute --family F --json` at order 1024, wall / peak RSS: path,
-# star, empty, caterpillar and h:3,1021 0.4-0.55 s / 22 MB, complete 0.7 s /
-# 81 MB.  Cycles cost the most: a cycle branches once per two vertices, into
-# a path and the cycle two vertices shorter, so its memo holds about 1.5 *
-# order graphs and grows about as order**3 bits: cycle:1024 takes 1.4 s /
-# 343 MB.
+# star, empty, caterpillar and h:3,1021 0.45-0.5 s / 22 MB, complete 0.67 s
+# / 67 MB.  Cycles cost the most: a cycle branches once per two vertices,
+# into a path and the cycle two vertices shorter, so its memo holds about
+# 1.5 * order graphs and grows about as order**3 bits: cycle:1024 takes
+# 1.2 s / 343 MB.
 PROFILE_MAX_ORDER = 1024
 
 
@@ -59,22 +61,33 @@ def _bits(mask: int):
         mask ^= low
 
 
-def without_vertex(adj: tuple[int, ...], v: int) -> tuple[int, ...]:
+def pop_last(masks: list[int]) -> None:
+    """Delete the last vertex of the adjacency list ``masks``, in place.
+
+    Pops its mask and clears its bit in its neighbors' masks; no index
+    shifts.  ``masks`` must be a non-empty list.
+    """
+    rest = masks.pop()
+    bit = 1 << len(masks)
+    while rest:
+        low = rest & -rest
+        masks[low.bit_length() - 1] ^= bit
+        rest ^= low
+
+
+def without_vertex(adj, v: int) -> tuple[int, ...]:
     """Adjacency masks of the graph ``adj`` with vertex v and its edges deleted.
 
-    Indices above v shift down by one.  v must be a vertex (unchecked); the
-    order is ``len(adj)``.  Removing the last vertex shifts no index, so it
-    rewrites only its neighbors' masks and shares the rest with ``adj``.
+    Indices above v shift down by one.  v must be a vertex (unchecked);
+    ``adj`` is a tuple or list of masks, left unchanged, and the order is
+    ``len(adj)``.  Removing the last vertex shifts no index, so it
+    rewrites only its neighbors' masks (``pop_last``).
     """
     masks = list(adj)
-    del masks[v]
-    if v == len(masks):
-        bit, rest = 1 << v, adj[v]
-        while rest:
-            low = rest & -rest
-            masks[low.bit_length() - 1] ^= bit
-            rest ^= low
+    if v == len(masks) - 1:
+        pop_last(masks)
         return tuple(masks)
+    del masks[v]
     low = (1 << v) - 1
     return tuple([m & low | m >> v + 1 << v for m in masks])
 
@@ -85,8 +98,9 @@ def merged(adj: tuple[int, ...], keep: int, drop: int) -> tuple[int, ...]:
     The merged vertex stays at ``keep`` with the union of both
     neighborhoods; a keep-drop edge disappears and parallel edges collapse.
     The neighbors of ``drop`` that ``keep`` lacks are joined to ``keep``,
-    then ``without_vertex`` removes ``drop``, so indices above ``drop``
-    shift down by one.  Needs ``0 <= keep < drop < len(adj)`` (unchecked).
+    then ``without_vertex`` removes ``drop`` from that list, so indices
+    above ``drop`` shift down by one.  Needs
+    ``0 <= keep < drop < len(adj)`` (unchecked).
     """
     kbit = 1 << keep
     rest = adj[drop] & ~(adj[keep] | kbit)
@@ -96,7 +110,7 @@ def merged(adj: tuple[int, ...], keep: int, drop: int) -> tuple[int, ...]:
         low = rest & -rest
         masks[low.bit_length() - 1] |= kbit
         rest ^= low
-    return without_vertex(tuple(masks), drop)
+    return without_vertex(masks, drop)
 
 
 def flipped(adj: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -222,6 +223,14 @@ def test_seq_bell_json_peak_memory_matches_csv(child_env):
     assert peak_kb(child_env, *argv, "--json") <= 1.05 * peak_kb(child_env, *argv, "--csv")
 
 
+def test_seq_bell_text_peak_memory_matches_csv(child_env):
+    # The text line is written a value at a time, as the CSV rows are.
+    # Holding every decimal string and then the joined line peaked at
+    # 31.4 MB against 27.3 MB for CSV.
+    argv = ("seq", "--kind", "bell", "--n", "1500")
+    assert peak_kb(child_env, *argv) <= 1.05 * peak_kb(child_env, *argv, "--csv")
+
+
 def test_verify_json_peak_memory_matches_csv(child_env):
     # Each report's JSON is encoded and written on its own, as its CSV row
     # is.  Holding every report's dict and then the whole text peaked at
@@ -254,6 +263,24 @@ def test_compute_path_peak_memory_stays_near_a_small_path(child_env):
         return peak_kb(child_env, "compute", "--family", f"path:{n}", "--json")
 
     assert peak(1024) <= 2 * peak(8)
+
+
+@pytest.mark.parametrize("family,digest", [
+    ("cycle:1024", "92c9e59ac4a03b84545eb9fd3f1dfa43c062bc1f65386dc543d3a3c05dfd23f3"),
+    ("complete:1024", "e567b80ec873faa22d6aaeb81fab59010f95cb28e3d02e876a9ca260350d4016"),
+    ("h:3,1021", "ba3e8abf04a673c7e7a914e72ce4506d13df43b2a510dcb45aa793e2b9041985"),
+])
+def test_large_family_json_digest(family, digest, child_env):
+    # The largest orders the engine accepts, on the families that branch
+    # most (a cycle), peel through dominating vertices (a clique) and peel a
+    # long tail before a short cycle.  Each runs in its own interpreter,
+    # since the memo of cycle:1024 alone is about 340 MB.
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphbell", "compute", "--family", family, "--json"],
+        capture_output=True, env=child_env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 def test_verify_many_p_peak_memory_follows_the_points(child_env):

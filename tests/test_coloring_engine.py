@@ -21,7 +21,7 @@ from graphbell.coloring_engine import (
     check_order,
     profile,
 )
-from graphbell.closed_forms import hnr_pk1_aggregates
+from graphbell.closed_forms import aggregates_for, hnr_pk1_aggregates
 from graphbell.errors import DomainError, ResourceError
 from graphbell.graph_core import (
     FamilyKind,
@@ -546,14 +546,13 @@ class Recording(ProfileCache):
 
 
 def test_memo_length_counts_labeled_entries():
-    # A path peels to the null graph without a branch, and no graph of that
-    # chain can come up again in the call, so only the root is stored.
+    # A path peels to a leaf without a branch, in place, and no graph of that
+    # chain can come up again in the call, so only the root is looked up and
+    # stored.
     memo = Recording()
     g = family(FamilyKind.PATH, 300)
     counts = profile(g, memo)
-    assert list(memo) == [g.adj] and memo.stored == {g.adj}
-    # every graph of the chain above order 7, the step over the table's rows
-    assert len(memo.looked_up) == 300 - 7
+    assert list(memo) == [g.adj] and memo.stored == memo.looked_up == {g.adj}
     memo.looked_up.clear()
     assert profile(g, memo) == counts and memo.looked_up == {g.adj}  # one lookup, a hit
     assert profile(g, None) == counts
@@ -575,20 +574,47 @@ def test_memo_never_sees_a_table_graph():
 def test_memo_stores_from_the_first_branch_down():
     # A cycle branches at once, so the memo holds every graph it reaches.
     # h:9,3 is that cycle with a path of three vertices, 9-11, hung off
-    # vertex 0: the engine peels the path from the top down to cycle:9 and
-    # branches there, so its memo holds its root and what cycle:9's holds,
-    # but not the two graphs peeled on the way.
+    # vertex 0: the engine peels the path in place from the top down to
+    # cycle:9 and branches there, so its memo holds its root and exactly
+    # what cycle:9's holds.  The two graphs peeled on the way are neither
+    # looked up nor stored, and neither is cycle:9, where the stack starts.
+    cycle = family(FamilyKind.CYCLE, 9).adj
     cycle_memo = Recording()
-    cycle_counts = profile(family(FamilyKind.CYCLE, 9), cycle_memo).counts
+    cycle_counts = profile(Graph(cycle), cycle_memo).counts
     assert set(cycle_memo) == cycle_memo.stored == cycle_memo.looked_up
     g = family(FamilyKind.HNR, 9, r=3)
     memo = Recording()
     counts = profile(g, memo)
-    assert set(memo) == {g.adj} | set(cycle_memo)
+    assert set(memo) == memo.stored == {g.adj} | set(cycle_memo)
     chain = {without_vertex(g.adj, 11), without_vertex(without_vertex(g.adj, 11), 10)}
-    assert chain <= memo.looked_up and not chain & set(memo)
-    assert memo[family(FamilyKind.CYCLE, 9).adj] == cycle_counts
+    assert memo.looked_up == {g.adj} | cycle_memo.looked_up - {cycle}
+    assert not chain & (memo.looked_up | memo.stored)
+    assert memo[cycle] == cycle_counts
     assert profile(g, None) == counts
+
+
+def test_find_peel_never_scans_a_last_vertex_of_degree_at_most_two(monkeypatch):
+    # The engine tests the last vertex before it scans for a peel: isolated,
+    # a leaf, or of degree 2 with adjacent neighbors it is simplicial, and
+    # of degree 2 with non-adjacent neighbors it is eliminated.  A cycle
+    # and a tailed cycle with isolated vertices then never need the scan;
+    # the random graph makes sure the wrapper sees calls at all.
+    scanned = []
+    real = coloring_engine.find_peel
+
+    def find_peel(adj):
+        scanned.append(adj[-1].bit_count())
+        return real(adj)
+
+    monkeypatch.setattr(coloring_engine, "find_peel", find_peel)
+    for spec in (FamilySpec(FamilyKind.CYCLE, 200), FamilySpec(FamilyKind.HNR, 60, r=30, p=2)):
+        pr = profile(build(spec), ProfileCache())
+        agg = aggregates_for(spec)
+        assert (pr.bell, pr.total) == (agg.b, agg.t)
+    assert scanned == []
+    g = random_graph(12, Random(5), edge_prob=0.5)
+    assert profile(g, ProfileCache()) == brute_force_profile(g)
+    assert scanned and min(scanned) > 2
 
 
 def test_memo_is_populated_and_reused():

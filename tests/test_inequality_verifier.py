@@ -2,6 +2,7 @@
 
 import csv
 import io
+from functools import cache
 from math import comb
 from random import Random
 
@@ -301,10 +302,16 @@ def test_c9_and_c17_sides_from_stirling_rows():
 def test_path_shift_and_cycle_vs_path_sides_match_profiles():
     # The T_* sides cross-multiply closed-form aggregates; here each
     # aggregate is the bell and total of the engine's profile of the built
-    # graph instead.
-    def aggregates(kind, n, p):
-        pr = profile(build(FamilySpec(kind, n, p=p)), ProfileCache())
+    # graph instead, for all five statements.  The engine peels the paths,
+    # tails and isolated vertices in place and branches on the cycles
+    # without a scan, so this checks both against the closed forms.
+    @cache
+    def aggregates(kind, n, p, r=0):
+        pr = profile(build(FamilySpec(kind, n, r=r, p=p)), ProfileCache())
         return pr.bell, pr.total
+
+    def h3(n, p):  # the tailed triangle of order n
+        return aggregates(FamilyKind.HNR, 3, p, r=n - 3)
 
     def cross(lo, hi):
         return lo[1] * hi[0], hi[1] * lo[0]
@@ -314,10 +321,15 @@ def test_path_shift_and_cycle_vs_path_sides_match_profiles():
                                            aggregates(FamilyKind.PATH, n + 1, p)),
         "T_CYCLE_VS_PATH": lambda n, p: cross(aggregates(FamilyKind.PATH, n, p),
                                               aggregates(FamilyKind.CYCLE, n, p)),
+        "T_H3_VS_PATH": lambda n, p: cross(h3(n, p), aggregates(FamilyKind.PATH, n + 1, p)),
+        "T_CYCLE_VS_H3": lambda n, p: cross(aggregates(FamilyKind.CYCLE, n, p), h3(n, p)),
+        "T_CYCLE_DROP2": lambda n, p: cross(aggregates(FamilyKind.CYCLE, n - 2, p + 2),
+                                            aggregates(FamilyKind.CYCLE, n, p)),
     }
+    assert set(expected) == {id for id in INEQUALITY_IDS if id.startswith("T_")}
     for id, sides in expected.items():
-        reports = scan(id, 10, 3, explore=True)
-        assert len(reports) == 4 * (11 - definition(id).eval_min)
+        reports = scan(id, 30, 3, explore=True)
+        assert len(reports) == 4 * (31 - definition(id).eval_min)
         for r in reports:
             assert (r.lhs, r.rhs) == sides(r.n, r.p)
 

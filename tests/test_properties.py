@@ -15,8 +15,9 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
+from graphbell import coloring_engine  # noqa: E402
 from graphbell.coloring_engine import (  # noqa: E402
     ProfileCache,
     brute_force_profile,
@@ -24,7 +25,10 @@ from graphbell.coloring_engine import (  # noqa: E402
     profile,
 )
 from graphbell.graph_core import (  # noqa: E402
+    FamilyKind,
+    FamilySpec,
     Graph,
+    build,
     flipped,
     merged,
     random_graph,
@@ -38,6 +42,22 @@ def graphs(draw, max_order=9):
     pairs = list(combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def family_graphs(draw):
+    kind = draw(st.sampled_from(list(FamilyKind)))
+    lowest = {FamilyKind.EMPTY: 0, FamilyKind.COMPLETE: 0, FamilyKind.CYCLE: 3, FamilyKind.HNR: 3}
+    n = draw(st.integers(lowest.get(kind, 1), 20))
+    r = draw(st.integers(0, 8)) if kind is FamilyKind.HNR else 0
+    return build(FamilySpec(kind, n, r=r, p=draw(st.integers(0, 3))))
+
+
+@st.composite
+def sampled_graphs(draw):
+    n = draw(st.integers(0, 12))
+    q = draw(st.sampled_from((0.3, 0.5, 0.7)))
+    return random_graph(n, Random(draw(st.integers(0, 2**32))), q)
 
 
 def chromatic_number(g: Graph) -> int:
@@ -62,6 +82,29 @@ def chromatic_number(g: Graph) -> int:
 @given(graphs(max_order=16))
 def test_profile_matches_oracle(g):
     assert profile(g, ProfileCache()) == brute_force_profile(g)
+
+
+def _family(kind, n, r=0, p=0):
+    return build(FamilySpec(kind, n, r=r, p=p))
+
+
+# A memo shared by several calls holds each root and what each stack
+# combined; a later root's chain may pass through an earlier root, as h:9,3
+# passes through cycle:9 and path:14 with two isolated vertices through
+# path:12, and is then not looked up there.  Every answer must still be
+# the one a fresh memo and no memo give, with the table at order 6 and cut
+# to the null graph.
+@pytest.mark.parametrize("small_order", [coloring_engine.SMALL_ORDER, 0])
+@settings(max_examples=30)
+@given(st.lists(st.one_of(family_graphs(), sampled_graphs()), min_size=1, max_size=6))
+@example(gs=[_family(FamilyKind.CYCLE, 9), _family(FamilyKind.HNR, 9, r=3),
+             _family(FamilyKind.PATH, 12), _family(FamilyKind.PATH, 14, p=2)])
+def test_shared_memo_profiles_match_fresh_and_no_memo(small_order, gs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coloring_engine, "SMALL_ORDER", small_order)
+        memo = ProfileCache()
+        for g in gs:
+            assert profile(g, memo) == profile(g, ProfileCache()) == profile(g, None)
 
 
 @settings(max_examples=60)
