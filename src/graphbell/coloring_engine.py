@@ -10,8 +10,10 @@ CLI's ``--no-memo``) turns its memo off without changing any count.
 ``brute_force_profile`` counts the same partitions by a recursion over
 vertex subsets, memoized per subset, and serves as the independent oracle
 the test suite compares against.  Both
-are exponential in the worst case; the engine is practical to about 24
-vertices on generic graphs and up to ``PROFILE_MAX_ORDER`` on the
+are exponential in the worst case.  The engine is practical to about 22
+vertices on dense generic graphs, well past 20 on sparse ones, whose
+branch vertices mostly have degree 2 or 3 and go in one step each (the
+6x6 grid takes about 0.3 s), and up to ``PROFILE_MAX_ORDER`` on the
 structured families.  The oracle's cost follows the number of stable sets,
 which is largest on sparse graphs, so it counts its work as it runs and
 stops at ``ORACLE_STEP_BUDGET`` steps.
@@ -25,7 +27,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, count
 from math import factorial
-from operator import add, mul
+from operator import add, mul, sub
 from struct import Struct
 from typing import NamedTuple
 
@@ -229,11 +231,24 @@ def profile(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> Stirl
     P(G) = (x-2)*P(G-v) + P((G-v)/ab), since deleting and contracting vb
     gives P(G) = (x-1)*P(G-v) - P(G-v+ab), and P(G-v+ab) =
     P(G-v) - P((G-v)/ab).  So counts(G, k) = (k-2)*counts(G-v, k) +
-    counts(G-v, k-1) + counts((G-v)/ab, k).  Otherwise N(v) misses an edge
-    xy, x the highest neighbor of v with a non-neighbor in N(v) and y the
-    highest such non-neighbor, and counts(G) = counts(G+xy) + counts(G/xy);
-    in both children v is a step nearer simplicial (Zykov's
-    addition-contraction).  A merge keeps the lower index.  Every choice
+    counts(G-v, k-1) + counts((G-v)/ab, k).  That step is the d = 2 case
+    of an identity for a vertex v of any degree d (G.-C. Rota, "On the
+    foundations of combinatorial theory I", 1964): with H = G-v,
+    counts(G, k) = (k-d)*counts(H, k) + counts(H, k-1) + the sum of
+    (-1)^|S| * counts(H/S, k) over the stable sets S of at least two of v's
+    neighbors.  A partition of H into k blocks, m of them meeting N(v),
+    takes v into k - m blocks.  A block meeting N(v) in j vertices holds
+    the S inside it, whose signs sum to j - 1, and those j - 1 add up to
+    d - m over the m blocks.  At degree 3, with neighbors x, y and z, v
+    goes in one step into H, H/S for each of the one to three stable pairs
+    S, and H/xyz, counted with a minus sign, when all three pairs are
+    stable: at most five children, where filling in beside v made up to
+    five leaves and the nodes between them.  At degree 4 or more, N(v) misses an edge xy, x the
+    highest neighbor of v with a non-neighbor in N(v) and y the highest
+    such non-neighbor, and counts(G) = counts(G+xy) + counts(G/xy); in both
+    children v is a step nearer simplicial (Zykov's addition-contraction).
+    The one-step rules run only where no vertex peels, so they never take
+    the place of a peel.  A merge keeps the lower index.  Every choice
     takes the highest index because the families keep their leaves at the
     top, and removing or merging away the last vertex shifts no index.
 
@@ -248,7 +263,8 @@ def profile(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> Stirl
     ``memo=None`` to disable caching.  The chain is never looked up, so a
     memo shared by several calls answers a later call at its root and below
     its chain, not at a graph of its chain that an earlier call stored.
-    Orders above ``PROFILE_MAX_ORDER`` raise ResourceError first.  A graph
+    Orders above ``PROFILE_MAX_ORDER`` raise ResourceError first.  A
+    MemoryError empties the work stack before it leaves the call.  A graph
     on at most 7 vertices is answered before anything else, without
     the order check or the work stack; ``SMALL_ORDER`` is read per call, so
     a caller that sets it to 0 cuts the table to the null graph and runs
@@ -335,85 +351,133 @@ def _profile_counts(
     # leaf.  ``todo`` holds graphs still to expand and combine steps, each
     # step pushed as the graph and then its rule, below the graphs whose
     # counts it needs: rule None for a dominating peel, r for a simplicial
-    # one, add for a fill-in branch and ``_ELIMINATE`` for a degree-2 one
-    # (the merged graph's counts end on top of the other side's).  A rule is
-    # never a tuple, so the type of a popped item tells the two apart.
+    # one, add for a fill-in branch, ``_ELIMINATE`` for a degree-2 one (the
+    # merged graph's counts end on top of the other side's) and a list for a
+    # degree-3 one (H's counts end on top).  A rule is never a tuple, so the
+    # type of a popped item tells the two apart.
     # ``done`` holds finished counts.  Every graph combined is stored.  Only
     # the first graph leaves ``todo`` empty when it is popped, and it is the
     # root, looked up above, or a graph of its chain, so it is not looked up.
     todo = [tuple(masks) if rules else root]
     done = []
-    while todo:
-        item = todo.pop()
-        if type(item) is not tuple:
-            rule, adj = item, todo.pop()
-            counts = done.pop()
-            if rule is add:
-                counts = tuple(map(add, done.pop(), counts + (0,)))
-            elif rule is _ELIMINATE:
-                # (k - 2) * counts(G-v)[k] + counts(G-v)[k-1] + counts((G-v)/ab)[k]
-                rest = done.pop()
-                counts = tuple(map(add, map(mul, range(-2, len(rest) - 1), rest + (0,)),
-                                   map(add, (0,) + rest, counts + (0, 0))))
-            else:
-                counts = _peeled(counts, rule)
-            if put is not None:
-                put(adj, counts)
-            done.append(counts)
-            continue
-        adj = item
-        if len(adj) <= top:
-            done.append(_base_counts(adj) if top else (1,))
-            continue
-        if todo and get is not None:
-            hit = get(adj)
-            if hit is not None:
-                done.append(hit)
+    try:
+        while todo:
+            item = todo.pop()
+            if type(item) is not tuple:
+                rule, adj = item, todo.pop()
+                counts = done.pop()
+                if rule is add:
+                    counts = tuple(map(add, done.pop(), counts + (0,)))
+                elif rule is _ELIMINATE:
+                    # (k - 2) * counts(G-v)[k] + counts(G-v)[k-1] + counts((G-v)/ab)[k]
+                    rest = done.pop()
+                    counts = tuple(map(add, map(mul, range(-2, len(rest) - 1), rest + (0,)),
+                                       map(add, (0,) + rest, counts + (0, 0))))
+                elif type(rule) is list:
+                    # (k - 3) * counts(H)[k] + counts(H)[k-1] + each stable pair's
+                    # counts(H/S)[k] - counts(H/xyz)[k], the children's counts
+                    # popped in push order
+                    pairs = rule[0]
+                    total = map(add, map(mul, range(-3, len(counts) - 2), counts + (0,)),
+                                (0,) + counts)
+                    for _ in range(pairs):
+                        total = map(add, total, done.pop() + (0, 0))
+                    if pairs == 3:
+                        total = map(sub, total, done.pop() + (0, 0, 0))
+                    counts = tuple(total)
+                else:
+                    counts = _peeled(counts, rule)
+                if put is not None:
+                    put(adj, counts)
+                done.append(counts)
                 continue
-        # The last vertex first: at degree 2 or less it needs no scan (see
-        # ``profile``).  Only at degree 3 or more is a peel looked for, which
-        # on a cycle would scan every vertex and find none.  The first graph
-        # does not peel, as its chain found.
-        v = len(adj) - 1
-        a = adj[v]
-        rule = a.bit_count()
-        if rule > 2:
-            peel = find_peel(adj) if todo else None
-            if peel is not None:
-                v, rule = peel
+            adj = item
+            if len(adj) <= top:
+                done.append(_base_counts(adj) if top else (1,))
+                continue
+            if todo and get is not None:
+                hit = get(adj)
+                if hit is not None:
+                    done.append(hit)
+                    continue
+            # The last vertex first: at degree 2 or less it needs no scan (see
+            # ``profile``).  Only at degree 3 or more is a peel looked for, which
+            # on a cycle would scan every vertex and find none.  The first graph
+            # does not peel, as its chain found.
+            v = len(adj) - 1
+            a = adj[v]
+            rule = a.bit_count()
+            if rule > 2:
+                peel = find_peel(adj) if todo else None
+                if peel is not None:
+                    v, rule = peel
+                    todo += (adj, rule, without_vertex(adj, v))
+                    continue
+                # Nothing peeled, so every degree is at least 2 and no
+                # neighborhood is a clique: branch beside the least-degree
+                # vertex, as ``profile`` states.  Past degree 3, fill in.
+                degrees = list(map(int.bit_count, adj))
+                rule = min(degrees)
+                v -= degrees[::-1].index(rule)
+                a = adj[v]
+                if rule > 3:
+                    rest = a
+                    while True:
+                        drop = rest.bit_length() - 1
+                        high = 1 << drop
+                        missing = a & ~(adj[drop] | high)
+                        if missing:
+                            break
+                        rest ^= high
+                    keep = missing.bit_length() - 1
+                    todo += (adj, add, merged(adj, keep, drop), flipped(adj, keep, drop))
+                    continue
+            elif rule < 2 or adj[(a & -a).bit_length() - 1] & a:
                 todo += (adj, rule, without_vertex(adj, v))
                 continue
-            # Nothing peeled, so every degree is at least 2 and no
-            # neighborhood is a clique: branch beside the least-degree
-            # vertex, as ``profile`` states.
-            degrees = list(map(int.bit_count, adj))
-            v -= degrees[::-1].index(min(degrees))
-            a = adj[v]
-            if a.bit_count() != 2:
-                rest = a
-                while True:
-                    drop = rest.bit_length() - 1
-                    high = 1 << drop
-                    missing = a & ~(adj[drop] | high)
-                    if missing:
-                        break
-                    rest ^= high
-                keep = missing.bit_length() - 1
-                todo += (adj, add, merged(adj, keep, drop), flipped(adj, keep, drop))
+            # v has degree 2 or 3 and is not simplicial, so two of its neighbors
+            # are not adjacent, and v goes in one step.  Its neighbors, as a mask
+            # renumbered past v for H = G-v, are y < z at degree 2, x < y < z at
+            # degree 3.
+            rest = without_vertex(adj, v)
+            a = a & (1 << v) - 1 | a >> v + 1 << v
+            z = a.bit_length() - 1
+            a ^= 1 << z
+            y = a.bit_length() - 1
+            if rule == 2:
+                # The children have orders n-1 and n-2, so without a memo a
+                # cycle costs T(C_n) = T(P_n-1) + T(C_n-2) steps, quadratic in
+                # n; filling in there would make it Fibonacci.
+                todo += (adj, _ELIMINATE, merged(rest, y, z), rest)
                 continue
-        elif rule < 2 or adj[(a & -a).bit_length() - 1] & a:
-            todo += (adj, rule, without_vertex(adj, v))
-            continue
-        # v has degree 2 and its neighbors are not adjacent.  The children
-        # have orders n-1 and n-2, so without a memo a cycle costs
-        # T(C_n) = T(P_n-1) + T(C_n-2) steps, quadratic in n; filling in
-        # there would make it Fibonacci.  v's two neighbors, as a mask
-        # renumbered past v for G-v:
-        rest = without_vertex(adj, v)
-        a = a & (1 << v) - 1 | a >> v + 1 << v
-        drop = a.bit_length() - 1
-        keep = (a ^ 1 << drop).bit_length() - 1
-        todo += (adj, _ELIMINATE, merged(rest, keep, drop), rest)
+            # Degree 3: H, then H/S for each stable pair S of x, y, z, then H/xyz
+            # when all three pairs are stable.  Each pair's stability is one bit
+            # of H.  The rule is a list holding the number of stable pairs;
+            # ``merged`` keeps the lower index, and merging z away shifts
+            # neither x nor y.
+            x = (a ^ 1 << y).bit_length() - 1
+            xy = not rest[x] >> y & 1
+            xz = not rest[x] >> z & 1
+            yz = not rest[y] >> z & 1
+            todo += (adj, [xy + xz + yz], rest)
+            if xy:
+                todo.append(merged(rest, x, y))
+            if xz:
+                todo.append(merged(rest, x, z))
+            if yz:
+                rest = merged(rest, y, z)
+                todo.append(rest)
+                if xy and xz:
+                    todo.append(merged(rest, x, y))
+    except MemoryError:
+        # The work stacks are emptied before the error leaves this frame.
+        # Its traceback keeps the frame's locals alive, and Python 3.11,
+        # unwinding, drops the error if it cannot then allocate a caller's
+        # frame object, which surfaces as "SystemError: error return
+        # without exception set".
+        todo.clear()
+        done.clear()
+        raise
     # Lift the stack's counts through the chain's peels, from its last up to
     # the root.
     counts = done.pop()

@@ -134,6 +134,20 @@ def test_compute_no_memo_identical_output(capsys):
     assert out_a == out_b
 
 
+def test_compute_no_memo_eliminates_degree_3_vertices(tmp_path, capsys):
+    # The Petersen graph is 3-regular and peels nowhere, so every branch
+    # eliminates a degree-3 vertex, pushing up to five children, which no
+    # memo then shares.
+    edges = ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+             + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    f = tmp_path / "petersen.txt"
+    f.write_text("10 15\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    code, out_a, _ = run_cli(capsys, "compute", "--edges", str(f), "--no-memo")
+    assert code == 0
+    _, out_b, _ = run_cli(capsys, "compute", "--edges", str(f))
+    assert out_a == out_b and "b: 7430\n" in out_a
+
+
 def test_compute_null_graph(capsys):
     code, out, _ = run_cli(capsys, "compute", "--family", "empty:0", "--json")
     assert code == 0
@@ -705,27 +719,31 @@ def test_file_size_limit_exits_resource_without_traceback(tmp_path, child_env):
     assert_one_error_line(proc.stderr)
 
 
-_GRID_6X6 = "36 60\n" + "".join(  # the 6x6 grid graph, vertices numbered row by row
-    f"{u} {v}\n" for u, v in sorted([(v, v + 1) for v in range(36) if v % 6 < 5]
-                                    + [(v, v + 6) for v in range(30)]))
+_GRID_7X7 = "49 84\n" + "".join(  # the 7x7 grid graph, vertices numbered row by row
+    f"{u} {v}\n" for u, v in sorted([(v, v + 1) for v in range(49) if v % 7 < 6]
+                                    + [(v, v + 7) for v in range(42)]))
 
 
 @pytest.mark.parametrize("argv,code,err", [
     (("compute", "--edges", "grid.txt"), 3, "error: input too large: out of memory\n"),
     (("verify", "--id", "C9", "--n-max", "400", "--p-max", "80", "--json"), 0,
      "C9: 32400 reports, 0 in-range violations\n"),
-], ids=["compute-grid-6x6", "verify-C9-400-80-json"])
+], ids=["compute-grid-7x7", "verify-C9-400-80-json"])
 def test_address_space_limit_of_150_mb(argv, code, err, tmp_path, child_env):
-    # A real memory limit, set in the child only.  The grid's memo outgrows
-    # it, and the run ends in one line.  The C9 grid's JSON is written a
-    # report at a time; encoded whole, it needed more and exited 3.
+    # A real memory limit, set in the child only.  The 7x7 grid's memo
+    # outgrows it, and the run ends in one line; the 6x6 grid, whose
+    # degree-3 vertices go in one step, fits in about 57 MB.  The engine
+    # empties its work stacks on MemoryError; without that, a run can end
+    # in "SystemError: error return without exception set".  The C9
+    # grid's JSON is written a report at a time; encoded whole, it needed
+    # more and exited 3.
     resource = pytest.importorskip("resource")
 
     def limit_address_space():
         hard = resource.getrlimit(resource.RLIMIT_AS)[1]
         resource.setrlimit(resource.RLIMIT_AS, (150 << 20, hard))
 
-    (tmp_path / "grid.txt").write_text(_GRID_6X6)
+    (tmp_path / "grid.txt").write_text(_GRID_7X7)
     proc = subprocess.run([sys.executable, "-m", "graphbell", *argv], cwd=tmp_path,
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
                           env=child_env, timeout=120, preexec_fn=limit_address_space)

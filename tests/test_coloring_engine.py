@@ -1,5 +1,6 @@
 """Engine vs. oracle, reduction identities, and the profile value object."""
 
+import hashlib
 import sys
 import time
 import tracemalloc
@@ -321,6 +322,71 @@ def test_engine_matches_oracle_in_both_branch_modes():
             assert memo.get_labeled(child) is not None
         for other in others:
             assert memo.get_labeled(other) is None
+
+
+@pytest.mark.parametrize("small_order", [coloring_engine.SMALL_ORDER, 0])
+def test_degree_3_elimination_with_one_two_and_three_stable_pairs(monkeypatch, small_order):
+    # H is the complement of C7 + K3 on 10 vertices: every degree is 7 and
+    # no vertex peels.  v = 3 is planted beside x, y, z of H, so it is the
+    # one vertex of least degree, not the last, and goes in one step into
+    # H, H/S for each stable pair S of its neighbors, and H/{x, y, z} when
+    # all three pairs are stable, the one child counted with a minus sign.
+    # No fill-in child, G plus an edge, is ever made.
+    monkeypatch.setattr(coloring_engine, "SMALL_ORDER", small_order)
+    sparse = {(i, i + 1) for i in range(6)} | {(0, 6), (7, 8), (7, 9), (8, 9)}
+    h = Graph.from_edges(10, [e for e in combinations(range(10), 2) if e not in sparse])
+    v = 3
+    for (x, y, z), stable in [
+        ((0, 1, 4), [(0, 1)]),
+        ((0, 1, 2), [(0, 1), (1, 2)]),
+        ((7, 8, 9), [(7, 8), (7, 9), (8, 9)]),
+    ]:
+        up = [u + (u >= v) for u in range(10)]
+        g = Graph.from_edges(11, [(up[a], up[b]) for a, b in h.edges()]
+                             + [(up[u], v) for u in (x, y, z)])
+        assert without_vertex(g.adj, v) == h.adj
+        assert coloring_engine.find_peel(g.adj) is None
+        assert [d for d in map(int.bit_count, g.adj) if d < 7] == [3]
+        children = [h.adj] + [merged(h.adj, a, b) for a, b in stable]
+        if len(stable) == 3:
+            children.append(merged(merged(h.adj, y, z), x, y))
+        memo = ProfileCache()
+        assert profile(g, memo) == profile(g, None) == brute_force_profile(g)
+        for child in children:
+            assert memo.get_labeled(child) is not None
+        assert [adj for adj in memo if len(adj) == g.n] == [g.adj]
+
+
+def grid_graph(r):
+    """The r x r grid, its vertices numbered row by row."""
+    return Graph.from_edges(r * r, sorted([(v, v + 1) for v in range(r * r) if v % r < r - 1]
+                                          + [(v, v + r) for v in range(r * r - r)]))
+
+
+def test_degree_3_elimination_search_size_and_digests():
+    # Sparse graphs whose branch vertices mostly have degree 3.  Filling in
+    # beside each stored 26 graphs for the Petersen graph and 1,182,067 for
+    # the 6x6 grid.  The digests, of each count vector written as decimals
+    # joined by commas, were taken from that fill-in rule, so here one rule
+    # checks the other beyond the oracle's reach.
+    petersen = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                                + [(i, i + 5) for i in range(5)]
+                                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    memo = ProfileCache()
+    assert profile(petersen, memo) == brute_force_profile(petersen)
+    assert len(memo) <= 6
+    for g, digest, bound in [
+        (grid_graph(6), "1e735aecaa0a8c0147758e373bbea2a7f9e1f19af2ff9514551f8c922ceff827",
+         30_000),
+        (random_graph(28, Random(3), 0.15),
+         "69aac4a5113593b0f7fe6b9d4f400ca521cd4a8f9bc1bf13e1e6fea12f397872", None),
+        (random_graph(24, Random(1), 0.2),
+         "c16fff1e1195454eb84b307800526e2b80074149269284c082b25edab9406ac4", None),
+    ]:
+        memo = ProfileCache()
+        counts = profile(g, memo).counts
+        assert hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest() == digest
+        assert bound is None or len(memo) < bound
 
 
 def networkx_oracle_graphs():

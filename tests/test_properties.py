@@ -145,6 +145,21 @@ def test_degree_2_elimination_matches_oracle(data):
     assert brute_force_profile(g).counts == tuple(combined)
 
 
+# Sparse G(n, q), where the least-degree branch vertex often has degree 3
+# and goes in one step, into up to five children; without a memo none of
+# them is shared.  With the table cut to the null graph, the step also
+# runs on the small graphs the table would answer.
+@pytest.mark.parametrize("small_order", [coloring_engine.SMALL_ORDER, 0])
+@settings(max_examples=40)
+@given(st.integers(8, 14), st.floats(0.15, 0.5), st.integers(0, 2**32))
+def test_degree_3_elimination_matches_oracle(small_order, n, q, seed):
+    g = random_graph(n, Random(seed), q)
+    expected = brute_force_profile(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coloring_engine, "SMALL_ORDER", small_order)
+        assert profile(g, ProfileCache()) == profile(g, None) == expected
+
+
 def relabelled(g: Graph, order: int, label) -> Graph:
     """Rebuild ``g`` from its edge list under ``label``.
 
