@@ -9,10 +9,11 @@ summary is part of stdout and stderr stays empty.
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 resource limit
 (a refused guardrail, or a recursion depth or memory limit hit mid-run)
 or a missing or damaged data file of the package, 4 verification failure.
-Codes 1-3 are the ``exit_code`` of the error class raised.  A reader that closes stdout early (``| head``) also gives 1, with
-nothing on stderr.  Output that stdout has no room for (a full disk, a file
-size limit) gives 3 with one ``error:`` line on stderr, and Ctrl-C gives
-130, the shell's convention, with nothing on stderr.  All big integers are
+Codes 1-3 are the ``exit_code`` of the error class raised.  A reader that
+closes stdout early (``| head``) also gives 1, with nothing on stderr.
+Output that stdout has no room for (a full disk, a file size limit) gives
+3 with one ``error:`` line on stderr, and Ctrl-C gives 130, the shell's
+convention, with nothing on stderr.  All big integers are
 emitted as decimal strings, with no limit on their length; averages as
 exact "num/den" fractions (text mode adds a tagged decimal approximation,
 computed without floating point).

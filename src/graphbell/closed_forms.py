@@ -81,22 +81,6 @@ def hnr_pk1_aggregates(n: int, r: int, p: int) -> FamilyAggregates:
     return FamilyAggregates._make(hnr_form(alt_binomial_sum, n, r, p))
 
 
-def lemma15_identity_check(n: int, p: int) -> bool:
-    """Check the decomposition of a cycle plus p+2 isolated vertices.
-
-    Both aggregates of C_n with p+2 isolated vertices must equal the
-    tail-2 + 2*tail-1 + tail-0 combination of tailed-cycle values with p
-    isolated vertices.  Returns True iff both identities hold exactly.
-    """
-    if n < 3 or p < 0:
-        raise DomainError("identity check requires n >= 3 and p >= 0")
-    lhs = hnr_pk1_aggregates(n, 0, p + 2)
-    terms = [hnr_pk1_aggregates(n, r, p) for r in (2, 1, 0)]
-    rhs_b = terms[0].b + 2 * terms[1].b + terms[2].b
-    rhs_t = terms[0].t + 2 * terms[1].t + terms[2].t
-    return lhs.b == rhs_b and lhs.t == rhs_t
-
-
 def empty_aggregates(n: int) -> FamilyAggregates:
     """The edgeless graph on n vertices: b = bell(n)."""
     if n < 0:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import os
 import zlib
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, count
@@ -115,9 +116,6 @@ class ProfileCache(dict):
 SHARED_PROFILE_CACHE = ProfileCache()
 
 _new = tuple.__new__
-
-# The combine rule of a degree-2 branch (see ``_profile_counts``).
-_ELIMINATE = "eliminate"
 
 
 def brute_force_profile(g: Graph) -> StirlingProfile:
@@ -219,38 +217,36 @@ def profile(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> Stirl
     A larger graph that is not in the memo is tested at its last vertex
     first.  Of degree at most 2 it needs no scan: isolated, a leaf, or with
     its two neighbors adjacent it is simplicial and is peeled; with its two
-    neighbors not adjacent it is eliminated by the degree-2 step below.
+    neighbors not adjacent it is eliminated in one step, as below.
     Otherwise the graph peels its highest-indexed vertex v that is
     dominating, giving counts(G, k) = counts(G-v, k-1), or simplicial with r
     neighbors (r = 0 if isolated), giving
     counts(G, k) = (k-r)*counts(G-v, k) + counts(G-v, k-1), the
     falling-factorial form of P(G) = (x-r)*P(G-v).  A graph with no such
-    vertex branches beside v, its highest-indexed vertex of least degree.
-    If v has degree 2, its neighbors a and b are not adjacent (else v would
-    be simplicial), and v goes in one step:
-    P(G) = (x-2)*P(G-v) + P((G-v)/ab), since deleting and contracting vb
-    gives P(G) = (x-1)*P(G-v) - P(G-v+ab), and P(G-v+ab) =
-    P(G-v) - P((G-v)/ab).  So counts(G, k) = (k-2)*counts(G-v, k) +
-    counts(G-v, k-1) + counts((G-v)/ab, k).  That step is the d = 2 case
-    of an identity for a vertex v of any degree d (G.-C. Rota, "On the
-    foundations of combinatorial theory I", 1964): with H = G-v,
-    counts(G, k) = (k-d)*counts(H, k) + counts(H, k-1) + the sum of
-    (-1)^|S| * counts(H/S, k) over the stable sets S of at least two of v's
-    neighbors.  A partition of H into k blocks, m of them meeting N(v),
-    takes v into k - m blocks.  A block meeting N(v) in j vertices holds
-    the S inside it, whose signs sum to j - 1, and those j - 1 add up to
-    d - m over the m blocks.  At degree 3, with neighbors x, y and z, v
-    goes in one step into H, H/S for each of the one to three stable pairs
-    S, and H/xyz, counted with a minus sign, when all three pairs are
-    stable: at most five children, where filling in beside v made up to
-    five leaves and the nodes between them.  At degree 4 or more, N(v) misses an edge xy, x the
+    vertex branches beside v, its highest-indexed vertex of least degree d.
+    At d = 2 or 3, v goes in one step, by an identity for a vertex of any
+    degree (G.-C. Rota, "On the foundations of combinatorial theory I",
+    1964): with H = G-v, counts(G, k) is the counts of H lifted as for a
+    simplicial v with r = d, plus the sum of (-1)^|S| * counts(H/S, k) over
+    the stable sets S of at least two of v's neighbors.  A partition of H
+    into k blocks, m of them meeting N(v), takes v into k - m blocks.  A
+    block meeting N(v) in j vertices holds the S inside it, whose signs sum
+    to j - 1, and those j - 1 add up to d - m over the m blocks.  At d = 2
+    the neighbors y and z are not adjacent (else v would be simplicial), and
+    the children are H and H/yz.  At d = 3, with neighbors x, y and z, they
+    are H, H/S for each of the one to three stable pairs S, and H/xyz,
+    counted with a minus sign, when all three pairs are stable: at most five
+    children, where filling in beside v made up to five leaves and the nodes
+    between them.  At degree 4 or more, N(v) misses an edge xy, x the
     highest neighbor of v with a non-neighbor in N(v) and y the highest
     such non-neighbor, and counts(G) = counts(G+xy) + counts(G/xy); in both
     children v is a step nearer simplicial (Zykov's addition-contraction).
-    The one-step rules run only where no vertex peels, so they never take
-    the place of a peel.  A merge keeps the lower index.  Every choice
-    takes the highest index because the families keep their leaves at the
-    top, and removing or merging away the last vertex shifts no index.
+    Branching beside v follows a scan that found no peel, with one
+    exception: a last vertex of degree 2 whose neighbors are not adjacent
+    is eliminated before any scan, even where another vertex would have
+    peeled.  A merge keeps the lower index.  Every choice takes the highest
+    index because the families keep their leaves at the top, and removing
+    or merging away the last vertex shifts no index.
 
     The root's chain, the peels before its first branch, runs in place on
     one list of masks: each peel drops the last vertex with ``pop_last`` or
@@ -351,10 +347,10 @@ def _profile_counts(
     # leaf.  ``todo`` holds graphs still to expand and combine steps, each
     # step pushed as the graph and then its rule, below the graphs whose
     # counts it needs: rule None for a dominating peel, r for a simplicial
-    # one, add for a fill-in branch, ``_ELIMINATE`` for a degree-2 one (the
-    # merged graph's counts end on top of the other side's) and a list for a
-    # degree-3 one (H's counts end on top).  A rule is never a tuple, so the
-    # type of a popped item tells the two apart.
+    # one, add for a fill-in branch and the list [d, stable pairs] for a
+    # one-step elimination (H's counts end at the bottom, under those of the
+    # merged graphs).  A rule is never a tuple, so the type of a popped item
+    # tells the two apart.
     # ``done`` holds finished counts.  Every graph combined is stored.  Only
     # the first graph leaves ``todo`` empty when it is popped, and it is the
     # root, looked up above, or a graph of its chain, so it is not looked up.
@@ -368,25 +364,20 @@ def _profile_counts(
                 counts = done.pop()
                 if rule is add:
                     counts = tuple(map(add, done.pop(), counts + (0,)))
-                elif rule is _ELIMINATE:
-                    # (k - 2) * counts(G-v)[k] + counts(G-v)[k-1] + counts((G-v)/ab)[k]
-                    rest = done.pop()
-                    counts = tuple(map(add, map(mul, range(-2, len(rest) - 1), rest + (0,)),
-                                       map(add, (0,) + rest, counts + (0, 0))))
                 elif type(rule) is list:
-                    # (k - 3) * counts(H)[k] + counts(H)[k-1] + each stable pair's
-                    # counts(H/S)[k] - counts(H/xyz)[k], the children's counts
-                    # popped in push order
-                    pairs = rule[0]
-                    total = map(add, map(mul, range(-3, len(counts) - 2), counts + (0,)),
-                                (0,) + counts)
-                    for _ in range(pairs):
+                    # counts(H) lifted as for a simplicial v with d neighbors,
+                    # plus each stable pair's counts(H/S)[k], minus
+                    # counts(H/xyz)[k]: the merged graphs' counts are popped in
+                    # push order, then H's
+                    d, pairs = rule
+                    total = counts + (0, 0)
+                    for _ in range(1, pairs):
                         total = map(add, total, done.pop() + (0, 0))
                     if pairs == 3:
                         total = map(sub, total, done.pop() + (0, 0, 0))
-                    counts = tuple(total)
+                    counts = tuple(map(add, _peeled(done.pop(), d), total))
                 else:
-                    counts = _peeled(counts, rule)
+                    counts = tuple(_peeled(counts, rule))
                 if put is not None:
                     put(adj, counts)
                 done.append(counts)
@@ -436,39 +427,36 @@ def _profile_counts(
                 todo += (adj, rule, without_vertex(adj, v))
                 continue
             # v has degree 2 or 3 and is not simplicial, so two of its neighbors
-            # are not adjacent, and v goes in one step.  Its neighbors, as a mask
-            # renumbered past v for H = G-v, are y < z at degree 2, x < y < z at
-            # degree 3.
+            # are not adjacent, and v goes in one step into H = G-v, H/S for
+            # each stable pair S of its neighbors, and H/xyz when all three
+            # pairs are stable.  Its neighbors, as a mask renumbered past v for
+            # H, are x < y < z; at degree 2, x comes out as -1 and ``x >= 0``
+            # skips its two pairs.  Each pair's stability is one bit of H.  H is
+            # pushed last, so it is expanded first; ``merged`` keeps the lower
+            # index, and merging z away shifts neither x nor y.  At degree 2
+            # the children have orders n-1 and n-2, so without a memo a cycle
+            # costs T(C_n) = T(P_n-1) + T(C_n-2) steps, quadratic in n; filling
+            # in there would make it Fibonacci.
             rest = without_vertex(adj, v)
             a = a & (1 << v) - 1 | a >> v + 1 << v
             z = a.bit_length() - 1
             a ^= 1 << z
             y = a.bit_length() - 1
-            if rule == 2:
-                # The children have orders n-1 and n-2, so without a memo a
-                # cycle costs T(C_n) = T(P_n-1) + T(C_n-2) steps, quadratic in
-                # n; filling in there would make it Fibonacci.
-                todo += (adj, _ELIMINATE, merged(rest, y, z), rest)
-                continue
-            # Degree 3: H, then H/S for each stable pair S of x, y, z, then H/xyz
-            # when all three pairs are stable.  Each pair's stability is one bit
-            # of H.  The rule is a list holding the number of stable pairs;
-            # ``merged`` keeps the lower index, and merging z away shifts
-            # neither x nor y.
             x = (a ^ 1 << y).bit_length() - 1
-            xy = not rest[x] >> y & 1
-            xz = not rest[x] >> z & 1
+            xy = x >= 0 and not rest[x] >> y & 1
+            xz = x >= 0 and not rest[x] >> z & 1
             yz = not rest[y] >> z & 1
-            todo += (adj, [xy + xz + yz], rest)
+            todo += (adj, [rule, xy + xz + yz])
             if xy:
                 todo.append(merged(rest, x, y))
             if xz:
                 todo.append(merged(rest, x, z))
             if yz:
-                rest = merged(rest, y, z)
-                todo.append(rest)
+                pair = merged(rest, y, z)
+                todo.append(pair)
                 if xy and xz:
-                    todo.append(merged(rest, x, y))
+                    todo.append(merged(pair, x, y))
+            todo.append(rest)
     except MemoryError:
         # The work stacks are emptied before the error leaves this frame.
         # Its traceback keeps the frame's locals alive, and Python 3.11,
@@ -482,20 +470,21 @@ def _profile_counts(
     # the root.
     counts = done.pop()
     for rule in reversed(rules):
-        counts = _peeled(counts, rule)
+        counts = tuple(_peeled(counts, rule))
     if rules and put is not None:
         put(root, counts)
     return counts
 
 
-def _peeled(counts: tuple[int, ...], rule) -> tuple[int, ...]:
-    # The counts of G from those of G-v, v peeled by ``rule``: None for a
-    # dominating v, shifting every count up one block; r for a simplicial v
-    # with r neighbors, (k - r) * counts[k] + counts[k-1] for k = 0..len(counts).
+def _peeled(counts: tuple[int, ...], rule) -> Iterable[int]:
+    # The counts of G from those of G-v, as an iterable, v peeled by
+    # ``rule``: None for a dominating v, shifting every count up one block;
+    # r for a simplicial v with r neighbors, (k - r) * counts[k] + counts[k-1]
+    # for k = 0..len(counts), the lift that a one-step elimination starts from.
     if rule is None:
         return (0,) + counts
-    return tuple(map(add, map(mul, range(-rule, len(counts) + 1 - rule), counts + (0,)),
-                     (0,) + counts))
+    return map(add, map(mul, range(-rule, len(counts) + 1 - rule), counts + (0,)),
+               (0,) + counts)
 
 
 # The base case of ``profile``: the counts of the 32,768 labeled graphs on

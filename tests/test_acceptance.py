@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations, islice
 from random import Random
 
-from graphbell.closed_forms import hnr_pk1_aggregates, lemma15_identity_check, tree_pk1_aggregates
+from graphbell.closed_forms import hnr_pk1_aggregates, tree_pk1_aggregates
 from graphbell.coloring_engine import ProfileCache, brute_force_profile, profile
 from graphbell.graph_core import FamilyKind, FamilySpec, Graph, build, random_graph
 from graphbell.inequality_verifier import check, scan, summarize
@@ -161,9 +161,14 @@ def test_criterion_5_reduction_identities():
 
 def test_criterion_6_lemma_checks():
     with criterion("criterion 6: decomposition identity and two-step recursion grids"):
+        # Both aggregates of C_n plus p+2 isolated vertices are the tail-2 +
+        # 2*tail-1 + tail-0 combination of tailed cycles with p of them.
         for n in range(3, 13):
             for p in range(0, 4):
-                assert lemma15_identity_check(n, p)
+                lhs = hnr_pk1_aggregates(n, 0, p + 2)
+                two, one, zero = (hnr_pk1_aggregates(n, r, p) for r in (2, 1, 0))
+                assert lhs.b == two.b + 2 * one.b + zero.b
+                assert lhs.t == two.t + 2 * one.t + zero.t
         for n in range(5, 13):
             for r in range(0, 4):
                 for p in range(0, 3):

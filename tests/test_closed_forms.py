@@ -12,7 +12,6 @@ from graphbell.closed_forms import (
     complete_aggregates,
     empty_aggregates,
     hnr_pk1_aggregates,
-    lemma15_identity_check,
     tree_pk1_aggregates,
 )
 from graphbell.coloring_engine import ProfileCache, profile
@@ -194,15 +193,21 @@ def test_hnr_two_step_recursion():
                 assert whole.t == tri.t + drop.t
 
 
+def lemma15_identity_check(n, p):
+    """Both aggregates of C_n plus p+2 isolated vertices, against tailed cycles.
+
+    They must equal the tail-2 + 2*tail-1 + tail-0 combination of the
+    tailed-cycle values with p isolated vertices.
+    """
+    lhs = hnr_pk1_aggregates(n, 0, p + 2)
+    two, one, zero = (hnr_pk1_aggregates(n, r, p) for r in (2, 1, 0))
+    return (lhs.b, lhs.t) == (two.b + 2 * one.b + zero.b, two.t + 2 * one.t + zero.t)
+
+
 def test_lemma15_identity_grid():
     for n in range(3, 9):
         for p in range(3):
             assert lemma15_identity_check(n, p)
-
-
-def test_lemma15_rejects_bad_parameters():
-    with pytest.raises(DomainError):
-        lemma15_identity_check(2, 0)
 
 
 # --- trivial families and dispatch ----------------------------------------------------

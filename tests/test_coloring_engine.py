@@ -289,7 +289,8 @@ def test_engine_matches_oracle_orders_14_to_18_by_density(q):
         assert profile(g, ProfileCache()) == brute_force_profile(g)
 
 
-def test_engine_matches_oracle_in_both_branch_modes():
+@pytest.mark.parametrize("small_order", [coloring_engine.SMALL_ORDER, 0])
+def test_engine_matches_oracle_in_both_branch_modes(monkeypatch, small_order):
     # No vertex of these graphs peels, so the engine branches at once, beside
     # the highest vertex v of least degree.  In ``hub`` v = 2 has degree 2
     # and neighbors 1 and 3, which become 1 and 2 once v is gone: its
@@ -299,7 +300,10 @@ def test_engine_matches_oracle_in_both_branch_modes():
     # N(5) = {2, 6, 7, 8} misses 2-7 and 6-7, so the edge added is 6-7:
     # x = 7 is the highest neighbor with a non-neighbor in N(v), not the
     # highest one, and y = 6 the highest neighbor x misses.  The memo never
-    # sees the child the mirror rule (lowest v, x and y) would make.
+    # sees the child the mirror rule (lowest v, x and y) would make.  Both
+    # run with and without the memo, and with the table cut to the null
+    # graph, where the rules alone reach every leaf.
+    monkeypatch.setattr(coloring_engine, "SMALL_ORDER", small_order)
     ring = [(v, (v + 1) % 9) for v in range(9)]
     hub = Graph.from_edges(10, [(v, 9) for v in range(3, 9)] + ring)
     holes = {(2, 7), (6, 7), (8, 9)}
@@ -317,7 +321,7 @@ def test_engine_matches_oracle_in_both_branch_modes():
     ]:
         assert coloring_engine.find_peel(g.adj) is None
         memo = ProfileCache()
-        assert profile(g, memo) == brute_force_profile(g)
+        assert profile(g, memo) == profile(g, None) == brute_force_profile(g)
         for child in children:
             assert memo.get_labeled(child) is not None
         for other in others:
@@ -364,29 +368,49 @@ def grid_graph(r):
 
 
 def test_degree_3_elimination_search_size_and_digests():
-    # Sparse graphs whose branch vertices mostly have degree 3.  Filling in
-    # beside each stored 26 graphs for the Petersen graph and 1,182,067 for
-    # the 6x6 grid.  The digests, of each count vector written as decimals
-    # joined by commas, were taken from that fill-in rule, so here one rule
-    # checks the other beyond the oracle's reach.
+    # Sparse graphs whose branch vertices mostly have degree 2 or 3.  Each
+    # memo's size, the number of graphs the search stored, is pinned, so a
+    # change of rule that moves the search fails here even where every count
+    # holds.  Filling in beside each degree-3 vertex stored 26 graphs for
+    # the Petersen graph and 1,182,067 for the 6x6 grid.
+    def search(g):
+        memo = ProfileCache()
+        return profile(g, memo).counts, len(memo)
+
     petersen = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
                                 + [(i, i + 5) for i in range(5)]
                                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
-    memo = ProfileCache()
-    assert profile(petersen, memo) == brute_force_profile(petersen)
-    assert len(memo) <= 6
-    for g, digest, bound in [
+    assert search(petersen) == (brute_force_profile(petersen).counts, 6)
+    # The circular ladder, two 14-cycles joined by the spokes i, i + 14,
+    # against its chromatic polynomial (x^2-3x+3)^14 + (x-1)((3-x)^14 +
+    # (1-x)^14) + x^2-3x+1 in the falling-factorial basis at m = 0..28.
+    ladder = Graph.from_edges(28, [(i, (i + 1) % 14) for i in range(14)]
+                              + [(14 + i, 14 + (i + 1) % 14) for i in range(14)]
+                              + [(i, i + 14) for i in range(14)])
+    counts, size = search(ladder)
+    assert size == 1_205
+    for m in range(29):
+        assert sum(c * perm(m, k) for k, c in enumerate(counts)) == (
+            (m * m - 3 * m + 3) ** 14 + (m - 1) * ((3 - m) ** 14 + (1 - m) ** 14)
+            + m * m - 3 * m + 1)
+    counts, size = search(family(FamilyKind.CYCLE, 300))
+    assert size == 439
+    agg = hnr_pk1_aggregates(300, 0, 0)
+    assert (sum(counts), sum(k * c for k, c in enumerate(counts))) == (agg.b, agg.t)
+    # The digests, of each count vector written as decimals joined by
+    # commas, were taken from the fill-in rule, so here one rule checks the
+    # other beyond the oracle's reach.
+    for g, digest, size in [
         (grid_graph(6), "1e735aecaa0a8c0147758e373bbea2a7f9e1f19af2ff9514551f8c922ceff827",
-         30_000),
+         25_395),
         (random_graph(28, Random(3), 0.15),
-         "69aac4a5113593b0f7fe6b9d4f400ca521cd4a8f9bc1bf13e1e6fea12f397872", None),
+         "69aac4a5113593b0f7fe6b9d4f400ca521cd4a8f9bc1bf13e1e6fea12f397872", 10_309),
         (random_graph(24, Random(1), 0.2),
-         "c16fff1e1195454eb84b307800526e2b80074149269284c082b25edab9406ac4", None),
+         "c16fff1e1195454eb84b307800526e2b80074149269284c082b25edab9406ac4", 4_762),
     ]:
-        memo = ProfileCache()
-        counts = profile(g, memo).counts
+        counts, found = search(g)
         assert hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest() == digest
-        assert bound is None or len(memo) < bound
+        assert found == size
 
 
 def networkx_oracle_graphs():
