@@ -10,8 +10,10 @@ CLI's ``--no-memo``) turns its memo off without changing any count.
 ``brute_force_profile`` counts the same partitions by a recursion over
 vertex subsets, memoized per subset, and serves as the independent oracle
 the test suite compares against.  Both
-are exponential in the worst case.  The engine is practical to about 22
-vertices on dense generic graphs, well past 20 on sparse ones, whose
+are exponential in the worst case.  The engine is practical to about 24
+vertices on dense generic graphs, where a vertex of greatest degree goes
+with each stable set of its few non-neighbors in one step (G(22, .5) takes
+about 3 s and 0.1 GB), well past 20 on sparse ones, whose
 branch vertices mostly have degree 2 or 3 and go in one step each (the
 6x6 grid takes about 0.3 s), and up to ``PROFILE_MAX_ORDER`` on the
 structured families.  The oracle's cost follows the number of stable sets,
@@ -34,8 +36,8 @@ from typing import NamedTuple
 
 from .errors import DataFileError, DomainError, ResourceError
 from .graph_core import (
-    PROFILE_MAX_ORDER, Graph, all_graphs, check_order, flipped, merged, pop_last,
-    without_vertex,
+    PROFILE_MAX_ORDER, Graph, all_graphs, check_order, flipped, induced, merged,
+    pop_last, without_vertex,
 )
 
 # The oracle's budget.  A block it tries costs one step per entry of the
@@ -44,6 +46,31 @@ from .graph_core import (
 # (Python 3.11), edgeless order 14 takes 3.1M steps in 0.7-1.0 s, G(20, .5)
 # seed 1 2.3M in 0.7-1.0 s, both under 40 MB.
 ORACLE_STEP_BUDGET = 4_000_000
+
+# The most children a block step may push (see ``profile``): past it, the
+# node fills in instead.  The stable sets of the non-neighbors of a vertex
+# of greatest degree are few on a dense graph, where the step pays, and
+# grow without bound on a sparse one, where fill-in pays.  Memo entries,
+# one fresh memo per graph, by cap (0 is fill-in alone):
+#
+#   cap                 0     16     32     64    256   none
+#   G(22, .5) s1     937k   234k   154k   153k   153k   153k
+#   G(22, .5) s2     805k   183k   199k   161k   161k   161k
+#   G(24, .7) s1     568k    64k    64k    64k    64k    64k
+#   K(7, 2)         2537k   191k   168k   139k   148k   148k
+#   G(16-20, .3-.7)  457k   131k   131k   128k   128k   128k  (36 graphs)
+#   4-regular, 24   2748k  1207k  1084k   982k   688k   304k
+#   5x5 torus       1586k   924k   871k   829k   736k   569k
+#   4-cube           1381   1291   1410   1373   1720   1720
+#   C40(1, 2)         432    500    717   1260   3378  > 3 GB
+#
+# 64 is the least of these caps that keeps the dense graphs' gains:
+# G(22, .5) s2 and K(7, 2) lose them at 32.  A larger cap helps the
+# 4-regular graphs and costs the 4-cube and the circulant C40(1, 2), whose
+# stable sets outgrow memory with no cap.  G(24, .2) s1 and s2, G(28, .15)
+# s1 and s3 and the ``random`` workload's pool (4,907 graphs, 10,331 at 0)
+# store the same from 64 up.
+BLOCK_MAX_CHILDREN = 64
 
 
 class StirlingProfile(NamedTuple):
@@ -237,14 +264,27 @@ def profile(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> Stirl
     are H, H/S for each of the one to three stable pairs S, and H/xyz,
     counted with a minus sign, when all three pairs are stable: at most five
     children, where filling in beside v made up to five leaves and the nodes
-    between them.  At degree 4 or more, N(v) misses an edge xy, x the
-    highest neighbor of v with a non-neighbor in N(v) and y the highest
-    such non-neighbor, and counts(G) = counts(G+xy) + counts(G/xy); in both
-    children v is a step nearer simplicial (Zykov's addition-contraction).
-    Branching beside v follows a scan that found no peel, with one
-    exception: a last vertex of degree 2 whose neighbors are not adjacent
-    is eliminated before any scan, even where another vertex would have
-    peeled.  A merge keeps the lower index.  Every choice takes the highest
+    between them.  At degree 4 or more, the block of u, the highest-indexed
+    vertex of greatest degree, is expanded, as in the oracle's step (E. L.
+    Lawler, IPL 5, 1976): the block holding u is u and a stable set I of
+    its non-neighbors, so counts(G, k) is the sum of counts(G-u-I, k-1)
+    over those I, the empty one included.  One child G-u-I is pushed per I,
+    its kept vertices in their order.  The sets are listed one non-neighbor
+    at a time, and once they number more than ``BLOCK_MAX_CHILDREN`` (64;
+    read per call, so 0 turns the step off) the listing stops and the node
+    fills in beside v instead.  Without a memo no child is shared, and the
+    step is off: every such node fills in.  Fill-in: N(v) misses an edge
+    xy, x the highest neighbor of v with a non-neighbor in N(v) and y the
+    highest such non-neighbor, and counts(G) = counts(G+xy) + counts(G/xy);
+    in both children v is a step nearer simplicial (Zykov's
+    addition-contraction).
+    A dense graph has few stable sets outside the neighbors of u, so its
+    block step has few children, each of order n-1 or less, where fill-in
+    kept order n on one side: G(22, .5) needs about a sixth of the graphs
+    fill-in stored.  Every branch follows a scan that found no peel, with
+    one exception: a last vertex of degree 2 whose neighbors are not
+    adjacent is eliminated before any scan, even where another vertex would
+    have peeled.  A merge keeps the lower index.  Every choice takes the highest
     index because the families keep their leaves at the top, and removing
     or merging away the last vertex shifts no index.
 
@@ -314,6 +354,7 @@ def _profile_counts(
     # leaf is the null graph, with its one partition into no blocks, and no
     # row is read.  No leaf is looked up or stored.
     top = small and small + 1
+    cap = BLOCK_MAX_CHILDREN if memo is not None else 0
     get = put = None
     if memo is not None and len(adj) > top:
         counts = memo.get_labeled(adj)
@@ -347,10 +388,11 @@ def _profile_counts(
     # leaf.  ``todo`` holds graphs still to expand and combine steps, each
     # step pushed as the graph and then its rule, below the graphs whose
     # counts it needs: rule None for a dominating peel, r for a simplicial
-    # one, add for a fill-in branch and the list [d, stable pairs] for a
+    # one, add for a fill-in branch, the list [d, stable pairs] for a
     # one-step elimination (H's counts end at the bottom, under those of the
-    # merged graphs).  A rule is never a tuple, so the type of a popped item
-    # tells the two apart.
+    # merged graphs) and range(m) for a block step with m children (G-u's
+    # counts end on top).  A rule is never a tuple, so the type of a popped
+    # item tells the two apart.
     # ``done`` holds finished counts.  Every graph combined is stored.  Only
     # the first graph leaves ``todo`` empty when it is popped, and it is the
     # root, looked up above, or a graph of its chain, so it is not looked up.
@@ -376,6 +418,14 @@ def _profile_counts(
                     if pairs == 3:
                         total = map(sub, total, done.pop() + (0, 0, 0))
                     counts = tuple(map(add, _peeled(done.pop(), d), total))
+                elif type(rule) is range:
+                    # (0,) and the children's counts summed, each zero-padded
+                    # to the n counts of G-u, which are popped first.
+                    total = list(counts)
+                    for _ in rule[1:]:
+                        counts = done.pop()
+                        total[:len(counts)] = map(add, total, counts)
+                    counts = (0, *total)
                 else:
                     counts = tuple(_peeled(counts, rule))
                 if put is not None:
@@ -406,12 +456,31 @@ def _profile_counts(
                     continue
                 # Nothing peeled, so every degree is at least 2 and no
                 # neighborhood is a clique: branch beside the least-degree
-                # vertex, as ``profile`` states.  Past degree 3, fill in.
+                # vertex, as ``profile`` states.  Past degree 3, expand the
+                # block of u, the highest vertex of greatest degree, into
+                # G-u-I for each stable set I of its non-neighbors.  The sets
+                # are listed one non-neighbor w at a time, each set found so
+                # far taking w if it has no neighbor of w, so G-u is pushed
+                # first.  With more than ``cap`` sets (0 without a memo),
+                # fill in beside v.
                 degrees = list(map(int.bit_count, adj))
                 rule = min(degrees)
                 v -= degrees[::-1].index(rule)
                 a = adj[v]
                 if rule > 3:
+                    u = len(adj) - 1 - degrees[::-1].index(max(degrees))
+                    keep = ((1 << len(adj)) - 1) ^ 1 << u
+                    rest = keep & ~adj[u]
+                    stable = [0]
+                    while rest and len(stable) <= cap:
+                        w = rest & -rest
+                        near = adj[w.bit_length() - 1]
+                        stable += [s | w for s in stable if not s & near]
+                        rest ^= w
+                    if len(stable) <= cap:
+                        todo += (adj, range(len(stable)))
+                        todo += [induced(adj, keep ^ s) for s in stable]
+                        continue
                     rest = a
                     while True:
                         drop = rest.bit_length() - 1

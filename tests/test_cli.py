@@ -11,16 +11,19 @@ import sys
 import time
 import zlib
 from pathlib import Path
+from random import Random
 
 import pytest
 
 from graphbell import cli, coloring_engine, sequences
 from graphbell.cli import main, parse_family
-from graphbell.coloring_engine import PROFILE_MAX_ORDER
+from graphbell.coloring_engine import PROFILE_MAX_ORDER, brute_force_profile
 from graphbell.errors import (
     DataFileError, DomainError, GraphBellError, ResourceError, UsageError,
 )
-from graphbell.graph_core import EDGE_LIST_MAX_CHARS, FamilyKind, FamilySpec, Graph
+from graphbell.graph_core import (
+    EDGE_LIST_MAX_CHARS, FamilyKind, FamilySpec, Graph, random_graph,
+)
 from graphbell.inequality_verifier import INEQUALITY_IDS, InequalityReport
 from graphbell.sequences import STIRLING_MAX_ROWS, stirling_rows
 
@@ -146,6 +149,21 @@ def test_compute_no_memo_eliminates_degree_3_vertices(tmp_path, capsys):
     assert code == 0
     _, out_b, _ = run_cli(capsys, "compute", "--edges", str(f))
     assert out_a == out_b and "b: 7430\n" in out_a
+
+
+def test_compute_no_memo_matches_the_block_step_on_a_dense_graph(tmp_path, capsys):
+    # G(16, .7): its least degree passes 3 at about a thousand nodes.  With
+    # the memo each of them expands the block of a vertex of greatest degree
+    # into one child per stable set of its non-neighbors; without it no
+    # child would be shared, so each fills in instead.  The two rules must
+    # print the same bytes.
+    g = random_graph(16, Random(1), 0.7)
+    f = tmp_path / "dense.txt"
+    f.write_text(f"16 {len(g.edges())}\n" + "".join(f"{u} {v}\n" for u, v in g.edges()))
+    code, out_a, _ = run_cli(capsys, "compute", "--edges", str(f), "--no-memo")
+    assert code == 0
+    _, out_b, _ = run_cli(capsys, "compute", "--edges", str(f))
+    assert out_a == out_b and f"b: {brute_force_profile(g).bell}\n" in out_a
 
 
 def test_compute_null_graph(capsys):

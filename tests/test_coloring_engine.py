@@ -30,6 +30,7 @@ from graphbell.graph_core import (
     Graph,
     build,
     flipped,
+    induced,
     merged,
     random_graph,
     without_vertex,
@@ -300,9 +301,13 @@ def test_engine_matches_oracle_in_both_branch_modes(monkeypatch, small_order):
     # N(5) = {2, 6, 7, 8} misses 2-7 and 6-7, so the edge added is 6-7:
     # x = 7 is the highest neighbor with a non-neighbor in N(v), not the
     # highest one, and y = 6 the highest neighbor x misses.  The memo never
-    # sees the child the mirror rule (lowest v, x and y) would make.  Both
-    # run with and without the memo, and with the table cut to the null
-    # graph, where the rules alone reach every leaf.
+    # sees the child the mirror rule (lowest v, x and y) would make.  That
+    # fill-in runs with the block step off (cap 0).  At the default cap
+    # ``fill`` takes the block step instead: u = 8, the highest vertex of
+    # greatest degree (8), misses only 9, so its children are G-8 and
+    # G-8-9, and no fill-in child is made.  All run with and without the
+    # memo, and with the table cut to the null graph, where the rules alone
+    # reach every leaf.
     monkeypatch.setattr(coloring_engine, "SMALL_ORDER", small_order)
     ring = [(v, (v + 1) % 9) for v in range(9)]
     hub = Graph.from_edges(10, [(v, 9) for v in range(3, 9)] + ring)
@@ -314,11 +319,16 @@ def test_engine_matches_oracle_in_both_branch_modes(monkeypatch, small_order):
            if (u, v) not in holes],
     )
     hub_rest = without_vertex(hub.adj, 2)
-    for g, children, others in [
-        (hub, [hub_rest, merged(hub_rest, 1, 2)],
+    fill_rest = without_vertex(fill.adj, 8)
+    cap = coloring_engine.BLOCK_MAX_CHILDREN
+    for g, g_cap, children, others in [
+        (hub, cap, [hub_rest, merged(hub_rest, 1, 2)],
          [flipped(hub.adj, 2, 3), flipped(hub.adj, 0, 1)]),
-        (fill, [flipped(fill.adj, 6, 7)], [flipped(fill.adj, 2, 7)]),
+        (fill, 0, [flipped(fill.adj, 6, 7)], [flipped(fill.adj, 2, 7)]),
+        (fill, cap, [fill_rest, without_vertex(fill_rest, 8)],
+         [flipped(fill.adj, 6, 7), flipped(fill.adj, 2, 7)]),
     ]:
+        monkeypatch.setattr(coloring_engine, "BLOCK_MAX_CHILDREN", g_cap)
         assert coloring_engine.find_peel(g.adj) is None
         memo = ProfileCache()
         assert profile(g, memo) == profile(g, None) == brute_force_profile(g)
@@ -361,6 +371,81 @@ def test_degree_3_elimination_with_one_two_and_three_stable_pairs(monkeypatch, s
         assert [adj for adj in memo if len(adj) == g.n] == [g.adj]
 
 
+def block_graph(m, joined):
+    """u = 2m beside a_0..a_m-1, each a_i joined to every b_j = m + j but b_i.
+
+    u is also joined to b_0..b_joined-1.  A and B are stable, so u, the last
+    vertex of greatest degree, has 2^(m - joined) stable sets of
+    non-neighbors.  At m >= 5 every degree is at least 4 and none peels.
+    """
+    edges = [(a, m + b) for a in range(m) for b in range(m) if a != b]
+    edges += [(a, 2 * m) for a in range(m)] + [(m + b, 2 * m) for b in range(joined)]
+    return Graph.from_edges(2 * m + 1, edges)
+
+
+def minus(adj, vertices):
+    """``adj`` without ``vertices``, removed one at a time from the highest."""
+    for v in sorted(vertices, reverse=True):
+        adj = without_vertex(adj, v)
+    return adj
+
+
+@pytest.mark.parametrize("small_order", [coloring_engine.SMALL_ORDER, 0])
+def test_block_step_with_two_and_many_children_and_over_the_cap(monkeypatch, small_order):
+    # Past degree 3 the engine expands the block of u, the highest vertex of
+    # greatest degree, into G-u-I for each stable set I of u's
+    # non-neighbors, unless those sets number more than BLOCK_MAX_CHILDREN;
+    # then it fills in beside the least-degree vertex, making a child of
+    # order n.  No child of the block step has order n, and every one is
+    # stored or a table leaf.  The over-the-cap cases are block_graph(5, 0),
+    # whose 32 sets pass a cap of 31 but not one of 32, and
+    # block_graph(7, 0), whose 128 pass the default cap.  Without the memo
+    # every node fills in, which the runs with ``memo=None`` check.
+    monkeypatch.setattr(coloring_engine, "SMALL_ORDER", small_order)
+    top = small_order and small_order + 1
+    cap = coloring_engine.BLOCK_MAX_CHILDREN
+    assert 32 <= cap < 128
+    for m, joined, g_cap, blocks in [
+        (5, 4, cap, True), (5, 0, cap, True), (5, 0, 32, True), (5, 0, 31, False),
+        (7, 0, cap, False),
+    ]:
+        monkeypatch.setattr(coloring_engine, "BLOCK_MAX_CHILDREN", g_cap)
+        g = block_graph(m, joined)
+        assert coloring_engine.find_peel(g.adj) is None
+        assert min(map(int.bit_count, g.adj)) >= 4
+        memo = ProfileCache()
+        assert profile(g, memo) == profile(g, None) == brute_force_profile(g)
+        full = [adj for adj in memo if len(adj) == g.n]
+        if not blocks:
+            assert len(full) == 2 and g.adj in full
+            continue
+        assert full == [g.adj]
+        rest = range(m + joined, 2 * m)
+        subsets = [[b for i, b in enumerate(rest) if s >> i & 1] for s in range(1 << len(rest))]
+        assert len(subsets) == (2 if joined else 32)
+        for subset in subsets:
+            child = minus(g.adj, [2 * m, *subset])
+            assert len(child) <= top or memo.get_labeled(child) is not None
+
+
+def test_block_step_is_off_without_a_memo(monkeypatch):
+    # Without a memo no child of a block step is shared, so the engine fills
+    # in at every node of least degree 4 or more.  block_graph(5, 4) has two
+    # block children, G-u and G-u-b_4, each cut out by one ``induced`` call.
+    calls = []
+
+    def spy(adj, keep):
+        calls.append(keep)
+        return induced(adj, keep)
+
+    monkeypatch.setattr(coloring_engine, "induced", spy)
+    g = block_graph(5, 4)
+    assert profile(g, None) == brute_force_profile(g)
+    assert calls == []
+    assert profile(g, ProfileCache()) == brute_force_profile(g)
+    assert calls[:2] == [(1 << 10) - 1, (1 << 9) - 1]
+
+
 def grid_graph(r):
     """The r x r grid, its vertices numbered row by row."""
     return Graph.from_edges(r * r, sorted([(v, v + 1) for v in range(r * r) if v % r < r - 1]
@@ -368,7 +453,8 @@ def grid_graph(r):
 
 
 def test_degree_3_elimination_search_size_and_digests():
-    # Sparse graphs whose branch vertices mostly have degree 2 or 3.  Each
+    # Sparse graphs whose branch vertices mostly have degree 2 or 3, and two
+    # dense ones, where the block step takes the place of fill-in.  Each
     # memo's size, the number of graphs the search stored, is pinned, so a
     # change of rule that moves the search fails here even where every count
     # holds.  Filling in beside each degree-3 vertex stored 26 graphs for
@@ -399,18 +485,66 @@ def test_degree_3_elimination_search_size_and_digests():
     assert (sum(counts), sum(k * c for k, c in enumerate(counts))) == (agg.b, agg.t)
     # The digests, of each count vector written as decimals joined by
     # commas, were taken from the fill-in rule, so here one rule checks the
-    # other beyond the oracle's reach.
+    # other beyond the oracle's reach.  The dense two are within it, and
+    # ``brute_force_profile`` gives the same digests.
     for g, digest, size in [
         (grid_graph(6), "1e735aecaa0a8c0147758e373bbea2a7f9e1f19af2ff9514551f8c922ceff827",
          25_395),
         (random_graph(28, Random(3), 0.15),
-         "69aac4a5113593b0f7fe6b9d4f400ca521cd4a8f9bc1bf13e1e6fea12f397872", 10_309),
+         "69aac4a5113593b0f7fe6b9d4f400ca521cd4a8f9bc1bf13e1e6fea12f397872", 10_283),
         (random_graph(24, Random(1), 0.2),
-         "c16fff1e1195454eb84b307800526e2b80074149269284c082b25edab9406ac4", 4_762),
+         "c16fff1e1195454eb84b307800526e2b80074149269284c082b25edab9406ac4", 3_246),
+        (random_graph(20, Random(1), 0.5),
+         "486ce75775b2835f826c9e3765bd6a4877720f69f43a1586498523ee53399413", 6_881),
+        (random_graph(18, Random(4), 0.7),
+         "2b53596058620665213ae6bf335180d76ca173862679f7a6bea4f3e3c184d831", 478),
     ]:
         counts, found = search(g)
         assert hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest() == digest
         assert found == size
+
+
+def cycle_square(n):
+    """C_n(1, 2): vertex i joined to i + 1 and i + 2 mod n, 4-regular for n >= 5."""
+    return Graph.from_edges(n, sorted({tuple(sorted((i, (i + d) % n)))
+                                       for i in range(n) for d in (1, 2)}))
+
+
+def cycle_square_colorings(n, m):
+    """Proper m-colorings of C_n(1, 2): cyclic words with any 3 consecutive colors distinct.
+
+    Walks of length n on the ordered pairs of distinct colors, one step
+    (a, b) -> (b, c) with c not a or b, that return to their start; by
+    symmetry, m(m - 1) times those from (0, 1).
+    """
+    if m < 3:
+        return 0
+    ways = {(0, 1): 1}
+    for _ in range(n):
+        step = {}
+        for (a, b), w in ways.items():
+            for c in range(m):
+                if c != a and c != b:
+                    step[b, c] = step.get((b, c), 0) + w
+        ways = step
+    return m * (m - 1) * ways.get((0, 1), 0)
+
+
+def test_block_step_cap_keeps_fill_in_on_the_square_of_a_cycle():
+    # The squares of cycles are 4-regular, so every node past the root's
+    # chain branches at least degree 4, and a vertex of greatest degree
+    # misses a path-like set whose stable sets grow without bound with n:
+    # with no cap C30(1, 2) stores 98,688 graphs (292 filling in alone) and
+    # C40(1, 2) passes 3 GB.  Under the cap they fill in until the graph is
+    # small, then take the block step; the memo sizes are pinned.  The
+    # counts are checked against the proper colorings: at 0..20 colors,
+    # which fixes every count of C20(1, 2), and at 0..12 for C40(1, 2).
+    for n, size, colors in [(20, 980, 21), (40, 1_260, 13)]:
+        memo = ProfileCache()
+        counts = profile(cycle_square(n), memo).counts
+        assert len(memo) == size
+        for m in range(colors):
+            assert sum(c * perm(m, k) for k, c in enumerate(counts)) == cycle_square_colorings(n, m)
 
 
 def networkx_oracle_graphs():
@@ -452,15 +586,22 @@ def test_engine_matches_networkx_chromatic_polynomial():
             assert sum(c * perm(m, k) for k, c in enumerate(counts)) == poly.subs(x, m)
 
 
-@pytest.mark.parametrize("small_order", [coloring_engine.SMALL_ORDER, 0])
-def test_engine_matches_oracle_on_every_atlas_graph(monkeypatch, small_order):
+@pytest.mark.parametrize("small_order, cap", [
+    pytest.param(coloring_engine.SMALL_ORDER, coloring_engine.BLOCK_MAX_CHILDREN, id="6"),
+    pytest.param(0, coloring_engine.BLOCK_MAX_CHILDREN, id="0"),
+    pytest.param(0, 0, id="0-cap-0"),
+])
+def test_engine_matches_oracle_on_every_atlas_graph(monkeypatch, small_order, cap):
     # Every graph on at most 7 vertices, one per isomorphism class, under
     # four seeded relabellings each: the engine picks vertices by index, so
     # each relabelling can take another branch path.  With the table cut to
     # the null graph, the rules alone reach every leaf: no other row is
-    # read, and order 7 takes no step over the rows.
+    # read, and order 7 takes no step over the rows.  There the block step
+    # runs at its default cap, and with the cap at 0, where fill-in takes
+    # its place; with the table, no graph here reaches either.
     nx = pytest.importorskip("networkx")
     monkeypatch.setattr(coloring_engine, "SMALL_ORDER", small_order)
+    monkeypatch.setattr(coloring_engine, "BLOCK_MAX_CHILDREN", cap)
     rng = Random(29)
     atlas = nx.graph_atlas_g()
     assert len(atlas) == 1253

@@ -30,6 +30,7 @@ from graphbell.graph_core import (  # noqa: E402
     Graph,
     build,
     flipped,
+    induced,
     merged,
     random_graph,
     without_vertex,
@@ -160,6 +161,25 @@ def test_degree_3_elimination_matches_oracle(small_order, n, q, seed):
         assert profile(g, ProfileCache()) == profile(g, None) == expected
 
 
+# Dense G(n, q), where the least degree is often 4 or more and the block of
+# the last vertex of greatest degree is expanded, into one child per stable
+# set of its non-neighbors.  The cap runs at its default, at 0, where every
+# such node fills in instead, and past any count of stable sets an order-14
+# graph can have.  Without a memo every such node fills in, so the memo-off
+# run checks fill-in against the same oracle.
+@pytest.mark.parametrize("cap", [coloring_engine.BLOCK_MAX_CHILDREN, 0, 1 << 14])
+@pytest.mark.parametrize("small_order", [coloring_engine.SMALL_ORDER, 0])
+@settings(max_examples=25)
+@given(st.integers(8, 14), st.floats(0.5, 0.9), st.integers(0, 2**32))
+def test_block_step_matches_oracle(small_order, cap, n, q, seed):
+    g = random_graph(n, Random(seed), q)
+    expected = brute_force_profile(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coloring_engine, "SMALL_ORDER", small_order)
+        mp.setattr(coloring_engine, "BLOCK_MAX_CHILDREN", cap)
+        assert profile(g, ProfileCache()) == profile(g, None) == expected
+
+
 def relabelled(g: Graph, order: int, label) -> Graph:
     """Rebuild ``g`` from its edge list under ``label``.
 
@@ -196,6 +216,20 @@ def test_rewrite_helpers_match_relabelled_edge_lists(data):
         toggled = Graph.from_edges(n, sorted(set(g.edges()) ^ {(keep, drop)}))
         assert flipped(g.adj, keep, drop) == flipped(g.adj, drop, keep) == toggled.adj
         assert (g.delete_edge if g.adj[keep] >> drop & 1 else g.add_edge)(keep, drop) == toggled
+
+
+# The kept vertices are renumbered in order; keeping all of them, none, or
+# all but a top run are among the draws, and orders reach past bit 63.
+@settings(max_examples=60)
+@given(st.data())
+def test_induced_matches_relabelled_edge_list(data):
+    n = data.draw(st.sampled_from(range(71)))
+    q = data.draw(st.sampled_from((0.1, 0.5, 0.9)))
+    g = random_graph(n, Random(data.draw(st.integers(0, 2**32))), q)
+    kept = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    keep = sum(1 << v for v, k in enumerate(kept) if k)
+    rank = {v: i for i, v in enumerate(v for v in range(n) if keep >> v & 1)}
+    assert induced(g.adj, keep) == relabelled(g, len(rank), rank.get).adj
 
 
 @settings(max_examples=100)
