@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 from .errors import DataFileError, DomainError, ResourceError
 from .graph_core import (
-    PROFILE_MAX_ORDER, Graph, all_graphs, check_order, flipped, induced, merged,
+    PROFILE_MAX_ORDER, Graph, all_graphs, check_order, flipped, induced, merged_set,
     pop_last, without_vertex,
 )
 
@@ -250,43 +250,44 @@ def profile(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> Stirl
     neighbors (r = 0 if isolated), giving
     counts(G, k) = (k-r)*counts(G-v, k) + counts(G-v, k-1), the
     falling-factorial form of P(G) = (x-r)*P(G-v).  A graph with no such
-    vertex branches beside v, its highest-indexed vertex of least degree d.
-    At d = 2 or 3, v goes in one step, by an identity for a vertex of any
-    degree (G.-C. Rota, "On the foundations of combinatorial theory I",
-    1964): with H = G-v, counts(G, k) is the counts of H lifted as for a
-    simplicial v with r = d, plus the sum of (-1)^|S| * counts(H/S, k) over
-    the stable sets S of at least two of v's neighbors.  A partition of H
-    into k blocks, m of them meeting N(v), takes v into k - m blocks.  A
-    block meeting N(v) in j vertices holds the S inside it, whose signs sum
-    to j - 1, and those j - 1 add up to d - m over the m blocks.  At d = 2
-    the neighbors y and z are not adjacent (else v would be simplicial), and
-    the children are H and H/yz.  At d = 3, with neighbors x, y and z, they
-    are H, H/S for each of the one to three stable pairs S, and H/xyz,
-    counted with a minus sign, when all three pairs are stable: at most five
-    children, where filling in beside v made up to five leaves and the nodes
-    between them.  At degree 4 or more, the block of u, the highest-indexed
-    vertex of greatest degree, is expanded, as in the oracle's step (E. L.
-    Lawler, IPL 5, 1976): the block holding u is u and a stable set I of
-    its non-neighbors, so counts(G, k) is the sum of counts(G-u-I, k-1)
-    over those I, the empty one included.  One child G-u-I is pushed per I,
-    its kept vertices in their order.  The sets are listed one non-neighbor
-    at a time, and once they number more than ``BLOCK_MAX_CHILDREN`` (64;
-    read per call, so 0 turns the step off) the listing stops and the node
-    fills in beside v instead.  Without a memo no child is shared, and the
-    step is off: every such node fills in.  Fill-in: N(v) misses an edge
-    xy, x the highest neighbor of v with a non-neighbor in N(v) and y the
-    highest such non-neighbor, and counts(G) = counts(G+xy) + counts(G/xy);
-    in both children v is a step nearer simplicial (Zykov's
-    addition-contraction).
+    vertex branches beside v, its highest-indexed vertex of least degree d,
+    and every branch is one signed sum: one child's counts, lifted as a
+    peel lifts them, plus or minus the other children's.  At d = 2 or 3, v
+    goes in one step, by an identity for a vertex of any degree (G.-C. Rota,
+    "On the foundations of combinatorial theory I", 1964): with H = G-v,
+    counts(G, k) is the counts of H lifted as for a simplicial v with r = d,
+    plus the sum of (-1)^|S| * counts(H/S, k) over the stable sets S of at
+    least two of v's neighbors.  A partition of H into k blocks, m of them
+    meeting N(v), takes v into k - m blocks.  A block meeting N(v) in j
+    vertices holds the S inside it, whose signs sum to j - 1, and those
+    j - 1 add up to d - m over the m blocks.  At d = 2 the neighbors y and
+    z are not adjacent (else v would be simplicial), and the children are H
+    and H/yz.  At d = 3, with neighbors x, y and z, they are H, H/S for
+    each of the one to three stable pairs S, and H/xyz, counted with a
+    minus sign, when all three pairs are stable.  At degree 4 or more, the
+    block of u, the highest-indexed vertex of greatest degree, is expanded,
+    as in the oracle's step (E. L. Lawler, IPL 5, 1976): the block holding
+    u is u and a stable set I of its non-neighbors, so counts(G, k) is the
+    sum of counts(G-u-I, k-1) over those I, the empty one included, G-u's
+    lifted by one block as for a dominating peel.  One child G-u-I is
+    pushed per I, its kept vertices in their order.  The sets are listed
+    one non-neighbor at a time, and once they number more than
+    ``BLOCK_MAX_CHILDREN`` (64; read per call, so 0 turns the step off) the
+    listing stops and the node fills in beside v instead.  Without a memo
+    no child is shared, and the step is off: every such node fills in.
+    Fill-in: N(v) misses an edge xy, x the highest neighbor of v with a
+    non-neighbor in N(v) and y the highest such non-neighbor, and
+    counts(G) = counts(G+xy) + counts(G/xy), G+xy's not lifted; in both
+    children v is a step nearer simplicial (Zykov's addition-contraction).
     A dense graph has few stable sets outside the neighbors of u, so its
     block step has few children, each of order n-1 or less, where fill-in
     kept order n on one side: G(22, .5) needs about a sixth of the graphs
     fill-in stored.  Every branch follows a scan that found no peel, with
     one exception: a last vertex of degree 2 whose neighbors are not
     adjacent is eliminated before any scan, even where another vertex would
-    have peeled.  A merge keeps the lower index.  Every choice takes the highest
-    index because the families keep their leaves at the top, and removing
-    or merging away the last vertex shifts no index.
+    have peeled.  A merge keeps the lowest index of its set.  Every choice
+    takes the highest index because the families keep their leaves at the
+    top, and removing or merging away the last vertex shifts no index.
 
     The root's chain, the peels before its first branch, runs in place on
     one list of masks: each peel drops the last vertex with ``pop_last`` or
@@ -355,6 +356,8 @@ def _profile_counts(
     # row is read.  No leaf is looked up or stored.
     top = small and small + 1
     cap = BLOCK_MAX_CHILDREN if memo is not None else 0
+    # An elimination's signs by its number of stable pairs (then H/xyz last).
+    rota_signs = (None, (add,), (add, add), (add, add, add, sub))
     get = put = None
     if memo is not None and len(adj) > top:
         counts = memo.get_labeled(adj)
@@ -387,12 +390,12 @@ def _profile_counts(
     # The work stack starts at the first graph that does not peel, or at a
     # leaf.  ``todo`` holds graphs still to expand and combine steps, each
     # step pushed as the graph and then its rule, below the graphs whose
-    # counts it needs: rule None for a dominating peel, r for a simplicial
-    # one, add for a fill-in branch, the list [d, stable pairs] for a
-    # one-step elimination (H's counts end at the bottom, under those of the
-    # merged graphs) and range(m) for a block step with m children (G-u's
-    # counts end on top).  A rule is never a tuple, so the type of a popped
-    # item tells the two apart.
+    # counts it needs: None or r for a peel, whose one child ``_peeled``
+    # lifts, and the list [lift, shift, signs] for a branch.  A branch's
+    # first child, G+xy, H or G-u, ends on top of ``done``, lifted by
+    # ``lift`` (False: not at all); each other child's counts, in push
+    # order, are added or subtracted (``signs``) from count ``shift`` up.
+    # A rule is never a tuple, so a popped item's type tells the two apart.
     # ``done`` holds finished counts.  Every graph combined is stored.  Only
     # the first graph leaves ``todo`` empty when it is popped, and it is the
     # root, looked up above, or a graph of its chain, so it is not looked up.
@@ -404,28 +407,15 @@ def _profile_counts(
             if type(item) is not tuple:
                 rule, adj = item, todo.pop()
                 counts = done.pop()
-                if rule is add:
-                    counts = tuple(map(add, done.pop(), counts + (0,)))
-                elif type(rule) is list:
-                    # counts(H) lifted as for a simplicial v with d neighbors,
-                    # plus each stable pair's counts(H/S)[k], minus
-                    # counts(H/xyz)[k]: the merged graphs' counts are popped in
-                    # push order, then H's
-                    d, pairs = rule
-                    total = counts + (0, 0)
-                    for _ in range(1, pairs):
-                        total = map(add, total, done.pop() + (0, 0))
-                    if pairs == 3:
-                        total = map(sub, total, done.pop() + (0, 0, 0))
-                    counts = tuple(map(add, _peeled(done.pop(), d), total))
-                elif type(rule) is range:
-                    # (0,) and the children's counts summed, each zero-padded
-                    # to the n counts of G-u, which are popped first.
-                    total = list(counts)
-                    for _ in rule[1:]:
-                        counts = done.pop()
-                        total[:len(counts)] = map(add, total, counts)
-                    counts = (0, *total)
+                if type(rule) is list:
+                    lift, shift, signs = rule
+                    if lift is not False:
+                        counts = _peeled(counts, lift)
+                    width = len(adj) + 1 - shift
+                    for sign in signs:
+                        c = done.pop()
+                        counts = map(sign, counts, (0,) * shift + c + (0,) * (width - len(c)))
+                    counts = tuple(counts)
                 else:
                     counts = tuple(_peeled(counts, rule))
                 if put is not None:
@@ -478,7 +468,7 @@ def _profile_counts(
                         stable += [s | w for s in stable if not s & near]
                         rest ^= w
                     if len(stable) <= cap:
-                        todo += (adj, range(len(stable)))
+                        todo += (adj, [None, 1, (add,) * (len(stable) - 1)])
                         todo += [induced(adj, keep ^ s) for s in stable]
                         continue
                     rest = a
@@ -490,7 +480,8 @@ def _profile_counts(
                             break
                         rest ^= high
                     keep = missing.bit_length() - 1
-                    todo += (adj, add, merged(adj, keep, drop), flipped(adj, keep, drop))
+                    todo += (adj, [False, 0, (add,)], flipped(adj, keep, drop),
+                             merged_set(adj, 1 << keep | high))
                     continue
             elif rule < 2 or adj[(a & -a).bit_length() - 1] & a:
                 todo += (adj, rule, without_vertex(adj, v))
@@ -499,33 +490,30 @@ def _profile_counts(
             # are not adjacent, and v goes in one step into H = G-v, H/S for
             # each stable pair S of its neighbors, and H/xyz when all three
             # pairs are stable.  Its neighbors, as a mask renumbered past v for
-            # H, are x < y < z; at degree 2, x comes out as -1 and ``x >= 0``
-            # skips its two pairs.  Each pair's stability is one bit of H.  H is
-            # pushed last, so it is expanded first; ``merged`` keeps the lower
-            # index, and merging z away shifts neither x nor y.  At degree 2
-            # the children have orders n-1 and n-2, so without a memo a cycle
-            # costs T(C_n) = T(P_n-1) + T(C_n-2) steps, quadratic in n; filling
-            # in there would make it Fibonacci.
+            # H, are x < y < z, x as a bit and y and z as indices; at degree 2,
+            # x comes out as 0 and skips its two pairs.  Each pair's stability
+            # is one bit of H.  At degree 2 the children have orders n-1 and
+            # n-2, so without a memo a cycle costs T(C_n) = T(P_n-1) + T(C_n-2)
+            # steps, quadratic in n; filling in there would make it Fibonacci.
             rest = without_vertex(adj, v)
             a = a & (1 << v) - 1 | a >> v + 1 << v
             z = a.bit_length() - 1
             a ^= 1 << z
             y = a.bit_length() - 1
-            x = (a ^ 1 << y).bit_length() - 1
-            xy = x >= 0 and not rest[x] >> y & 1
-            xz = x >= 0 and not rest[x] >> z & 1
+            x = a ^ 1 << y
+            xy = x and not rest[y] & x
+            xz = x and not rest[z] & x
             yz = not rest[y] >> z & 1
-            todo += (adj, [rule, xy + xz + yz])
+            pairs = xy + xz + yz
+            todo += (adj, [rule, 0, rota_signs[pairs]], rest)
             if xy:
-                todo.append(merged(rest, x, y))
+                todo.append(merged_set(rest, a))
             if xz:
-                todo.append(merged(rest, x, z))
+                todo.append(merged_set(rest, x | 1 << z))
             if yz:
-                pair = merged(rest, y, z)
-                todo.append(pair)
-                if xy and xz:
-                    todo.append(merged(pair, x, y))
-            todo.append(rest)
+                todo.append(merged_set(rest, 1 << y | 1 << z))
+            if pairs == 3:
+                todo.append(merged_set(rest, a | 1 << z))
     except MemoryError:
         # The work stacks are emptied before the error leaves this frame.
         # Its traceback keeps the frame's locals alive, and Python 3.11,
@@ -548,8 +536,7 @@ def _profile_counts(
 def _peeled(counts: tuple[int, ...], rule) -> Iterable[int]:
     # The counts of G from those of G-v, as an iterable, v peeled by
     # ``rule``: None for a dominating v, shifting every count up one block;
-    # r for a simplicial v with r neighbors, (k - r) * counts[k] + counts[k-1]
-    # for k = 0..len(counts), the lift that a one-step elimination starts from.
+    # r for a simplicial v with r neighbors, (k - r) * counts[k] + counts[k-1].
     if rule is None:
         return (0,) + counts
     return map(add, map(mul, range(-rule, len(counts) + 1 - rule), counts + (0,)),

@@ -1,15 +1,16 @@
 """Immutable simple graphs, family constructors, and the rewrite operations.
 
 Vertices are always 0..n-1.  Every operation returns a new graph; merge and
-vertex removal renumber by shifting the indices above the vacated slot down
-by one, so indices stay contiguous and the result is deterministic.
+vertex removal renumber by shifting the indices above each vacated slot
+down by one, so indices stay contiguous and the result is deterministic.
 
 The rewrites are unchecked functions on a bare adjacency tuple.  Merging
-and the edge flip each have one implementation (``merged``, ``flipped``);
-a merge joins the two neighborhoods, then removes the dropped vertex.
-Vertex removal has two: ``induced``, the subgraph on a set of vertices,
-renumbers the kept ones in order and drops each run of removed vertices in
-one pass, and ``without_vertex`` removes one vertex in its own pass, which
+and the edge flip each have one implementation (``merged_set``,
+``flipped``); a merge identifies a set of vertices into its lowest, and a
+pair, adjacent or not, is the case ``Graph.merge`` uses.  Vertex removal
+has two: ``induced``, the subgraph on a set of vertices, renumbers the
+kept ones in order and drops each run of removed vertices in one pass,
+and ``without_vertex`` removes one vertex in its own pass, which
 skips the run search and costs about 0.3 us less per call on the order-12
 graphs of the benchmark's ``random`` workload.  Removing the last vertex,
 which shifts no index, is ``pop_last``, in place on a list;
@@ -65,18 +66,19 @@ def _bits(mask: int):
         mask ^= low
 
 
-def pop_last(masks: list[int]) -> None:
+def pop_last(masks: list[int]) -> int:
     """Delete the last vertex of the adjacency list ``masks``, in place.
 
-    Pops its mask and clears its bit in its neighbors' masks; no index
-    shifts.  ``masks`` must be a non-empty list.
+    Pops its mask, clears its bit in its neighbors' masks and returns the
+    mask; no index shifts.  ``masks`` must be a non-empty list.
     """
-    rest = masks.pop()
+    rest = popped = masks.pop()
     bit = 1 << len(masks)
     while rest:
         low = rest & -rest
         masks[low.bit_length() - 1] ^= bit
         rest ^= low
+    return popped
 
 
 def without_vertex(adj, v: int) -> tuple[int, ...]:
@@ -119,25 +121,35 @@ def induced(adj, keep: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def merged(adj: tuple[int, ...], keep: int, drop: int) -> tuple[int, ...]:
-    """Adjacency masks of the graph ``adj`` with vertex ``drop`` identified into ``keep``.
+def merged_set(adj, s: int) -> tuple[int, ...]:
+    """Adjacency masks of the graph ``adj`` with the vertices of the mask ``s`` identified.
 
-    The merged vertex stays at ``keep`` with the union of both
-    neighborhoods; a keep-drop edge disappears and parallel edges collapse.
-    The neighbors of ``drop`` that ``keep`` lacks are joined to ``keep``,
-    then ``without_vertex`` removes ``drop`` from that list, so indices
-    above ``drop`` shift down by one.  Needs
-    ``0 <= keep < drop < len(adj)`` (unchecked).
+    They merge into the lowest vertex of ``s``, which keeps its index and
+    takes the union of their neighborhoods outside ``s``.  The others are
+    cut from the highest down, one pass each (``pop_last`` for the last
+    vertex), so a pair takes one.  ``s`` holds two or more vertices of
+    ``adj``, adjacent or not (unchecked).
     """
-    kbit = 1 << keep
-    rest = adj[drop] & ~(adj[keep] | kbit)
+    low = s & -s
+    drop = s ^ low
     masks = list(adj)
-    masks[keep] |= rest
-    while rest:
-        low = rest & -rest
-        masks[low.bit_length() - 1] |= kbit
-        rest ^= low
-    return without_vertex(masks, drop)
+    join = pop_last(masks) if drop >> len(masks) - 1 else 0
+    drop &= (1 << len(masks)) - 1
+    while drop:
+        v = drop.bit_length() - 1
+        join |= masks.pop(v)
+        below = (1 << v) - 1
+        drop &= below
+        join = join & below | join >> v + 1 << v
+        masks = [m & below | m >> v + 1 << v for m in masks]
+    keep = low.bit_length() - 1
+    join &= ~(masks[keep] | low)
+    masks[keep] |= join
+    while join:
+        bit = join & -join
+        masks[bit.bit_length() - 1] |= low
+        join ^= bit
+    return tuple(masks)
 
 
 def flipped(adj: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
@@ -226,7 +238,7 @@ class Graph(NamedTuple):
         self._require_vertex(v)
         if u == v:
             raise UsageError("merge needs two distinct vertices")
-        return Graph(merged(self.adj, min(u, v), max(u, v)))
+        return Graph(merged_set(self.adj, 1 << u | 1 << v))
 
     def remove_vertex(self, v: int) -> "Graph":
         """Delete v and its incident edges; higher indices shift down by one."""

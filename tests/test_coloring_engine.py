@@ -31,7 +31,7 @@ from graphbell.graph_core import (
     build,
     flipped,
     induced,
-    merged,
+    merged_set,
     random_graph,
     without_vertex,
 )
@@ -322,7 +322,7 @@ def test_engine_matches_oracle_in_both_branch_modes(monkeypatch, small_order):
     fill_rest = without_vertex(fill.adj, 8)
     cap = coloring_engine.BLOCK_MAX_CHILDREN
     for g, g_cap, children, others in [
-        (hub, cap, [hub_rest, merged(hub_rest, 1, 2)],
+        (hub, cap, [hub_rest, merged_set(hub_rest, 1 << 1 | 1 << 2)],
          [flipped(hub.adj, 2, 3), flipped(hub.adj, 0, 1)]),
         (fill, 0, [flipped(fill.adj, 6, 7)], [flipped(fill.adj, 2, 7)]),
         (fill, cap, [fill_rest, without_vertex(fill_rest, 8)],
@@ -361,9 +361,9 @@ def test_degree_3_elimination_with_one_two_and_three_stable_pairs(monkeypatch, s
         assert without_vertex(g.adj, v) == h.adj
         assert coloring_engine.find_peel(g.adj) is None
         assert [d for d in map(int.bit_count, g.adj) if d < 7] == [3]
-        children = [h.adj] + [merged(h.adj, a, b) for a, b in stable]
+        children = [h.adj] + [merged_set(h.adj, 1 << a | 1 << b) for a, b in stable]
         if len(stable) == 3:
-            children.append(merged(merged(h.adj, y, z), x, y))
+            children.append(merged_set(h.adj, 1 << x | 1 << y | 1 << z))
         memo = ProfileCache()
         assert profile(g, memo) == profile(g, None) == brute_force_profile(g)
         for child in children:
@@ -630,7 +630,7 @@ def test_edge_deletion_identity():
             continue
         u, v = edges[rng.randrange(len(edges))]
         deleted = counts_of(flipped(g.adj, u, v))
-        contracted = counts_of(merged(g.adj, u, v)) + (0,)
+        contracted = counts_of(merged_set(g.adj, 1 << u | 1 << v)) + (0,)
         assert profile(g).counts == tuple(map(sub, deleted, contracted))
 
 
@@ -658,7 +658,7 @@ def test_degree_2_elimination_identity():
         rest = without_vertex(g.adj, v)
         lower = counts_of(rest)
         times = tuple((k - 2) * c + d for k, (c, d) in enumerate(zip(lower + (0,), (0,) + lower)))
-        contracted = counts_of(merged(rest, a, b)) + (0, 0)
+        contracted = counts_of(merged_set(rest, 1 << a | 1 << b)) + (0, 0)
         assert brute_force_profile(g).counts == tuple(map(add, times, contracted))
         checked += 1
     assert checked >= 40
@@ -678,7 +678,7 @@ def test_edge_addition_identity():
             continue
         u, v = non_edges[rng.randrange(len(non_edges))]
         added = counts_of(flipped(g.adj, u, v))
-        contracted = counts_of(merged(g.adj, u, v)) + (0,)
+        contracted = counts_of(merged_set(g.adj, 1 << u | 1 << v)) + (0,)
         assert profile(g).counts == tuple(map(add, added, contracted))
 
 

@@ -31,7 +31,7 @@ from graphbell.graph_core import (  # noqa: E402
     build,
     flipped,
     induced,
-    merged,
+    merged_set,
     random_graph,
     without_vertex,
 )
@@ -140,7 +140,7 @@ def test_degree_2_elimination_matches_oracle(data):
     g = Graph.from_edges(base.n + 1, edges + [(v, a + (a >= v)), (v, b + (b >= v))])
     rest = without_vertex(g.adj, v)
     lower = profile(Graph(rest), ProfileCache()).counts
-    upper = profile(Graph(merged(rest, a, b)), ProfileCache()).counts + (0, 0)
+    upper = profile(Graph(merged_set(rest, 1 << a | 1 << b)), ProfileCache()).counts + (0, 0)
     combined = [(k - 2) * c + d + e
                 for k, (c, d, e) in enumerate(zip(lower + (0,), (0,) + lower, upper))]
     assert brute_force_profile(g).counts == tuple(combined)
@@ -209,13 +209,10 @@ def test_rewrite_helpers_match_relabelled_edge_lists(data):
     if n < 2:
         return
     u = data.draw(st.sampled_from(range(n)).filter(lambda u: u != v))
-    for keep, drop in {(min(u, v), max(u, v)), (min(u, v), n - 1)}:
-        joined = relabelled(g, n - 1, lambda x: keep if x == drop else x - (x > drop))
-        assert merged(g.adj, keep, drop) == joined.adj
-        assert g.merge(keep, drop) == g.merge(drop, keep) == joined
-        toggled = Graph.from_edges(n, sorted(set(g.edges()) ^ {(keep, drop)}))
-        assert flipped(g.adj, keep, drop) == flipped(g.adj, drop, keep) == toggled.adj
-        assert (g.delete_edge if g.adj[keep] >> drop & 1 else g.add_edge)(keep, drop) == toggled
+    for a, b in {(min(u, v), max(u, v)), (min(u, v), n - 1)}:
+        toggled = Graph.from_edges(n, sorted(set(g.edges()) ^ {(a, b)}))
+        assert flipped(g.adj, a, b) == flipped(g.adj, b, a) == toggled.adj
+        assert (g.delete_edge if g.adj[a] >> b & 1 else g.add_edge)(a, b) == toggled
 
 
 # The kept vertices are renumbered in order; keeping all of them, none, or
@@ -230,6 +227,42 @@ def test_induced_matches_relabelled_edge_list(data):
     keep = sum(1 << v for v, k in enumerate(kept) if k)
     rank = {v: i for i, v in enumerate(v for v in range(n) if keep >> v & 1)}
     assert induced(g.adj, keep) == relabelled(g, len(rank), rank.get).adj
+
+
+# Each vertex set is merged into its lowest vertex: a stable set of 2-6
+# vertices grown in a drawn order, as the engine's elimination merges, one
+# grown from the last vertex, whose cut shifts no index, and two adjacent
+# pairs, which ``Graph.merge`` allows, one of them at the last vertex when
+# it has a neighbor.  Orders reach past bit 63.
+@settings(max_examples=60)
+@given(st.data())
+def test_merged_set_matches_relabelled_edge_list(data):
+    n = data.draw(st.sampled_from(range(2, 71)))
+    q = data.draw(st.sampled_from((0.1, 0.5, 0.9)))
+    g = random_graph(n, Random(data.draw(st.integers(0, 2**32))), q)
+    order = data.draw(st.permutations(range(n)))
+    size = data.draw(st.integers(2, 6))
+    sets = []
+    for start in (order, [n - 1] + order):
+        stable = []
+        for v in start:
+            if len(stable) < size and v not in stable and not any(g.adj[v] >> u & 1 for u in stable):
+                stable.append(v)
+        sets.append(stable)
+    edges = g.edges()
+    if edges:
+        sets.append(data.draw(st.sampled_from(edges)))
+    if g.adj[n - 1]:
+        sets.append(((g.adj[n - 1] & -g.adj[n - 1]).bit_length() - 1, n - 1))
+    for s in sets:
+        if len(s) < 2:
+            continue
+        keep = min(s)
+        rank = {v: i for i, v in enumerate(v for v in range(n) if v == keep or v not in s)}
+        joined = relabelled(g, len(rank), lambda v: rank[keep] if v in s else rank[v])
+        assert merged_set(g.adj, sum(1 << v for v in s)) == joined.adj
+        if len(s) == 2:
+            assert g.merge(*s) == g.merge(*s[::-1]) == joined
 
 
 @settings(max_examples=100)
