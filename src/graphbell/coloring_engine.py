@@ -36,8 +36,7 @@ from typing import NamedTuple
 
 from .errors import DataFileError, DomainError, ResourceError
 from .graph_core import (
-    PROFILE_MAX_ORDER, Graph, all_graphs, check_order, flipped, induced, merged_set,
-    pop_last, without_vertex,
+    PROFILE_MAX_ORDER, Graph, all_graphs, check_order, flipped, merged_set, pop_last, without,
 )
 
 # The oracle's budget.  A block it tries costs one step per entry of the
@@ -386,7 +385,7 @@ def _profile_counts(
         if v == len(masks) - 1:
             pop_last(masks)
         else:
-            masks = list(without_vertex(masks, v))
+            masks = list(without(masks, 1 << v))
     # The work stack starts at the first graph that does not peel, or at a
     # leaf.  ``todo`` holds graphs still to expand and combine steps, each
     # step pushed as the graph and then its rule, below the graphs whose
@@ -442,7 +441,7 @@ def _profile_counts(
                 peel = find_peel(adj) if todo else None
                 if peel is not None:
                     v, rule = peel
-                    todo += (adj, rule, without_vertex(adj, v))
+                    todo += (adj, rule, without(adj, 1 << v))
                     continue
                 # Nothing peeled, so every degree is at least 2 and no
                 # neighborhood is a clique: branch beside the least-degree
@@ -459,8 +458,7 @@ def _profile_counts(
                 a = adj[v]
                 if rule > 3:
                     u = len(adj) - 1 - degrees[::-1].index(max(degrees))
-                    keep = ((1 << len(adj)) - 1) ^ 1 << u
-                    rest = keep & ~adj[u]
+                    rest = (1 << len(adj)) - 1 & ~(adj[u] | 1 << u)
                     stable = [0]
                     while rest and len(stable) <= cap:
                         w = rest & -rest
@@ -469,7 +467,7 @@ def _profile_counts(
                         rest ^= w
                     if len(stable) <= cap:
                         todo += (adj, [None, 1, (add,) * (len(stable) - 1)])
-                        todo += [induced(adj, keep ^ s) for s in stable]
+                        todo += [without(adj, 1 << u | s) for s in stable]
                         continue
                     rest = a
                     while True:
@@ -484,7 +482,7 @@ def _profile_counts(
                              merged_set(adj, 1 << keep | high))
                     continue
             elif rule < 2 or adj[(a & -a).bit_length() - 1] & a:
-                todo += (adj, rule, without_vertex(adj, v))
+                todo += (adj, rule, without(adj, 1 << v))
                 continue
             # v has degree 2 or 3 and is not simplicial, so two of its neighbors
             # are not adjacent, and v goes in one step into H = G-v, H/S for
@@ -495,7 +493,7 @@ def _profile_counts(
             # is one bit of H.  At degree 2 the children have orders n-1 and
             # n-2, so without a memo a cycle costs T(C_n) = T(P_n-1) + T(C_n-2)
             # steps, quadratic in n; filling in there would make it Fibonacci.
-            rest = without_vertex(adj, v)
+            rest = without(adj, 1 << v)
             a = a & (1 << v) - 1 | a >> v + 1 << v
             z = a.bit_length() - 1
             a ^= 1 << z

@@ -2,21 +2,17 @@
 
 Vertices are always 0..n-1.  Every operation returns a new graph; merge and
 vertex removal renumber by shifting the indices above each vacated slot
-down by one, so indices stay contiguous and the result is deterministic.
+down, so indices stay contiguous and the result is deterministic.
 
-The rewrites are unchecked functions on a bare adjacency tuple.  Merging
-and the edge flip each have one implementation (``merged_set``,
-``flipped``); a merge identifies a set of vertices into its lowest, and a
-pair, adjacent or not, is the case ``Graph.merge`` uses.  Vertex removal
-has two: ``induced``, the subgraph on a set of vertices, renumbers the
-kept ones in order and drops each run of removed vertices in one pass,
-and ``without_vertex`` removes one vertex in its own pass, which
-skips the run search and costs about 0.3 us less per call on the order-12
-graphs of the benchmark's ``random`` workload.  Removing the last vertex,
-which shifts no index, is ``pop_last``, in place on a list;
-``without_vertex`` uses it, and so does the profile engine's peel chain.
-The profile engine calls them directly; the ``Graph`` methods validate
-their arguments, then delegate.
+The rewrites are unchecked functions on a bare adjacency tuple, one per
+concept.  ``without`` deletes the vertices of a mask and renumbers the rest
+in order; it is the one routine that shifts indices, and removing the last
+vertex, which shifts none, is ``pop_last``, in place on a list, which
+``without`` and the profile engine's peel chain use.  ``merged_set``
+identifies a set of vertices into its lowest, a pair, adjacent or not,
+being the case ``Graph.merge`` uses, and drops the others through
+``without``; ``flipped`` toggles an edge.  The profile engine calls them
+directly; the ``Graph`` methods validate their arguments, then delegate.
 """
 
 from __future__ import annotations
@@ -81,35 +77,20 @@ def pop_last(masks: list[int]) -> int:
     return popped
 
 
-def without_vertex(adj, v: int) -> tuple[int, ...]:
-    """Adjacency masks of the graph ``adj`` with vertex v and its edges deleted.
+def without(adj, drop: int) -> tuple[int, ...]:
+    """Adjacency masks of the graph ``adj`` with the vertices of the mask ``drop`` deleted.
 
-    Indices above v shift down by one.  v must be a vertex (unchecked);
-    ``adj`` is a tuple or list of masks, left unchanged, and the order is
-    ``len(adj)``.  Removing the last vertex shifts no index, so it
-    rewrites only its neighbors' masks (``pop_last``).  Any other vertex
-    takes one pass, the one-run case of ``induced`` without its run search.
+    The kept vertices are renumbered 0, 1, ... in their order.  A dropped
+    last vertex shifts no index and goes in place (``pop_last``); every
+    other run of consecutive dropped vertices goes in one pass over the
+    masks, from the highest run down, so a lower index never moves before
+    its run is cut.  ``drop`` must be a mask of vertices of ``adj``
+    (unchecked); ``adj`` is a tuple or list, left unchanged.
     """
     masks = list(adj)
-    if v == len(masks) - 1:
+    if drop and drop.bit_length() == len(masks):
         pop_last(masks)
-        return tuple(masks)
-    del masks[v]
-    low = (1 << v) - 1
-    return tuple([m & low | m >> v + 1 << v for m in masks])
-
-
-def induced(adj, keep: int) -> tuple[int, ...]:
-    """Adjacency masks of the subgraph of ``adj`` on the vertices of the mask ``keep``.
-
-    The kept vertices are renumbered 0, 1, ... in their order.  Each run of
-    consecutive dropped vertices goes in one pass over the masks, from the
-    highest run down, so a lower index never moves before its run is cut;
-    no loop visits a neighbor.  ``keep`` must be a mask of vertices of
-    ``adj`` (unchecked); ``adj`` is a tuple or list, left unchanged.
-    """
-    masks = list(adj)
-    drop = (1 << len(masks)) - 1 ^ keep
+        drop ^= 1 << len(masks)
     while drop:
         # The highest dropped run is a..b-1.
         b = drop.bit_length()
@@ -124,32 +105,27 @@ def induced(adj, keep: int) -> tuple[int, ...]:
 def merged_set(adj, s: int) -> tuple[int, ...]:
     """Adjacency masks of the graph ``adj`` with the vertices of the mask ``s`` identified.
 
-    They merge into the lowest vertex of ``s``, which keeps its index and
-    takes the union of their neighborhoods outside ``s``.  The others are
-    cut from the highest down, one pass each (``pop_last`` for the last
-    vertex), so a pair takes one.  ``s`` holds two or more vertices of
+    They merge into the lowest vertex of ``s``, which keeps its index: it is
+    joined to the other vertices' neighbors outside ``s``, and then the
+    others are dropped by ``without``.  ``s`` holds two or more vertices of
     ``adj``, adjacent or not (unchecked).
     """
     low = s & -s
-    drop = s ^ low
+    drop = rest = s ^ low
     masks = list(adj)
-    join = pop_last(masks) if drop >> len(masks) - 1 else 0
-    drop &= (1 << len(masks)) - 1
-    while drop:
-        v = drop.bit_length() - 1
-        join |= masks.pop(v)
-        below = (1 << v) - 1
-        drop &= below
-        join = join & below | join >> v + 1 << v
-        masks = [m & below | m >> v + 1 << v for m in masks]
+    join = 0
+    while rest:
+        bit = rest & -rest
+        join |= masks[bit.bit_length() - 1]
+        rest ^= bit
     keep = low.bit_length() - 1
-    join &= ~(masks[keep] | low)
+    join &= ~(s | masks[keep])
     masks[keep] |= join
     while join:
         bit = join & -join
         masks[bit.bit_length() - 1] |= low
         join ^= bit
-    return tuple(masks)
+    return without(masks, drop)
 
 
 def flipped(adj: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
@@ -243,7 +219,7 @@ class Graph(NamedTuple):
     def remove_vertex(self, v: int) -> "Graph":
         """Delete v and its incident edges; higher indices shift down by one."""
         self._require_vertex(v)
-        return Graph(without_vertex(self.adj, v))
+        return Graph(without(self.adj, 1 << v))
 
 
 class FamilyKind(Enum):

@@ -1,6 +1,7 @@
 """Engine vs. oracle, reduction identities, and the profile value object."""
 
 import hashlib
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -30,10 +31,9 @@ from graphbell.graph_core import (
     Graph,
     build,
     flipped,
-    induced,
     merged_set,
     random_graph,
-    without_vertex,
+    without,
 )
 from graphbell.sequences import STIRLING_MAX_ROWS, bell, stirling_rows
 
@@ -318,14 +318,14 @@ def test_engine_matches_oracle_in_both_branch_modes(monkeypatch, small_order):
         + [(u, v) for u, v in combinations([0, 1, 2, 3, 4, 6, 7, 8, 9], 2)
            if (u, v) not in holes],
     )
-    hub_rest = without_vertex(hub.adj, 2)
-    fill_rest = without_vertex(fill.adj, 8)
+    hub_rest = without(hub.adj, 1 << 2)
+    fill_rest = without(fill.adj, 1 << 8)
     cap = coloring_engine.BLOCK_MAX_CHILDREN
     for g, g_cap, children, others in [
         (hub, cap, [hub_rest, merged_set(hub_rest, 1 << 1 | 1 << 2)],
          [flipped(hub.adj, 2, 3), flipped(hub.adj, 0, 1)]),
         (fill, 0, [flipped(fill.adj, 6, 7)], [flipped(fill.adj, 2, 7)]),
-        (fill, cap, [fill_rest, without_vertex(fill_rest, 8)],
+        (fill, cap, [fill_rest, without(fill.adj, 3 << 8)],
          [flipped(fill.adj, 6, 7), flipped(fill.adj, 2, 7)]),
     ]:
         monkeypatch.setattr(coloring_engine, "BLOCK_MAX_CHILDREN", g_cap)
@@ -358,7 +358,7 @@ def test_degree_3_elimination_with_one_two_and_three_stable_pairs(monkeypatch, s
         up = [u + (u >= v) for u in range(10)]
         g = Graph.from_edges(11, [(up[a], up[b]) for a, b in h.edges()]
                              + [(up[u], v) for u in (x, y, z)])
-        assert without_vertex(g.adj, v) == h.adj
+        assert without(g.adj, 1 << v) == h.adj
         assert coloring_engine.find_peel(g.adj) is None
         assert [d for d in map(int.bit_count, g.adj) if d < 7] == [3]
         children = [h.adj] + [merged_set(h.adj, 1 << a | 1 << b) for a, b in stable]
@@ -381,13 +381,6 @@ def block_graph(m, joined):
     edges = [(a, m + b) for a in range(m) for b in range(m) if a != b]
     edges += [(a, 2 * m) for a in range(m)] + [(m + b, 2 * m) for b in range(joined)]
     return Graph.from_edges(2 * m + 1, edges)
-
-
-def minus(adj, vertices):
-    """``adj`` without ``vertices``, removed one at a time from the highest."""
-    for v in sorted(vertices, reverse=True):
-        adj = without_vertex(adj, v)
-    return adj
 
 
 @pytest.mark.parametrize("small_order", [coloring_engine.SMALL_ORDER, 0])
@@ -421,29 +414,36 @@ def test_block_step_with_two_and_many_children_and_over_the_cap(monkeypatch, sma
             continue
         assert full == [g.adj]
         rest = range(m + joined, 2 * m)
-        subsets = [[b for i, b in enumerate(rest) if s >> i & 1] for s in range(1 << len(rest))]
+        subsets = [sum(1 << b for i, b in enumerate(rest) if s >> i & 1)
+                   for s in range(1 << len(rest))]
         assert len(subsets) == (2 if joined else 32)
         for subset in subsets:
-            child = minus(g.adj, [2 * m, *subset])
+            child = without(g.adj, 1 << 2 * m | subset)
             assert len(child) <= top or memo.get_labeled(child) is not None
 
 
 def test_block_step_is_off_without_a_memo(monkeypatch):
     # Without a memo no child of a block step is shared, so the engine fills
-    # in at every node of least degree 4 or more.  block_graph(5, 4) has two
-    # block children, G-u and G-u-b_4, each cut out by one ``induced`` call.
-    calls = []
+    # in at every node of least degree 4 or more.  Of the engine's calls to
+    # ``without``, only the block step's cut a graph of the search that
+    # has no peel and least degree 4 or more: a peel cuts a graph that
+    # peels (the root's chain a list), and the elimination one of least
+    # degree 2 or 3.  block_graph(5, 4) has two block children, G-u and
+    # G-u-b_4.
+    blocks = []
 
-    def spy(adj, keep):
-        calls.append(keep)
-        return induced(adj, keep)
+    def spy(adj, drop):
+        if (type(adj) is tuple and coloring_engine.find_peel(adj) is None
+                and min(map(int.bit_count, adj)) > 3):
+            blocks.append((adj, drop))
+        return without(adj, drop)
 
-    monkeypatch.setattr(coloring_engine, "induced", spy)
+    monkeypatch.setattr(coloring_engine, "without", spy)
     g = block_graph(5, 4)
     assert profile(g, None) == brute_force_profile(g)
-    assert calls == []
+    assert blocks == []
     assert profile(g, ProfileCache()) == brute_force_profile(g)
-    assert calls[:2] == [(1 << 10) - 1, (1 << 9) - 1]
+    assert blocks[:2] == [(g.adj, 1 << 10), (g.adj, 1 << 10 | 1 << 9)]
 
 
 def grid_graph(r):
@@ -545,6 +545,37 @@ def test_block_step_cap_keeps_fill_in_on_the_square_of_a_cycle():
         assert len(memo) == size
         for m in range(colors):
             assert sum(c * perm(m, k) for k, c in enumerate(counts)) == cycle_square_colorings(n, m)
+
+
+_BIPARTITE = (
+    "import sys\n"
+    "from graphbell.coloring_engine import ProfileCache, profile\n"
+    "from graphbell.graph_core import Graph\n"
+    "m, n = map(int, sys.argv[1:])\n"
+    "g = Graph.from_edges(m + n, [(a, m + b) for a in range(m) for b in range(n)])\n"
+    "print(*profile(g, ProfileCache()).counts)\n"
+)
+
+
+@pytest.mark.parametrize("m, n", [(9, 9), (7, 15), (16, 16), (18, 18)])
+def test_fill_in_keeps_complete_bipartite_graphs_fast(child_env, m, n):
+    # A vertex of K(m, n) misses only its own side, a stable set, so the
+    # block step would list 2^(side - 1) sets: K(7, 15) takes it at the cap,
+    # and the others pass the cap and fill in.  Uncapped, the block step
+    # took K(16, 16) from 0.09 to 1.6 s, and K(18, 18), with 131,072
+    # children, overflowed the C stack in the combine; with the cap,
+    # K(18, 18) takes about 0.3 s.  Each graph runs in a child interpreter
+    # under a timeout, so a blow-up fails here instead of hanging or
+    # crashing the suite.  Every block lies in one side, so
+    # counts(k) = sum_i S(m, i) * S(n, k - i), from the Stirling rows, a
+    # recurrence the engine never uses.
+    proc = subprocess.run([sys.executable, "-c", _BIPARTITE, str(m), str(n)],
+                          capture_output=True, text=True, env=child_env, timeout=15)
+    assert proc.returncode == 0 and proc.stderr == ""
+    rows = list(stirling_rows(max(m, n)))
+    expected = [sum(rows[m][i] * rows[n][k - i] for i in range(max(0, k - n), min(m, k) + 1))
+                for k in range(m + n + 1)]
+    assert list(map(int, proc.stdout.split())) == expected
 
 
 def networkx_oracle_graphs():
@@ -655,7 +686,7 @@ def test_degree_2_elimination_identity():
         g = Graph.from_edges(
             base.n + 1, [(up(x), up(y)) for x, y in base.edges()] + [(v, up(a)), (v, up(b))]
         )
-        rest = without_vertex(g.adj, v)
+        rest = without(g.adj, 1 << v)
         lower = counts_of(rest)
         times = tuple((k - 2) * c + d for k, (c, d) in enumerate(zip(lower + (0,), (0,) + lower)))
         contracted = counts_of(merged_set(rest, 1 << a | 1 << b)) + (0, 0)
@@ -817,7 +848,7 @@ def test_memo_stores_from_the_first_branch_down():
     memo = Recording()
     counts = profile(g, memo)
     assert set(memo) == memo.stored == {g.adj} | set(cycle_memo)
-    chain = {without_vertex(g.adj, 11), without_vertex(without_vertex(g.adj, 11), 10)}
+    chain = {without(g.adj, 1 << 11), without(g.adj, 3 << 10)}
     assert memo.looked_up == {g.adj} | cycle_memo.looked_up - {cycle}
     assert not chain & (memo.looked_up | memo.stored)
     assert memo[cycle] == cycle_counts

@@ -30,10 +30,9 @@ from graphbell.graph_core import (  # noqa: E402
     Graph,
     build,
     flipped,
-    induced,
     merged_set,
     random_graph,
-    without_vertex,
+    without,
 )
 
 
@@ -138,7 +137,7 @@ def test_degree_2_elimination_matches_oracle(data):
     v = data.draw(st.integers(0, base.n))
     edges = [(x + (x >= v), y + (y >= v)) for x, y in base.edges()]
     g = Graph.from_edges(base.n + 1, edges + [(v, a + (a >= v)), (v, b + (b >= v))])
-    rest = without_vertex(g.adj, v)
+    rest = without(g.adj, 1 << v)
     lower = profile(Graph(rest), ProfileCache()).counts
     upper = profile(Graph(merged_set(rest, 1 << a | 1 << b)), ProfileCache()).counts + (0, 0)
     combined = [(k - 2) * c + d + e
@@ -199,13 +198,8 @@ def test_rewrite_helpers_match_relabelled_edge_lists(data):
     q = data.draw(st.sampled_from((0.1, 0.5, 0.9)))
     g = random_graph(n, Random(data.draw(st.integers(0, 2**32))), q)
     v = data.draw(st.sampled_from(range(n)))
-    # The last vertex, which most peels remove and every merge on a cycle
-    # drops, has its own path that shifts no index; at orders above 64 it
-    # also reaches bits past 63.
     for x in {0, v, n - 1}:
-        gone = relabelled(g, n - 1, lambda y: None if y == x else y - (y > x))
-        assert without_vertex(g.adj, x) == gone.adj
-        assert g.remove_vertex(x) == gone
+        assert g.remove_vertex(x) == relabelled(g, n - 1, lambda y: None if y == x else y - (y > x))
     if n < 2:
         return
     u = data.draw(st.sampled_from(range(n)).filter(lambda u: u != v))
@@ -215,18 +209,32 @@ def test_rewrite_helpers_match_relabelled_edge_lists(data):
         assert (g.delete_edge if g.adj[a] >> b & 1 else g.add_edge)(a, b) == toggled
 
 
-# The kept vertices are renumbered in order; keeping all of them, none, or
-# all but a top run are among the draws, and orders reach past bit 63.
+# The kept vertices are renumbered in order.  Besides a mask drawn bit by
+# bit (dropping all, none, or a top run are among the draws), each graph
+# drops the first vertex alone, a drawn one alone and the last alone, which
+# most peels remove, every merge on a cycle drops and ``without`` pops in
+# place, and a top run together with a lower run, kept vertices between
+# them.  Orders reach past bit 63.  A list comes in as a tuple does.
 @settings(max_examples=60)
 @given(st.data())
-def test_induced_matches_relabelled_edge_list(data):
+def test_without_matches_relabelled_edge_list(data):
     n = data.draw(st.sampled_from(range(71)))
     q = data.draw(st.sampled_from((0.1, 0.5, 0.9)))
     g = random_graph(n, Random(data.draw(st.integers(0, 2**32))), q)
-    kept = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    keep = sum(1 << v for v, k in enumerate(kept) if k)
-    rank = {v: i for i, v in enumerate(v for v in range(n) if keep >> v & 1)}
-    assert induced(g.adj, keep) == relabelled(g, len(rank), rank.get).adj
+    dropped = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    drops = [sum(1 << v for v, d in enumerate(dropped) if d)]
+    if n:
+        drops += [1, 1 << data.draw(st.sampled_from(range(n))), 1 << n - 1]
+    if n >= 3:
+        a, b, c = sorted(data.draw(st.lists(st.sampled_from(range(n)), min_size=3,
+                                            max_size=3, unique=True)))
+        drops.append((1 << n) - (1 << c) | (1 << b) - (1 << a))
+    masks = list(g.adj)
+    for drop in drops:
+        rank = {v: i for i, v in enumerate(v for v in range(n) if not drop >> v & 1)}
+        kept = relabelled(g, len(rank), rank.get).adj
+        assert without(g.adj, drop) == without(masks, drop) == kept
+    assert masks == list(g.adj)
 
 
 # Each vertex set is merged into its lowest vertex: a stable set of 2-6
