@@ -63,7 +63,8 @@ def parse_family(text: str) -> FamilySpec:
     lo = 2 if kind is FamilyKind.HNR else 1
     hi = lo if kind in (FamilyKind.EMPTY, FamilyKind.COMPLETE) else lo + 1
     if not (lo <= len(params) <= hi):
-        raise UsageError(f"family {kind_str!r} takes {lo}..{hi} parameters")
+        count = "1 parameter" if lo == hi else f"{lo} or {hi} parameters"
+        raise UsageError(f"family {kind_str!r} takes {count}")
     if kind is not FamilyKind.HNR:
         params.insert(1, 0)  # only h takes a tail length r
     return FamilySpec(kind, *params)

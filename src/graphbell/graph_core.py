@@ -18,7 +18,6 @@ directly; the ``Graph`` methods validate their arguments, then delegate.
 from __future__ import annotations
 
 import re
-import struct
 from enum import Enum
 from itertools import combinations
 from random import Random
@@ -286,91 +285,12 @@ def build(spec: FamilySpec) -> Graph:
     return Graph.from_edges(spec.order, edges)
 
 
-class CanonicalKey(NamedTuple):
-    """Deterministic fingerprint of a graph, shared by many isomorphic labelings.
+def canonical_key(g: Graph):
+    """Stand-in: the name stays only because ``perfbench/tracing.py`` wraps it.
 
-    The payload is the full relabeled edge encoding (not a digest), so equal
-    keys always denote isomorphic graphs; the converse is not guaranteed and
-    nothing may rely on it.  A key is an immutable one-field tuple.
+    Nothing calls it.  ROADMAP item 17 retires that tracer and removes it.
     """
-
-    data: bytes
-
-
-def canonical_key(g: Graph) -> CanonicalKey:
-    """Fingerprint ``g`` up to an isomorphism-or-finer equivalence.
-
-    The labeling is chosen as the lexicographically least edge encoding over
-    breadth-first relabelings started from each vertex of the minimal
-    refinement class (a label-invariant candidate set), with neighbor order
-    guided by iterated degree refinement.  Purely structural, no salted
-    hashing, stable across processes.
-    """
-    n = g.n
-    if n >= 1 << 16:
-        raise ResourceError("canonical fingerprints support orders below 65536")
-    edge_list = g.edges()
-    header = struct.pack(">HI", n, len(edge_list))
-    if n == 0:
-        return CanonicalKey(header)
-    wl = _refined_colors(g)
-    degs = [m.bit_count() for m in g.adj]
-    low = min(wl)
-    roots = [v for v in range(n) if wl[v] == low]
-    by_key = sorted(range(n), key=lambda v: (wl[v], degs[v], v))
-    nbrs = [sorted(_bits(g.adj[v]), key=lambda u: (wl[u], degs[u], u)) for v in range(n)]
-    best: bytes | None = None
-    for root in roots:
-        form = _bfs_edge_bytes(n, nbrs, by_key, edge_list, root)
-        if best is None or form < best:
-            best = form
-    return CanonicalKey(header + best)
-
-
-def _refined_colors(g: Graph) -> tuple[int, ...]:
-    """Iterated neighborhood-degree refinement, normalized to dense color ids."""
-    def ranked(values):
-        order = {s: i for i, s in enumerate(sorted(set(values)))}
-        return tuple(order[s] for s in values)
-
-    colors = ranked(tuple(m.bit_count() for m in g.adj))
-    for _ in range(g.n):
-        sigs = tuple(
-            (colors[v], tuple(sorted(colors[u] for u in _bits(g.adj[v]))))
-            for v in range(g.n)
-        )
-        nxt = ranked(sigs)
-        if nxt == colors:
-            break
-        colors = nxt
-    return colors
-
-
-def _bfs_edge_bytes(n, nbrs, starts, edge_list, root) -> bytes:
-    pos = [-1] * n
-    seq = [root]
-    pos[root] = 0
-    si = 0
-    qi = 0
-    while len(seq) < n:
-        if qi < len(seq):
-            v = seq[qi]
-            qi += 1
-            for u in nbrs[v]:
-                if pos[u] < 0:
-                    pos[u] = len(seq)
-                    seq.append(u)
-        else:
-            while pos[starts[si]] >= 0:
-                si += 1
-            v = starts[si]
-            pos[v] = len(seq)
-            seq.append(v)
-    relabeled = sorted(
-        (pos[a], pos[b]) if pos[a] < pos[b] else (pos[b], pos[a])
-        for a, b in edge_list
-    )
-    return b"".join(struct.pack(">HH", a, b) for a, b in relabeled)
+    raise NotImplementedError("canonical fingerprints were removed")
 
 
 def all_graphs(n: int):

@@ -63,6 +63,22 @@ def test_parse_family_rejects(text):
         parse_family(text)
 
 
+@pytest.mark.parametrize(
+    "spec,count",
+    [
+        ("empty:3,1", "1 parameter"),
+        ("complete:", "1 parameter"),
+        ("path:1,2,3", "1 or 2 parameters"),
+        ("h:5", "2 or 3 parameters"),
+        ("h:5,2,1,0", "2 or 3 parameters"),
+    ],
+)
+def test_family_parameter_count_error_names_the_count(capsys, spec, count):
+    kind = spec.partition(":")[0]
+    assert run_cli(capsys, "compute", "--family", spec) == (
+        1, "", f"error: family {kind!r} takes {count}\n")
+
+
 # --- compute -----------------------------------------------------------------------
 
 
