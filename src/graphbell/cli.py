@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import chain
 
 from . import closed_forms, selftest
-from .coloring_engine import SHARED_PROFILE_CACHE, profile
+from .coloring_engine import ProfileCache, profile
 from .errors import DomainError, GraphBellError, ResourceError, UsageError
 from .graph_core import FamilyKind, FamilySpec, build, check_order, load_edge_list
 from .inequality_verifier import INEQUALITY_IDS, InequalityReport, scan, summarize
@@ -194,7 +194,8 @@ def _cmd_compute(args) -> int:
         g = build(spec)
     else:
         g = load_edge_list(args.edges)
-    pr = profile(g, None if args.no_memo else SHARED_PROFILE_CACHE)
+    # The memo is this call's alone, so it is freed as soon as profile returns.
+    pr = profile(g, None if args.no_memo else ProfileCache())
     _emit_aggregates(args, {
         "n": pr.n,
         "counts": [str(c) for c in pr.counts],
@@ -364,10 +365,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except (RecursionError, MemoryError) as exc:
-        # The memo can hold most of the heap.  Kept alive, it left so little
-        # room under a memory limit that further MemoryError lines followed
-        # this one, so it is freed first.
-        SHARED_PROFILE_CACHE.clear()
+        # A MemoryError leaves the engine with its memo emptied (see
+        # ``profile``), so there is room left to print this one line.
         reason = ("the recursion depth limit was reached"
                   if isinstance(exc, RecursionError) else "out of memory")
         print(f"error: input too large: {reason}", file=sys.stderr)

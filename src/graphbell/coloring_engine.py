@@ -5,8 +5,9 @@ exactly k stable sets a graph admits.  ``profile`` computes it in exact
 integers by peeling vertices and branching on edges, down to a table of
 every graph on at most six vertices, whose order-6 rows ship packed in the
 package's ``small_table.zlib``, and one step over those rows for seven;
-its docstring states the rules and that base case, and ``memo=None`` (the
-CLI's ``--no-memo``) turns its memo off without changing any count.
+its docstring states the rules and that base case.  Its memo is a
+``ProfileCache`` the caller creates and passes, or None (the CLI's
+``--no-memo``), which turns it off without changing any count.
 ``brute_force_profile`` counts the same partitions by a recursion over
 vertex subsets, memoized per subset, and serves as the independent oracle
 the test suite compares against.  Both
@@ -111,6 +112,10 @@ class StirlingProfile(NamedTuple):
 class ProfileCache(dict):
     """Memo of count vectors: a ``dict`` keyed by a labeled graph's adjacency tuple.
 
+    The caller creates it and passes it to :func:`profile`, and it lives as
+    long as the caller keeps it: one per request, or one shared by the
+    calls whose graphs share subproblems.  A ``MemoryError`` inside a call
+    empties it before the error leaves the call.
     The tuple alone is the key: its length is the order.  A hit needs the
     work stack to reach an identical labeled subproblem, as the two children
     of a branch often do.  Isomorphic relabelings are not
@@ -139,6 +144,9 @@ class ProfileCache(dict):
         self.put(g.adj, counts)
 
 
+# Nothing in the package reads or fills it: the bench's leak guard
+# (perfbench/worker.py) and its CLI tracer read the name, and ROADMAP item
+# 17 removes it with them.
 SHARED_PROFILE_CACHE = ProfileCache()
 
 _new = tuple.__new__
@@ -222,7 +230,7 @@ def brute_force_profile(g: Graph) -> StirlingProfile:
                 break
 
 
-def profile(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> StirlingProfile:
+def profile(g: Graph, memo: ProfileCache | None) -> StirlingProfile:
     """Exact profile of ``g`` by vertex peeling and edge branching.
 
     The base case is one table, the counts of all 32,768 labeled graphs on
@@ -294,13 +302,15 @@ def profile(g: Graph, memo: ProfileCache | None = SHARED_PROFILE_CACHE) -> Stirl
     explicit stack does the rest, without recursion, on bare adjacency
     tuples, from the first graph that does not peel; its counts are lifted
     through the chain's rules, last first.  No ``Graph`` is built and no
-    vertex is checked per node.  The graphs reached are memoized under their
-    adjacency tuples (see :class:`ProfileCache` for which); pass
-    ``memo=None`` to disable caching.  The chain is never looked up, so a
-    memo shared by several calls answers a later call at its root and below
-    its chain, not at a graph of its chain that an earlier call stored.
-    Orders above ``PROFILE_MAX_ORDER`` raise ResourceError first.  A
-    MemoryError empties the work stack before it leaves the call.  A graph
+    vertex is checked per node.  The graphs reached are memoized in
+    ``memo``, a :class:`ProfileCache` the caller owns, under their adjacency
+    tuples (see :class:`ProfileCache` for which); None disables caching.
+    The chain is never looked up, so a memo shared by several calls answers
+    a later call at its root and below its chain, not at a graph of its
+    chain that an earlier call stored.  Orders above ``PROFILE_MAX_ORDER``
+    raise ResourceError first.  A MemoryError anywhere in the chain, the
+    work loop or the final lift empties the work stacks and ``memo`` before
+    it leaves the call.  A graph
     on at most 7 vertices is answered before anything else, without
     the order check or the work stack; ``SMALL_ORDER`` is read per call, so
     a caller that sets it to 0 cuts the table to the null graph and runs
@@ -363,44 +373,45 @@ def _profile_counts(
         if counts is not None:
             return counts
         get, put = memo.get_labeled, memo.put
-    # The root's chain: while the graph peels, it is peeled in place, on one
-    # list, and each rule is recorded.  The last vertex is tested first, as
-    # on the stack below; a scan gets a tuple copy (see ``find_peel``).
-    # Every graph of the chain is smaller than all earlier ones, and every
-    # later graph smaller still, so none can come up again in the call: none
-    # is looked up or stored.
     root, masks, rules = adj, list(adj), []
-    while len(masks) > top:
-        v = len(masks) - 1
-        a = masks[v]
-        rule = a.bit_count()
-        if rule > 2:
-            peel = find_peel(tuple(masks))
-            if peel is None:
-                break
-            v, rule = peel
-        elif rule == 2 and not masks[(a & -a).bit_length() - 1] & a:
-            break
-        rules.append(rule)
-        if v == len(masks) - 1:
-            pop_last(masks)
-        else:
-            masks = list(without(masks, 1 << v))
-    # The work stack starts at the first graph that does not peel, or at a
-    # leaf.  ``todo`` holds graphs still to expand and combine steps, each
-    # step pushed as the graph and then its rule, below the graphs whose
-    # counts it needs: None or r for a peel, whose one child ``_peeled``
-    # lifts, and the list [lift, shift, signs] for a branch.  A branch's
-    # first child, G+xy, H or G-u, ends on top of ``done``, lifted by
-    # ``lift`` (False: not at all); each other child's counts, in push
-    # order, are added or subtracted (``signs``) from count ``shift`` up.
-    # A rule is never a tuple, so a popped item's type tells the two apart.
-    # ``done`` holds finished counts.  Every graph combined is stored.  Only
-    # the first graph leaves ``todo`` empty when it is popped, and it is the
-    # root, looked up above, or a graph of its chain, so it is not looked up.
-    todo = [tuple(masks) if rules else root]
-    done = []
+    todo, done = [], []
     try:
+        # The root's chain: while the graph peels, it is peeled in place, on
+        # one list, and each rule is recorded.  The last vertex is tested
+        # first, as on the stack below; a scan gets a tuple copy (see
+        # ``find_peel``).  Every graph of the chain is smaller than all
+        # earlier ones, and every later graph smaller still, so none can come
+        # up again in the call: none is looked up or stored.
+        while len(masks) > top:
+            v = len(masks) - 1
+            a = masks[v]
+            rule = a.bit_count()
+            if rule > 2:
+                peel = find_peel(tuple(masks))
+                if peel is None:
+                    break
+                v, rule = peel
+            elif rule == 2 and not masks[(a & -a).bit_length() - 1] & a:
+                break
+            rules.append(rule)
+            if v == len(masks) - 1:
+                pop_last(masks)
+            else:
+                masks = list(without(masks, 1 << v))
+        # The work stack starts at the first graph that does not peel, or at a
+        # leaf.  ``todo`` holds graphs still to expand and combine steps, each
+        # step pushed as the graph and then its rule, below the graphs whose
+        # counts it needs: None or r for a peel, whose one child ``_peeled``
+        # lifts, and the list [lift, shift, signs] for a branch.  A branch's
+        # first child, G+xy, H or G-u, ends on top of ``done``, lifted by
+        # ``lift`` (False: not at all); each other child's counts, in push
+        # order, are added or subtracted (``signs``) from count ``shift`` up.
+        # A rule is never a tuple, so a popped item's type tells the two apart.
+        # ``done`` holds finished counts.  Every graph combined is stored.
+        # Only the first graph leaves ``todo`` empty when it is popped, and it
+        # is the root, looked up above, or a graph of its chain, so it is not
+        # looked up.
+        todo.append(tuple(masks) if rules else root)
         while todo:
             item = todo.pop()
             if type(item) is not tuple:
@@ -512,22 +523,24 @@ def _profile_counts(
                 todo.append(merged_set(rest, 1 << y | 1 << z))
             if pairs == 3:
                 todo.append(merged_set(rest, a | 1 << z))
+        # Lift the stack's counts through the chain's peels, from its last up
+        # to the root.
+        counts = done.pop()
+        for rule in reversed(rules):
+            counts = tuple(_peeled(counts, rule))
+        if rules and put is not None:
+            put(root, counts)
     except MemoryError:
-        # The work stacks are emptied before the error leaves this frame.
-        # Its traceback keeps the frame's locals alive, and Python 3.11,
-        # unwinding, drops the error if it cannot then allocate a caller's
-        # frame object, which surfaces as "SystemError: error return
-        # without exception set".
+        # The work stacks and the memo are emptied before the error leaves
+        # this frame.  Its traceback keeps the frame's locals alive, and
+        # Python 3.11, unwinding, drops the error if it cannot then allocate
+        # a caller's frame object, which surfaces as "SystemError: error
+        # return without exception set".  The memo can hold most of the heap.
         todo.clear()
         done.clear()
+        if memo is not None:
+            memo.clear()
         raise
-    # Lift the stack's counts through the chain's peels, from its last up to
-    # the root.
-    counts = done.pop()
-    for rule in reversed(rules):
-        counts = tuple(_peeled(counts, rule))
-    if rules and put is not None:
-        put(root, counts)
     return counts
 
 

@@ -1,8 +1,9 @@
 """Immutable simple graphs, family constructors, and the rewrite operations.
 
-Vertices are always 0..n-1.  Every operation returns a new graph; merge and
-vertex removal renumber by shifting the indices above each vacated slot
-down, so indices stay contiguous and the result is deterministic.
+Vertices are always 0..n-1.  A rewrite returns new adjacency masks, and
+one that removes vertices renumbers by shifting the indices above each
+vacated slot down, so indices stay contiguous and the result is
+deterministic.
 
 The rewrites are unchecked functions on a bare adjacency tuple, one per
 concept.  ``without`` deletes the vertices of a mask and renumbers the rest
@@ -10,9 +11,8 @@ in order; it is the one routine that shifts indices, and removing the last
 vertex, which shifts none, is ``pop_last``, in place on a list, which
 ``without`` and the profile engine's peel chain use.  ``merged_set``
 identifies a set of vertices into its lowest, a pair, adjacent or not,
-being the case ``Graph.merge`` uses, and drops the others through
-``without``; ``flipped`` toggles an edge.  The profile engine calls them
-directly; the ``Graph`` methods validate their arguments, then delegate.
+included, and drops the others through ``without``; ``flipped`` toggles an
+edge.  ``Graph`` has no rewrite methods: its four old method names raise.
 """
 
 from __future__ import annotations
@@ -180,45 +180,19 @@ class Graph(NamedTuple):
             out.extend((u, u + 1 + w) for w in _bits(upper))
         return out
 
-    def _require_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n):
-            raise UsageError(f"vertex {v} out of range for order {self.n}")
+    def _removed(self, *args):
+        """Stand-in for the deleted rewrite methods, bound to their four names.
 
-    def delete_edge(self, u: int, v: int) -> "Graph":
-        """Remove the edge {u, v}; the vertices must currently be adjacent."""
-        self._require_vertex(u)
-        self._require_vertex(v)
-        if not self.adj[u] >> v & 1:  # also refuses u == v: there is no self-loop
-            raise UsageError(f"delete_edge needs an existing edge, got ({u},{v})")
-        return Graph(flipped(self.adj, u, v))
-
-    def add_edge(self, u: int, v: int) -> "Graph":
-        """Insert the edge {u, v}; the vertices must be distinct and non-adjacent."""
-        self._require_vertex(u)
-        self._require_vertex(v)
-        if u == v:
-            raise UsageError("add_edge needs two distinct vertices")
-        if self.adj[u] >> v & 1:
-            raise UsageError(f"edge ({u},{v}) already present")
-        return Graph(flipped(self.adj, u, v))
-
-    def merge(self, u: int, v: int) -> "Graph":
-        """Identify u and v into a single vertex kept at min(u, v).
-
-        The merged vertex inherits the union of both neighborhoods; a u-v
-        edge disappears and parallel edges collapse, so the result stays
-        simple.  Indices above max(u, v) shift down by one.
+        The names stay only because ``perfbench/tracing.py`` wraps them by
+        name; nothing calls them.  ROADMAP item 17 retires that tracer and
+        removes them.
         """
-        self._require_vertex(u)
-        self._require_vertex(v)
-        if u == v:
-            raise UsageError("merge needs two distinct vertices")
-        return Graph(merged_set(self.adj, 1 << u | 1 << v))
+        raise NotImplementedError(
+            "Graph rewrite methods were removed; use without, merged_set or flipped on g.adj"
+        )
 
-    def remove_vertex(self, v: int) -> "Graph":
-        """Delete v and its incident edges; higher indices shift down by one."""
-        self._require_vertex(v)
-        return Graph(without(self.adj, 1 << v))
+    delete_edge = add_edge = merge = remove_vertex = _removed
+    del _removed
 
 
 class FamilyKind(Enum):

@@ -52,7 +52,7 @@ def all_graphs(n):
 
 
 def test_c5_profile():
-    pr = profile(family(FamilyKind.CYCLE, 5))
+    pr = profile(family(FamilyKind.CYCLE, 5), ProfileCache())
     assert pr.counts == (0, 0, 0, 5, 5, 1)
     assert pr.bell == 11 and pr.total == 40
     assert pr.average == Fraction(40, 11)
@@ -60,7 +60,7 @@ def test_c5_profile():
 
 
 def test_empty_graph_profile_is_stirling_row():
-    pr = profile(family(FamilyKind.EMPTY, 4))
+    pr = profile(family(FamilyKind.EMPTY, 4), ProfileCache())
     assert pr.counts == (0, 1, 7, 6, 1)
     assert pr.bell == bell(4) == 15
     assert pr.counts == brute_force_profile(family(FamilyKind.EMPTY, 4)).counts
@@ -73,13 +73,13 @@ def test_empty_graph_profile_is_stirling_row():
 
 
 def test_triangle_profile():
-    pr = profile(family(FamilyKind.CYCLE, 3))
+    pr = profile(family(FamilyKind.CYCLE, 3), ProfileCache())
     assert pr.counts == (0, 0, 0, 1)
     assert pr.bell == 1 and pr.total == 3
 
 
 def test_null_graph_profile():
-    pr = profile(family(FamilyKind.EMPTY, 0))
+    pr = profile(family(FamilyKind.EMPTY, 0), ProfileCache())
     assert pr.counts == (1,)
     assert pr.bell == 1 and pr.total == 0
 
@@ -201,14 +201,14 @@ def test_table_answers_through_order_7_without_the_work_stack(monkeypatch):
     monkeypatch.setattr(coloring_engine, "_profile_counts", refuse)
     for n in range(6):
         for g in all_graphs(n):
-            assert profile(g) == brute_force_profile(g), g
+            assert profile(g, ProfileCache()) == brute_force_profile(g), g
     rng = Random(1)
     for n in (6, 7):
         for _ in range(50):
             g = random_graph(n, rng, edge_prob=rng.random())
-            assert profile(g) == brute_force_profile(g), g
+            assert profile(g, ProfileCache()) == brute_force_profile(g), g
     with pytest.raises(AssertionError, match="work stack"):
-        profile(random_graph(8, Random(1)))
+        profile(random_graph(8, Random(1)), ProfileCache())
 
 
 def test_order_7_is_one_step_over_the_table_rows():
@@ -649,7 +649,7 @@ def test_engine_matches_oracle_on_every_atlas_graph(monkeypatch, small_order, ca
 
 def counts_of(adj):
     """Profile counts of a bare adjacency tuple, as the engine's rewrites leave it."""
-    return profile(Graph(adj)).counts
+    return profile(Graph(adj), ProfileCache()).counts
 
 
 def test_edge_deletion_identity():
@@ -662,7 +662,7 @@ def test_edge_deletion_identity():
         u, v = edges[rng.randrange(len(edges))]
         deleted = counts_of(flipped(g.adj, u, v))
         contracted = counts_of(merged_set(g.adj, 1 << u | 1 << v)) + (0,)
-        assert profile(g).counts == tuple(map(sub, deleted, contracted))
+        assert profile(g, ProfileCache()).counts == tuple(map(sub, deleted, contracted))
 
 
 def test_degree_2_elimination_identity():
@@ -710,7 +710,7 @@ def test_edge_addition_identity():
         u, v = non_edges[rng.randrange(len(non_edges))]
         added = counts_of(flipped(g.adj, u, v))
         contracted = counts_of(merged_set(g.adj, 1 << u | 1 << v)) + (0,)
-        assert profile(g).counts == tuple(map(add, added, contracted))
+        assert profile(g, ProfileCache()).counts == tuple(map(add, added, contracted))
 
 
 def test_dominating_vertex_shifts_average_by_one():
@@ -720,7 +720,7 @@ def test_dominating_vertex_shifts_average_by_one():
         g = Graph.from_edges(
             base.n + 1, base.edges() + [(v, base.n) for v in range(base.n)]
         )
-        assert profile(g).average == 1 + profile(base).average
+        assert profile(g, ProfileCache()).average == 1 + profile(base, ProfileCache()).average
 
 
 def plant_simplicial(base, rng):
@@ -741,7 +741,7 @@ def test_simplicial_vertex_strictly_raises_average():
     for _ in range(30):
         base = random_graph(rng.randint(2, 7), rng)
         g = plant_simplicial(base, rng)
-        assert profile(g).average > profile(base).average
+        assert profile(g, ProfileCache()).average > profile(base, ProfileCache()).average
 
 
 def test_isolated_vertex_convolution():
@@ -749,8 +749,8 @@ def test_isolated_vertex_convolution():
     for _ in range(25):
         g = random_graph(rng.randint(1, 7), rng)
         with_k1 = Graph.from_edges(g.n + 1, g.edges())
-        sub = profile(g).counts
-        got = profile(with_k1).counts
+        sub = profile(g, ProfileCache()).counts
+        got = profile(with_k1, ProfileCache()).counts
         for k in range(g.n + 2):
             expect = k * (sub[k] if k <= g.n else 0) + (sub[k - 1] if k >= 1 else 0)
             assert got[k] == expect
@@ -768,7 +768,7 @@ def test_memo_disabled_matches_enabled():
     shared = ProfileCache()
     for g in memo_test_graphs():
         expected = profile(g, memo=None)
-        assert expected == profile(g, ProfileCache()) == profile(g)
+        assert expected == profile(g, ProfileCache())
         assert profile(g, shared) == expected
 
 
@@ -871,6 +871,41 @@ def test_memo_is_populated_and_reused():
     assert profile(g, memo) == first
 
 
+# A MemoryError leaves ``profile`` with the memo it was handed emptied, from
+# anywhere in the call: the memo can hold most of the heap, and the error's
+# traceback keeps it alive while the caller reports the error.
+def test_memory_error_in_the_work_loop_empties_the_memo(monkeypatch):
+    g = random_graph(12, Random(5), edge_prob=0.5)
+    assert coloring_engine.find_peel(g.adj) is None  # no chain: the loop runs first
+    memo, sizes = ProfileCache(), []
+
+    def without_then_fail(adj, drop):
+        sizes.append(len(memo))
+        if len(sizes) == 20:
+            raise MemoryError
+        return without(adj, drop)
+
+    monkeypatch.setattr(coloring_engine, "without", without_then_fail)
+    with pytest.raises(MemoryError):
+        profile(g, memo)
+    assert sizes[-1] > 0 and len(memo) == 0
+
+
+def test_memory_error_in_the_root_chain_empties_the_memo(monkeypatch):
+    memo = ProfileCache()
+    profile(random_graph(12, Random(1), edge_prob=0.5), memo)
+    g = random_graph(12, Random(5), edge_prob=0.5)
+    assert len(memo) > 0 and g.adj[-1].bit_count() > 2  # the chain scans first
+
+    def fail(adj):
+        raise MemoryError
+
+    monkeypatch.setattr(coloring_engine, "find_peel", fail)
+    with pytest.raises(MemoryError):
+        profile(g, memo)
+    assert len(memo) == 0
+
+
 def test_disjoint_union_stays_within_work_bound():
     # The bound is far above what this union needs (about 900 graphs: each
     # branch stays beside one least-degree vertex, inside its component)
@@ -935,20 +970,21 @@ def test_engine_handles_structured_midsize_quickly():
 
 
 def test_avg_colors_c5():
-    assert profile(family(FamilyKind.CYCLE, 5)).average == Fraction(40, 11)
+    assert profile(family(FamilyKind.CYCLE, 5), ProfileCache()).average == Fraction(40, 11)
 
 
 def test_avg_colors_empty3():
-    assert profile(family(FamilyKind.EMPTY, 3)).average == Fraction(10, 5) == 2
+    assert profile(family(FamilyKind.EMPTY, 3), ProfileCache()).average == Fraction(10, 5) == 2
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_avg_colors_complete(n):
     g = family(FamilyKind.COMPLETE, n)
-    assert profile(g).average == n
-    assert profile(g).bell == 1 and profile(g).total == n
+    pr = profile(g, ProfileCache())
+    assert pr.average == n
+    assert pr.bell == 1 and pr.total == n
 
 
 def test_avg_colors_null_graph_rejected():
     with pytest.raises(DomainError):
-        profile(family(FamilyKind.EMPTY, 0)).average
+        profile(family(FamilyKind.EMPTY, 0), ProfileCache()).average

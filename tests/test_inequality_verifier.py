@@ -270,10 +270,12 @@ def test_average_form_and_cross_multiplied_form_agree():
 
 def test_c9_and_c17_sides_from_stirling_rows():
     # C9 and C17 call the same sums as their T_* partners, so for them
-    # test_average_form_and_cross_multiplied_form_agree checks nothing.  Here
-    # both sides are rebuilt from Bell numbers taken as Stirling row sums,
-    # with the sums written out.
-    bells = [sum(row) for row in stirling_rows(35)]
+    # test_average_form_and_cross_multiplied_form_agree checks nothing, and
+    # I3, I4 and I5 run the sides of C11, C14 and C17 at p = 0.  Here the
+    # sides of C9, C17 and I1-I6 are rebuilt from Bell numbers taken as
+    # Stirling row sums, with the sums written out; the I statements read no
+    # p and are scanned at p = 0 alone.
+    bells = b = [sum(row) for row in stirling_rows(35)]
 
     def binomial_sum(m, p):  # sum_i C(p, i) * bell(m + i)
         return sum(comb(p, i) * bells[m + i] for i in range(p + 1))
@@ -289,11 +291,20 @@ def test_c9_and_c17_sides_from_stirling_rows():
                             binomial_sum(n - 1, p + 1) * binomial_sum(n + 1, p)),
         "C17": lambda n, p: (binomial_sum(n, p) * alternating_sum(n, 0, p),
                              binomial_sum(n - 1, p) * alternating_sum(n, 1, p)),
+        "I1": lambda n, p: (b[n] * b[n], b[n - 1] * b[n + 1]),
+        "I2": lambda n, p: (b[n] * (b[n] + b[n + 1]), b[n - 1] * (b[n + 1] + b[n + 2])),
+        "I3": lambda n, p: (b[n] * (b[n] - b[n - 1]), b[n + 1] * (b[n - 1] - b[n - 2])),
+        "I4": lambda n, p: ((b[n - 1] - b[n - 2]) * alternating(n, 1),
+                            (b[n] - b[n - 1]) * alternating(n, 0)),
+        "I5": lambda n, p: (b[n] * alternating(n, 0), b[n - 1] * alternating(n, 1)),
+        "I6": lambda n, p: ((b[n] + b[n - 1] + 7 * (-1) ** n) * alternating(n, 0),
+                            (b[n - 1] + b[n - 2] + 3 * (-1) ** n) * alternating(n, 1)),
     }
     for id, sides in expected.items():
         reports = scan(id, 30, 3, explore=True)
+        ps = range(4) if definition(id).uses_p else range(1)
         assert {(r.n, r.p) for r in reports} == {
-            (n, p) for n in range(definition(id).eval_min, 31) for p in range(4)
+            (n, p) for n in range(definition(id).eval_min, 31) for p in ps
         }
         for r in reports:
             assert (r.lhs, r.rhs) == sides(r.n, r.p)
@@ -495,14 +506,14 @@ def _flagged_prop7_sides(rng):
     # The sampling loop as it was written with ``ok`` and ``found`` flags,
     # reading every partner's Bell number and total again in the sums.
     while True:
-        h = profile(random_graph(rng.randint(4, 7), rng))
+        h = profile(random_graph(rng.randint(4, 7), rng), ProfileCache())
         h_bell, h_total = h.bell, h.total
         partners = []
         ok = True
         for _ in range(rng.randint(1, 3)):
             found = None
             for _ in range(60):
-                f = profile(random_graph(rng.randint(4, 7), rng))
+                f = profile(random_graph(rng.randint(4, 7), rng), ProfileCache())
                 if f.total * h_bell < h_total * f.bell:
                     found = f
                     break
