@@ -301,22 +301,23 @@ def profile(g: Graph, memo: ProfileCache | None) -> StirlingProfile:
     rebuilds the list, and only the rules are kept.  Then one loop over one
     explicit stack does the rest, without recursion, on bare adjacency
     tuples, from the first graph that does not peel; its counts are lifted
-    through the chain's rules, last first.  No ``Graph`` is built and no
-    vertex is checked per node.  The graphs reached are memoized in
-    ``memo``, a :class:`ProfileCache` the caller owns, under their adjacency
-    tuples (see :class:`ProfileCache` for which); None disables caching.
-    The chain is never looked up, so a memo shared by several calls answers
-    a later call at its root and below its chain, not at a graph of its
-    chain that an earlier call stored.  Orders above ``PROFILE_MAX_ORDER``
-    raise ResourceError first.  A MemoryError anywhere in the chain, the
-    work loop or the final lift empties the work stacks and ``memo`` before
-    it leaves the call.  A graph
-    on at most 7 vertices is answered before anything else, without
-    the order check or the work stack; ``SMALL_ORDER`` is read per call, so
-    a caller that sets it to 0 cuts the table to the null graph and runs
-    every graph through the rules.  The record is built from its one field
-    in one step, as ``namedtuple._make`` does, skipping the generated
-    ``__new__``.
+    through the chain's rules, last first.  On the stack a peel is a branch
+    with one child, and a branch's other children are summed in place into
+    its first child's lifted counts, so no combine nests per child.  No
+    ``Graph`` is built and no vertex is checked per node.  The graphs
+    reached are memoized in ``memo``, a :class:`ProfileCache` the caller
+    owns, under their adjacency tuples (see :class:`ProfileCache` for
+    which); None disables caching.  The chain is never looked up, so a memo
+    shared by several calls answers a later call at its root and below its
+    chain, not at a graph of its chain that an earlier call stored.  Orders
+    above ``PROFILE_MAX_ORDER`` raise ResourceError first.  A MemoryError
+    anywhere in the chain, the work loop or the final lift empties the work
+    stacks and ``memo`` before it leaves the call.  A graph on at most 7
+    vertices is answered before anything else, without the order check or
+    the work stack; ``SMALL_ORDER`` is read per call, so a caller that sets
+    it to 0 cuts the table to the null graph and runs every graph through
+    the rules.  The record is built from its one field in one step, as
+    ``namedtuple._make`` does, skipping the generated ``__new__``.
     """
     adj = g.adj
     if len(adj) <= SMALL_ORDER + 1 and SMALL_ORDER:
@@ -400,34 +401,29 @@ def _profile_counts(
                 masks = list(without(masks, 1 << v))
         # The work stack starts at the first graph that does not peel, or at a
         # leaf.  ``todo`` holds graphs still to expand and combine steps, each
-        # step pushed as the graph and then its rule, below the graphs whose
-        # counts it needs: None or r for a peel, whose one child ``_peeled``
-        # lifts, and the list [lift, shift, signs] for a branch.  A branch's
-        # first child, G+xy, H or G-u, ends on top of ``done``, lifted by
-        # ``lift`` (False: not at all); each other child's counts, in push
-        # order, are added or subtracted (``signs``) from count ``shift`` up.
-        # A rule is never a tuple, so a popped item's type tells the two apart.
-        # ``done`` holds finished counts.  Every graph combined is stored.
+        # step pushed as the graph and then its record [lift, shift, signs],
+        # below the graphs whose counts it needs.  The first child, G-v, G+xy,
+        # H or G-u, ends on top of ``done``, lifted by ``lift`` as ``_peeled``
+        # lifts (False: not at all); the others' counts, in push order, are
+        # added or subtracted (``signs``) in place from count ``shift`` up.  A
+        # peel is [r, 0, ()].  Graphs are tuples and records lists, so a popped
+        # item's type tells the two apart.  ``done`` holds finished counts.
+        # Every graph combined is stored.
         # Only the first graph leaves ``todo`` empty when it is popped, and it
         # is the root, looked up above, or a graph of its chain, so it is not
         # looked up.
         todo.append(tuple(masks) if rules else root)
         while todo:
             item = todo.pop()
-            if type(item) is not tuple:
-                rule, adj = item, todo.pop()
-                counts = done.pop()
-                if type(rule) is list:
-                    lift, shift, signs = rule
-                    if lift is not False:
-                        counts = _peeled(counts, lift)
-                    width = len(adj) + 1 - shift
-                    for sign in signs:
-                        c = done.pop()
-                        counts = map(sign, counts, (0,) * shift + c + (0,) * (width - len(c)))
-                    counts = tuple(counts)
-                else:
-                    counts = tuple(_peeled(counts, rule))
+            if type(item) is list:
+                lift, shift, signs = item
+                adj, counts = todo.pop(), done.pop()
+                counts = list(counts if lift is False else _peeled(counts, lift))
+                for sign in signs:
+                    c = done.pop()
+                    end = shift + len(c)
+                    counts[shift:end] = map(sign, counts[shift:end], c)
+                counts = tuple(counts)
                 if put is not None:
                     put(adj, counts)
                 done.append(counts)
@@ -452,7 +448,7 @@ def _profile_counts(
                 peel = find_peel(adj) if todo else None
                 if peel is not None:
                     v, rule = peel
-                    todo += (adj, rule, without(adj, 1 << v))
+                    todo += (adj, [rule, 0, ()], without(adj, 1 << v))
                     continue
                 # Nothing peeled, so every degree is at least 2 and no
                 # neighborhood is a clique: branch beside the least-degree
@@ -493,7 +489,7 @@ def _profile_counts(
                              merged_set(adj, 1 << keep | high))
                     continue
             elif rule < 2 or adj[(a & -a).bit_length() - 1] & a:
-                todo += (adj, rule, without(adj, 1 << v))
+                todo += (adj, [rule, 0, ()], without(adj, 1 << v))
                 continue
             # v has degree 2 or 3 and is not simplicial, so two of its neighbors
             # are not adjacent, and v goes in one step into H = G-v, H/S for

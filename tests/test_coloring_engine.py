@@ -547,35 +547,61 @@ def test_block_step_cap_keeps_fill_in_on_the_square_of_a_cycle():
             assert sum(c * perm(m, k) for k, c in enumerate(counts)) == cycle_square_colorings(n, m)
 
 
+# Prints the counts of K(m, n), argv m n [cap], in a child interpreter; a
+# cap replaces ``BLOCK_MAX_CHILDREN``.
 _BIPARTITE = (
     "import sys\n"
+    "from graphbell import coloring_engine\n"
     "from graphbell.coloring_engine import ProfileCache, profile\n"
     "from graphbell.graph_core import Graph\n"
-    "m, n = map(int, sys.argv[1:])\n"
+    "m, n, *cap = map(int, sys.argv[1:])\n"
+    "if cap: coloring_engine.BLOCK_MAX_CHILDREN = cap[0]\n"
     "g = Graph.from_edges(m + n, [(a, m + b) for a in range(m) for b in range(n)])\n"
     "print(*profile(g, ProfileCache()).counts)\n"
 )
+
+
+def complete_bipartite_counts(m, n):
+    # Every block of K(m, n) lies in one side, so
+    # counts(k) = sum_i S(m, i) * S(n, k - i), from the Stirling rows, a
+    # recurrence the engine never uses.
+    rows = list(stirling_rows(max(m, n)))
+    return [sum(rows[m][i] * rows[n][k - i] for i in range(max(0, k - n), min(m, k) + 1))
+            for k in range(m + n + 1)]
 
 
 @pytest.mark.parametrize("m, n", [(9, 9), (7, 15), (16, 16), (18, 18)])
 def test_fill_in_keeps_complete_bipartite_graphs_fast(child_env, m, n):
     # A vertex of K(m, n) misses only its own side, a stable set, so the
     # block step would list 2^(side - 1) sets: K(7, 15) takes it at the cap,
-    # and the others pass the cap and fill in.  Uncapped, the block step
-    # took K(16, 16) from 0.09 to 1.6 s, and K(18, 18), with 131,072
-    # children, overflowed the C stack in the combine; with the cap,
-    # K(18, 18) takes about 0.3 s.  Each graph runs in a child interpreter
-    # under a timeout, so a blow-up fails here instead of hanging or
-    # crashing the suite.  Every block lies in one side, so
-    # counts(k) = sum_i S(m, i) * S(n, k - i), from the Stirling rows, a
-    # recurrence the engine never uses.
+    # and the others pass the cap and fill in.  The cap bounds time, not
+    # C-stack depth: uncapped, the block step took K(16, 16) from 0.14 to
+    # 1.7 s and K(18, 18), with 131,072 children, from 0.45 to 6.6 s and
+    # 162 MB.  Each graph runs in a child interpreter under a timeout, so a
+    # blow-up fails here instead of hanging or crashing the suite.
     proc = subprocess.run([sys.executable, "-c", _BIPARTITE, str(m), str(n)],
                           capture_output=True, text=True, env=child_env, timeout=15)
     assert proc.returncode == 0 and proc.stderr == ""
-    rows = list(stirling_rows(max(m, n)))
-    expected = [sum(rows[m][i] * rows[n][k - i] for i in range(max(0, k - n), min(m, k) + 1))
-                for k in range(m + n + 1)]
-    assert list(map(int, proc.stdout.split())) == expected
+    assert list(map(int, proc.stdout.split())) == complete_bipartite_counts(m, n)
+
+
+def test_uncapped_block_step_sums_its_children_on_a_1_mb_stack(child_env):
+    # With the cap lifted, the root of K(15, 15) takes the block step with
+    # 16,384 children.  Its combine sums them into one list in place, so
+    # its C-stack depth does not grow with their number: a combine that
+    # nested one lazy ``map`` per child overflowed a 1 MB stack here (exit
+    # -11, SIGSEGV).  About 0.7 s.
+    resource = pytest.importorskip("resource")
+
+    def small_stack():
+        hard = resource.getrlimit(resource.RLIMIT_STACK)[1]
+        resource.setrlimit(resource.RLIMIT_STACK, (1 << 20, hard))
+
+    proc = subprocess.run([sys.executable, "-c", _BIPARTITE, "15", "15", str(1 << 20)],
+                          capture_output=True, text=True, env=child_env, timeout=30,
+                          preexec_fn=small_stack)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert list(map(int, proc.stdout.split())) == complete_bipartite_counts(15, 15)
 
 
 def networkx_oracle_graphs():
